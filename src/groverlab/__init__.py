@@ -8,8 +8,6 @@ from .algebra import (
     adjoint,
     dft_matrix,
     is_unitary,
-    mat_apply,
-    mat_mul,
     outer,
 )
 from .errors import (
@@ -34,7 +32,6 @@ from .evolution import (
     uniform_initial,
 )
 from .kernel import (
-    ExtendedAmplitudes,
     FullSpaceConfig,
     GroverPhases,
     ReducedKernel,

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSizeError, ShapeError
+from .errors import InvalidSizeError, NormalizationError, ShapeError
 
 __all__ = [
     "TOL_EXACT",
     "TOL_PIPELINE",
+    "require_unit",
+    "unitarity_residual",
+    "momentum_state",
     "dft_matrix",
     "is_unitary",
-    "mat_apply",
-    "mat_mul",
     "adjoint",
     "outer",
     "as_vector",
@@ -50,17 +51,41 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def require_unit(x: float, tol: float, what: str, error=NormalizationError) -> None:
+    """Raise ``error`` unless |x - 1| <= tol; NaN never passes.
+
+    The one test behind every unit-norm and unit-modulus check.
+    """
+    if not abs(x - 1.0) <= tol:
+        raise error(f"{what} is {x}; expected 1 within {tol:g}")
+
+
+def unitarity_residual(a: np.ndarray) -> float:
+    """max|M^dagger M - I| of a square array already coerced by as_matrix."""
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+
+
+def momentum_state(y0, n: int) -> np.ndarray:
+    """Momentum basis state with wavenumber y0: entry x is exp(2*pi*i*x*y0/n)/sqrt(n).
+
+    ``y0`` may also be a column of wavenumbers, giving one state per row.
+    """
+    if n < 1:
+        raise InvalidSizeError(f"size must be >= 1, got {n}")
+    if not np.all((0 <= y0) & (y0 < n)):
+        raise IndexError(f"wavenumber {y0} outside [0, {n})")
+    return np.exp(2j * np.pi * np.arange(n) * y0 / n) / np.sqrt(n)
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary discrete Fourier transform on ``n`` points.
 
     Entry (y, x) is exp(+2*pi*i*x*y/n)/sqrt(n); the forward sign convention
     is fixed so that column x holds the momentum state with wavenumber x.
-    The inverse transform is the adjoint.
+    The matrix is symmetric, so row y is that state as well.  The inverse
+    transform is the adjoint.
     """
-    if n < 1:
-        raise InvalidSizeError(f"transform size must be >= 1, got {n}")
-    y, x = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * x * y / n) / np.sqrt(n)
+    return momentum_state(np.arange(n)[:, None], n)
 
 
 def is_unitary(m, tol: float = TOL_EXACT) -> bool:
@@ -68,26 +93,9 @@ def is_unitary(m, tol: float = TOL_EXACT) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"unitarity test needs a square matrix, got {a.shape}")
-    if tol <= 0:
+    if not tol > 0:
         raise ShapeError("tolerance must be positive")
-    resid = a.conj().T @ a - np.eye(a.shape[0])
-    return bool(np.max(np.abs(resid)) <= tol)
-
-
-def mat_apply(m, v) -> np.ndarray:
-    """Matrix-vector product M v."""
-    a, b = as_matrix(m), as_vector(v)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot apply {a.shape} to vector of dim {b.shape[0]}")
-    return a @ b
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product A B."""
-    x, y = as_matrix(a), as_matrix(b)
-    if x.shape[1] != y.shape[0]:
-        raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
-    return x @ y
+    return unitarity_residual(a) <= tol
 
 
 def adjoint(m) -> np.ndarray:

@@ -14,18 +14,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import adjoint, dft_matrix
-from .errors import DivergentPeriodError, GroverLabError, ResourceLimitError
+from . import checks
+from .algebra import TOL_EXACT, TOL_PIPELINE, momentum_state, require_unit
+from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
     EvolutionTrace,
     InitialState,
-    amplitude_closed_form,
-    amplitude_iterative,
     full_space_trace,
     probability_trace,
     uniform_initial,
@@ -34,8 +33,6 @@ from .kernel import (
     FullSpaceConfig,
     GroverPhases,
     extended_reduced_kernel,
-    full_kernel,
-    momentum_projector,
     reduced_kernel,
 )
 from .spectral import (
@@ -50,7 +47,6 @@ from .spectral import (
 __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
-DIAGONAL_TOL = 1e-12
 TAU = 2 * math.pi
 
 
@@ -82,22 +78,10 @@ class ExperimentConfig:
     seed: int = 0
     tolerance: Optional[float] = None
 
-    def to_file(self, path: str) -> None:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            lines.append(f"{f.name}={v!r}" if isinstance(v, float) else f"{f.name}={v}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
     @staticmethod
     def read_file(path: str) -> dict:
         """Parse a flat key=value file into typed values, keyed by field name."""
-        casts = {"command": str, "n": int, "beta_phase": float, "delta_phase": float,
-                 "m_max": int, "a": float, "b": float, "k0": str, "alpha1": float,
-                 "grid": str, "out": str, "seed": int, "tolerance": float}
+        casts = {"command": str, **{name: cast for name, cast, _ in OPTIONS}}
         values = {}
         with open(path) as fh:
             for raw in fh:
@@ -114,12 +98,23 @@ class ExperimentConfig:
                     raise UsageError(f"bad value for {key}: {val!r}") from exc
         return values
 
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        cfg = cls()
-        for key, val in cls.read_file(path).items():
-            setattr(cfg, key, val)
-        return cfg
+
+# Every shared flag once: config key and argparse dest, value type, help text.
+# The flag spelling is the name with dashes, e.g. beta_phase -> --beta-phase.
+OPTIONS = (
+    ("n", int, "list size N"),
+    ("beta_phase", float, "phase angle of beta in radians"),
+    ("delta_phase", float, "phase angle of delta in radians"),
+    ("m_max", int, "trace length"),
+    ("a", float, "marked-state coefficient"),
+    ("b", float, "orthogonal coefficient"),
+    ("k0", str, "uniform | momentum:<y0> | file:<path>"),
+    ("alpha1", float, "marked-state overlap of a general superposition"),
+    ("grid", str, "grid sizes <p>x<q>"),
+    ("out", str, "output CSV path (default stdout)"),
+    ("seed", int, "seed for randomized checks"),
+    ("tolerance", float, "override verify tolerances (fault injection)"),
+)
 
 
 def wrap_angle(t: float) -> float:
@@ -170,26 +165,19 @@ def _initial_state(cfg: ExperimentConfig) -> InitialState:
             raise UsageError(f"--b {cfg.b} is too large to normalize at n={cfg.n}")
         return InitialState(math.sqrt(rem), cfg.b, cfg.n)
     norm = (cfg.a**2 + cfg.b**2 * (cfg.n - 1)) / cfg.n
-    if abs(norm - 1.0) > 1e-6:
-        raise UsageError(
-            f"--a/--b give squared norm {norm:.6g}; expected 1 within 1e-6")
+    require_unit(norm, 1e-6, "squared norm of --a/--b", UsageError)
     scale = 1 / math.sqrt(norm)
     return InitialState(cfg.a * scale, cfg.b * scale, cfg.n)
 
 
 def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
     selector = cfg.k0
-    if selector == "uniform":
-        return np.full(cfg.n, 1 / math.sqrt(cfg.n), dtype=complex)
     if selector.startswith("momentum:"):
         try:
             y0 = int(selector.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad momentum index in --k0 {selector!r}")
-        if not 0 <= y0 < cfg.n:
-            raise UsageError(f"momentum index {y0} outside [0, {cfg.n})")
-        x = np.arange(cfg.n)
-        return np.exp(2j * np.pi * x * y0 / cfg.n) / math.sqrt(cfg.n)
+        return momentum_state(y0, cfg.n)
     if selector.startswith("file:"):
         path = selector.split(":", 1)[1]
         try:
@@ -205,8 +193,7 @@ def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
         if v.shape[0] != cfg.n:
             raise UsageError(f"k0 file has {v.shape[0]} amplitudes, expected {cfg.n}")
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-6:
-            raise UsageError(f"k0 file norm is {nrm:.6g}; expected 1 within 1e-6")
+        require_unit(nrm, 1e-6, "k0 file norm", UsageError)
         return v / nrm
     raise UsageError(f"--k0 must be uniform, momentum:<y0> or file:<path>, got {selector!r}")
 
@@ -265,10 +252,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                 reduced_kernel(phases.beta, phases.delta, cfg.n), state, cfg.m_max)
             g_abs = abs(phases.beta - phases.delta)
             pred = ""
-            if g_abs <= DIAGONAL_TOL:
+            if g_abs <= TOL_EXACT:
                 try:
                     pred = str(optimal_steps_asymptotic(phases.phi, cfg.n, cfg.alpha1))
-                except (DivergentPeriodError, GroverLabError):
+                except GroverLabError:
                     pred = ""
             rows.append([fmt(bp), fmt(dp), fmt(g_abs),
                          fmt(trace.peak_prob), str(trace.peak_step), pred])
@@ -293,7 +280,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     for bp, dp in _phase_pairs(cfg):
         phases = GroverPhases.from_angles(bp, dp)
         spec = eigensystem(reduced_kernel(phases.beta, phases.delta, cfg.n))
-        diagonal = abs(phases.beta - phases.delta) <= DIAGONAL_TOL
+        diagonal = abs(phases.beta - phases.delta) <= TOL_EXACT
         m_exact = "" if spec.degenerate else str(optimal_steps_exact(spec))
         m_asym = ""
         m_stab = ""
@@ -361,85 +348,22 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _verify_unitarity(rng: np.random.Generator, tol: float) -> Tuple[bool, float]:
-    worst = 0.0
-    for n in (2, 4, 8, 16, 64, 256):
-        for _ in range(4):
-            beta = np.exp(1j * rng.uniform(-math.pi, math.pi))
-            delta = np.exp(1j * rng.uniform(-math.pi, math.pi))
-            for mat in (
-                reduced_kernel(beta, delta, n).matrix,
-                extended_reduced_kernel(beta, delta, rng.uniform(0.05, 0.95)).matrix,
-            ):
-                resid = np.max(np.abs(mat.conj().T @ mat - np.eye(2)))
-                worst = max(worst, float(resid))
-        if n <= 64:
-            phases = GroverPhases(np.exp(1j * rng.uniform(-math.pi, math.pi)),
-                                  np.exp(1j * rng.uniform(-math.pi, math.pi)))
-            k0 = np.full(n, 1 / math.sqrt(n), dtype=complex)
-            m = full_kernel(FullSpaceConfig(n, int(rng.integers(n)), k0, phases))
-            resid = np.max(np.abs(m.conj().T @ m - np.eye(n)))
-            worst = max(worst, float(resid))
-    return worst <= tol, worst
-
-
-def _verify_dft_identity(tol: float) -> Tuple[bool, float]:
-    worst = 0.0
-    for n in (2, 4, 8, 16, 64):
-        u = dft_matrix(n)
-        p0 = np.zeros((n, n), dtype=complex)
-        p0[0, 0] = 1.0
-        resid = np.max(np.abs(adjoint(u) @ momentum_projector(0, n) @ u - p0))
-        worst = max(worst, float(resid))
-    return worst <= tol, worst
-
-
-def _verify_reduced_vs_full(rng: np.random.Generator, tol: float) -> Tuple[bool, float]:
-    worst = 0.0
-    for n in (2, 8, 64):
-        for balanced in (True, False):
-            dp = rng.uniform(-math.pi, math.pi)
-            bp = dp if balanced else rng.uniform(-math.pi, math.pi)
-            phases = GroverPhases.from_angles(bp, dp)
-            rk = reduced_kernel(phases.beta, phases.delta, n)
-            reduced = probability_trace(rk, uniform_initial(n), 100)
-            k0 = np.full(n, 1 / math.sqrt(n), dtype=complex)
-            full = full_space_trace(
-                FullSpaceConfig(n, 0, k0, phases), k0, 100)
-            worst = max(worst, float(np.max(np.abs(reduced.probs - full.probs))))
-    return worst <= tol, worst
-
-
-def _verify_closed_form(rng: np.random.Generator, tol: float) -> Tuple[bool, float]:
-    worst = 0.0
-    for _ in range(40):
-        n = int(rng.integers(2, 1025))
-        dp = rng.uniform(-math.pi, math.pi)
-        bp = dp if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
-        phases = GroverPhases.from_angles(bp, dp)
-        rk = reduced_kernel(phases.beta, phases.delta, n)
-        spec = eigensystem(rk)
-        state = uniform_initial(n)
-        m = int(rng.integers(0, 501))
-        diff = abs(amplitude_closed_form(spec, state, m)
-                   - amplitude_iterative(rk, state, m))
-        worst = max(worst, float(diff))
-    return worst <= tol, worst
-
-
 def cmd_verify(cfg: ExperimentConfig) -> int:
+    if cfg.tolerance is not None and not 0 <= cfg.tolerance < math.inf:
+        raise UsageError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
     rng = np.random.default_rng(cfg.seed)
-    exact_tol = cfg.tolerance if cfg.tolerance is not None else 1e-12
-    pipe_tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
-    closed_tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
+    small = (2, 4, 8, 16, 64)
     suites = [
-        ("unitarity", *_verify_unitarity(rng, exact_tol), exact_tol),
-        ("dft-identity", *_verify_dft_identity(exact_tol), exact_tol),
-        ("reduced-vs-full", *_verify_reduced_vs_full(rng, pipe_tol), pipe_tol),
-        ("closed-vs-iterative", *_verify_closed_form(rng, closed_tol), closed_tol),
+        ("unitarity", lambda: checks.unitarity(rng, small + (256,), 4, small), TOL_EXACT),
+        ("dft-identity", lambda: checks.dft_identity(small), TOL_EXACT),
+        ("reduced-vs-full", lambda: checks.reduced_vs_full(rng, (2, 8, 64), 100), TOL_PIPELINE),
+        ("closed-vs-iterative", lambda: checks.closed_vs_iterative(rng, 40, 1024, 500), 1e-9),
     ]
     all_ok = True
-    for name, ok, worst, tol in suites:
+    for name, check, tol in suites:
+        tol = tol if cfg.tolerance is None else cfg.tolerance
+        worst = check()
+        ok = worst <= tol
         print(f"{name}: {'PASS' if ok else 'FAIL'} "
               f"(worst residual {worst:.3e}, tolerance {tol:.3e})")
         all_ok = all_ok and ok
@@ -455,9 +379,6 @@ DISPATCH = {
     "verify": cmd_verify,
 }
 
-FLAG_FIELDS = ("n", "beta_phase", "delta_phase", "m_max", "a", "b", "k0",
-               "alpha1", "grid", "out", "seed", "tolerance")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -466,22 +387,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
-    shared.add_argument("--n", type=int, help="list size N")
-    shared.add_argument("--beta-phase", type=float, dest="beta_phase",
-                        help="phase angle of beta in radians")
-    shared.add_argument("--delta-phase", type=float, dest="delta_phase",
-                        help="phase angle of delta in radians")
-    shared.add_argument("--m-max", type=int, dest="m_max", help="trace length")
-    shared.add_argument("--a", type=float, help="marked-state coefficient")
-    shared.add_argument("--b", type=float, help="orthogonal coefficient")
-    shared.add_argument("--k0", help="uniform | momentum:<y0> | file:<path>")
-    shared.add_argument("--alpha1", type=float,
-                        help="marked-state overlap of a general superposition")
-    shared.add_argument("--grid", help="grid sizes <p>x<q>")
-    shared.add_argument("--out", help="output CSV path (default stdout)")
-    shared.add_argument("--seed", type=int, help="seed for randomized checks")
-    shared.add_argument("--tolerance", type=float,
-                        help="override verify tolerances (fault injection)")
+    for name, cast, text in OPTIONS:
+        shared.add_argument("--" + name.replace("_", "-"), type=cast, dest=name, help=text)
     shared.add_argument("--config", help="flat key=value config file")
 
     parser = _Parser(prog="groverlab",
@@ -509,7 +416,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
             if key != "command":
                 setattr(cfg, key, val)
                 provided.add(key)
-    for name in FLAG_FIELDS:
+    for name, _, _ in OPTIONS:
         val = getattr(ns, name)
         if val is not None:
             setattr(cfg, name, val)
@@ -523,10 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = parse_config(argv)
         return DISPATCH[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GroverLabError, IndexError) as exc:
+    except (UsageError, GroverLabError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

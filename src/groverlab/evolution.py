@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import TOL_EXACT, as_vector
+from .algebra import TOL_EXACT, as_vector, require_unit
 from .errors import (
     InvalidSizeError,
     NormalizationError,
@@ -53,8 +53,7 @@ class InitialState:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         norm = (abs(self.a) ** 2 + abs(self.b) ** 2 * (self.size - 1)) / self.size
-        if abs(norm - 1.0) > TOL_EXACT:
-            raise NormalizationError(f"coefficients are not normalized (got {norm})")
+        require_unit(norm, TOL_EXACT, "squared norm of the coefficients")
 
     @classmethod
     def complete(cls, a: complex, size: int) -> "InitialState":
@@ -115,8 +114,7 @@ def _reduced_input(k: ReducedKernel, s: Union[InitialState, np.ndarray]) -> np.n
     v = as_vector(s)
     if v.shape[0] != 2:
         raise InvalidSizeError(f"reduced input must have dim 2, got {v.shape[0]}")
-    if abs(np.linalg.norm(v) - 1.0) > TOL_EXACT:
-        raise NormalizationError("reduced input must be unit-norm")
+    require_unit(np.linalg.norm(v), TOL_EXACT, "norm of the reduced input")
     return v
 
 
@@ -180,8 +178,7 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     v = as_vector(x_in).copy()
     if v.shape[0] != cfg.size:
         raise InvalidSizeError(f"state has dim {v.shape[0]}, expected {cfg.size}")
-    if abs(np.linalg.norm(v) - 1.0) > TOL_EXACT:
-        raise NormalizationError("initial state must be unit-norm")
+    require_unit(np.linalg.norm(v), TOL_EXACT, "norm of the initial state")
     ph = cfg.phases
     k0 = cfg.k0
     probs = np.empty(m_max + 1)

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import TOL_EXACT, as_matrix, as_vector, dft_matrix, outer
+from .algebra import (TOL_EXACT, as_matrix, as_vector, dft_matrix, momentum_state, outer,
+                      require_unit, unitarity_residual)
 from .errors import (
     DegenerateSubspaceError,
     InvalidSizeError,
@@ -29,7 +30,6 @@ __all__ = [
     "MAX_FULL_SIZE",
     "GroverPhases",
     "ReducedKernel",
-    "ExtendedAmplitudes",
     "FullSpaceConfig",
     "grover_operator",
     "reduced_kernel",
@@ -50,8 +50,7 @@ PHASE_SNAP_TOL = 1e-9
 def _unit_phase(z: complex, name: str) -> complex:
     z = complex(z)
     r = abs(z)
-    if abs(r - 1.0) > PHASE_SNAP_TOL:
-        raise NormalizationError(f"{name} must have unit modulus, got |{name}| = {r}")
+    require_unit(r, PHASE_SNAP_TOL, f"|{name}|")
     return z / r
 
 
@@ -103,39 +102,11 @@ class ReducedKernel:
         m = as_matrix(self.matrix).copy()
         if m.shape != (2, 2):
             raise InvalidSizeError(f"reduced kernel must be 2x2, got {m.shape}")
-        resid = np.max(np.abs(m.conj().T @ m - np.eye(2)))
+        resid = unitarity_residual(m)
         if resid > TOL_EXACT:
             raise NormalizationError(f"reduced kernel is not unitary (residual {resid:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class ExtendedAmplitudes:
-    """Normalized amplitudes of a general superposition direction.
-
-    The first entry is the overlap with the marked state; it must be real,
-    strictly positive, and strictly less than 1 so that a two-dimensional
-    search plane survives.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = as_vector(self.amps).copy()
-        if abs(np.linalg.norm(a) - 1.0) > TOL_EXACT:
-            raise NormalizationError("amplitudes must be unit-norm")
-        if abs(a[0].imag) > TOL_EXACT or a[0].real <= 0:
-            raise NormalizationError("leading amplitude must be real and strictly positive")
-        if np.linalg.norm(a[1:]) <= TOL_EXACT:
-            raise DegenerateSubspaceError(
-                "all weight on the marked state leaves no search plane")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    @property
-    def alpha1(self) -> float:
-        return float(self.amps[0].real)
 
 
 @dataclass(frozen=True)
@@ -159,8 +130,7 @@ class FullSpaceConfig:
         v = as_vector(self.k0).copy()
         if v.shape[0] != self.size:
             raise InvalidSizeError(f"k0 has dim {v.shape[0]}, expected {self.size}")
-        if abs(np.linalg.norm(v) - 1.0) > TOL_EXACT:
-            raise NormalizationError("k0 must be unit-norm")
+        require_unit(np.linalg.norm(v), TOL_EXACT, "norm of k0")
         v.setflags(write=False)
         object.__setattr__(self, "k0", v)
 
@@ -168,8 +138,7 @@ class FullSpaceConfig:
 def grover_operator(p: np.ndarray, lam1: complex, lam2: complex) -> np.ndarray:
     """lam1 on span{p}, lam2 on its orthocomplement: lam1 p p* + lam2 (1 - p p*)."""
     v = as_vector(p)
-    if abs(np.linalg.norm(v) - 1.0) > TOL_EXACT:
-        raise NormalizationError("projector direction must be unit-norm")
+    require_unit(np.linalg.norm(v), TOL_EXACT, "norm of the projector direction")
     lam1 = _unit_phase(lam1, "lam1")
     lam2 = _unit_phase(lam2, "lam2")
     proj = outer(v, v)
@@ -232,12 +201,8 @@ def momentum_projector(y0: int, n: int) -> np.ndarray:
     dft_conjugate applied to the coordinate projector |y0><y0|.  y0 = 0
     gives the uniform projector with every entry 1/n.
     """
-    if n < 1:
-        raise InvalidSizeError(f"size must be >= 1, got {n}")
-    if not 0 <= y0 < n:
-        raise IndexError(f"wavenumber {y0} outside [0, {n})")
-    x = np.arange(n)
-    return np.exp(2j * np.pi * (x[:, None] - x[None, :]) * y0 / n) / n
+    v = momentum_state(y0, n)
+    return outer(v, v)
 
 
 def full_kernel(cfg: FullSpaceConfig) -> np.ndarray:

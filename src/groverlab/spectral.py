@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import TOL_EXACT, TOL_PIPELINE, as_matrix
+from .algebra import TOL_EXACT, TOL_PIPELINE, as_matrix, unitarity_residual
 from .errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
@@ -112,7 +112,7 @@ def _kernel_matrix(k: Union[ReducedKernel, np.ndarray]) -> np.ndarray:
     m = as_matrix(k)
     if m.shape != (2, 2):
         raise InvalidSizeError(f"expected a 2x2 matrix, got {m.shape}")
-    if np.max(np.abs(m.conj().T @ m - np.eye(2))) > TOL_PIPELINE:
+    if unitarity_residual(m) > TOL_PIPELINE:
         raise NormalizationError("matrix is not unitary")
     return m
 
@@ -257,27 +257,25 @@ def _axis_matrix(axis: Sequence[float]) -> np.ndarray:
 def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
     """Split a 2x2 unitary into global phase times an axis-angle rotation.
 
-    The phase is arg(det)/2 (principal), the angle comes from the real part
-    of the dephased trace, and the axis from the traceless remainder.  At
-    angle 0 or pi the rotation is a multiple of the identity and the axis
-    is reported as None.
+    The phase is arg(det)/2 (principal).  The dephased matrix is
+    cos(angle) I + i sin(angle) n.sigma: half its real trace gives the
+    cosine, the Pauli components of its traceless part give sin(angle) n,
+    and atan2 of the two keeps full precision at both ends of [0, pi].
+    At angle 0 or pi the rotation is a multiple of the identity and the
+    axis is reported as None.
     """
     m = _kernel_matrix(k)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     lam = float(np.angle(det)) / 2
     mp = m * np.exp(-1j * lam)
-    c = float(np.clip((mp[0, 0] + mp[1, 1]).real / 2, -1.0, 1.0))
-    angle = math.acos(c)
-    s = math.sin(angle)
+    c = (mp[0, 0] + mp[1, 1]).real / 2
+    sin_axis = ((mp[0, 1] + mp[1, 0]).imag / 2, (mp[0, 1] - mp[1, 0]).real / 2,
+                mp[0, 0].imag)
+    s = math.hypot(*sin_axis)
+    angle = math.atan2(s, c)
     if s < 1e-9:
         return AxisAngle(global_phase=lam, angle=angle, axis=None)
-    h = (mp - c * np.eye(2)) / (1j * s)
-    axis = np.array([
-        ((h[0, 1] + h[1, 0]) / 2).real,
-        ((h[1, 0] - h[0, 1]) / 2j).real,
-        h[0, 0].real,
-    ])
-    return AxisAngle(global_phase=lam, angle=angle, axis=axis / np.linalg.norm(axis))
+    return AxisAngle(global_phase=lam, angle=angle, axis=np.array(sin_axis) / s)
 
 
 def reconstruct(aa: AxisAngle) -> np.ndarray:

@@ -12,24 +12,9 @@ import time
 
 import numpy as np
 
-from groverlab.algebra import dft_matrix
-from groverlab.evolution import (
-    InitialState,
-    amplitude_closed_form,
-    amplitude_iterative,
-    full_space_trace,
-    probability_trace,
-    uniform_initial,
-)
-from groverlab.kernel import (
-    FullSpaceConfig,
-    GroverPhases,
-    dft_conjugate,
-    extended_reduced_kernel,
-    full_kernel,
-    momentum_projector,
-    reduced_kernel,
-)
+from groverlab import checks
+from groverlab.evolution import InitialState, probability_trace, uniform_initial
+from groverlab.kernel import extended_reduced_kernel, reduced_kernel
 from groverlab.spectral import (
     delta_omega_asymptotic,
     eigensystem,
@@ -103,17 +88,9 @@ def test_criterion_04_asymptotic_gap_accuracy():
 
 
 def test_criterion_05_exact_identity_suite():
-    # momentum projectors must be exact DFT conjugates of coordinate ones
-    worst_dft = 0.0
-    for n in (2, 4, 8, 16, 64):
-        u = dft_matrix(n)
-        for y0 in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[y0] = 1.0
-            resid = np.max(np.abs(momentum_projector(y0, n)
-                                  - dft_conjugate(np.outer(e, e.conj()))))
-            worst_dft = max(worst_dft, float(resid))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
+    # momentum projectors must be exact DFT conjugates of coordinate ones,
+    # for every wavenumber, and the DFT itself unitary
+    worst_dft = checks.dft_identity((2, 4, 8, 16, 64))
 
     # determinant and trace closed forms over random draws
     r = np.random.default_rng(101)
@@ -125,28 +102,11 @@ def test_criterion_05_exact_identity_suite():
         worst_dt = max(worst_dt, abs(s.det - b * d),
                        abs(s.trace - ((1 + b) * (1 + d) / n - (b + d))))
 
-    # every constructor must emit a unitary to near machine precision
-    worst_u = 0.0
-
-    def resid(m):
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-    for _ in range(20):
-        b, d = _random_phase(r), _random_phase(r)
-        n = int(r.integers(2, 10**6))
-        worst_u = max(worst_u, resid(reduced_kernel(b, d, n).matrix))
-        worst_u = max(worst_u, resid(
-            extended_reduced_kernel(b, d, r.uniform(0.01, 0.99)).matrix))
-    for n in (2, 8, 64, 256):
-        b, d = _random_phase(r), _random_phase(r)
-        ph = GroverPhases(beta=b, delta=d)
-        k0s = [np.full(n, 1 / math.sqrt(n), dtype=complex),
-               dft_matrix(n)[:, int(r.integers(n))]]
-        v = r.normal(size=n) + 1j * r.normal(size=n)
-        k0s.append(v / np.linalg.norm(v))
-        for k0 in k0s:
-            worst_u = max(worst_u, resid(
-                full_kernel(FullSpaceConfig(n, int(r.integers(n)), k0, ph))))
+    # every constructor must emit a unitary to near machine precision: 20
+    # reduced and extended kernels at random sizes, and full kernels with
+    # uniform, momentum and random directions
+    sizes = [int(n) for n in r.integers(2, 10**6, size=20)]
+    worst_u = checks.unitarity(r, sizes, 1, (2, 8, 64, 256), overlaps=(0.01, 0.99))
 
     ok = worst_dft <= 1e-12 and worst_dt <= 1e-10 and worst_u <= 1e-12
     assert _report(5, "exact-identity-suite", ok,
@@ -156,35 +116,14 @@ def test_criterion_05_exact_identity_suite():
 
 def test_criterion_06_reduced_equals_full():
     r = np.random.default_rng(202)
-    worst = 0.0
-    for n in (2, 4, 8, 16, 32, 64, 128, 256):
-        for balanced in (True, False):
-            dp = r.uniform(-np.pi, np.pi)
-            bp = dp if balanced else r.uniform(-np.pi, np.pi)
-            ph = GroverPhases.from_angles(bp, dp)
-            reduced = probability_trace(reduced_kernel(ph.beta, ph.delta, n),
-                                        uniform_initial(n), 200)
-            k0 = np.full(n, 1 / math.sqrt(n), dtype=complex)
-            full = full_space_trace(FullSpaceConfig(n, 0, k0, ph), k0, 200)
-            worst = max(worst, float(np.max(np.abs(reduced.probs - full.probs))))
+    worst = checks.reduced_vs_full(r, (2, 4, 8, 16, 32, 64, 128, 256), 200)
     ok = worst <= 1e-10
     assert _report(6, "reduced-equals-full", ok, f"worst diff={worst:.2e}")
 
 
 def test_criterion_07_closed_form_vs_iteration():
     r = np.random.default_rng(303)
-    worst = 0.0
-    for i in range(200):
-        n = int(r.integers(2, 2049))
-        dp = r.uniform(-np.pi, np.pi)
-        bp = dp if i % 2 else r.uniform(-np.pi, np.pi)
-        ph = GroverPhases.from_angles(bp, dp)
-        k = reduced_kernel(ph.beta, ph.delta, n)
-        spec = eigensystem(k)
-        state = uniform_initial(n)
-        m = int(r.integers(0, 2001))
-        worst = max(worst, abs(amplitude_closed_form(spec, state, m)
-                               - amplitude_iterative(k, state, m)))
+    worst = checks.closed_vs_iterative(r, 200, 2048, 2000)
     ok = worst <= 1e-9
     assert _report(7, "closed-form-vs-iteration", ok, f"worst diff={worst:.2e}")
 

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from groverlab.algebra import (
     TOL_EXACT,
     adjoint,
+    as_matrix,
+    as_vector,
     dft_matrix,
     is_unitary,
-    mat_apply,
-    mat_mul,
     outer,
 )
 from groverlab.errors import InvalidSizeError, ShapeError
@@ -61,14 +61,9 @@ def test_outer_projector():
     assert_allclose(outer(e0, e0), [[1, 0], [0, 0]], atol=1e-15)
 
 
-def test_mat_apply_identity():
-    v = np.array([1.0, 2.0 + 1j, -3.0])
-    assert_allclose(mat_apply(np.eye(3), v), v, atol=1e-15)
-
-
 def test_adjoint_inverts_dft():
     u = dft_matrix(4)
-    assert_allclose(mat_mul(adjoint(u), u), np.eye(4), atol=1e-12)
+    assert_allclose(adjoint(u) @ u, np.eye(4), atol=1e-12)
 
 
 def test_adjoint_involution_exact():
@@ -78,14 +73,14 @@ def test_adjoint_involution_exact():
 
 def test_shape_mismatches_raise():
     with pytest.raises(ShapeError):
-        mat_apply(np.eye(2), np.ones(3))
+        as_vector(np.eye(2))
     with pytest.raises(ShapeError):
-        mat_mul(np.eye(2), np.ones((3, 3)))
+        as_matrix(np.ones(3))
 
 
 def test_non_finite_entries_rejected():
     with pytest.raises(ShapeError):
-        mat_apply(np.eye(2), np.array([np.nan, 0.0]))
+        as_vector(np.array([np.nan, 0.0]))
     with pytest.raises(ShapeError):
         is_unitary(np.array([[np.inf, 0], [0, 1.0]]), 1e-12)
 

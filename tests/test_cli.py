@@ -45,13 +45,18 @@ class TestHelpers:
 
 
 class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(command="sweep", n=123, beta_phase=0.1,
-                               delta_phase=-2.5, m_max=77, a=1.5, k0="momentum:3",
-                               grid="4x4", seed=9)
+    def test_config_file_matches_flags(self, tmp_path):
+        values = {"n": "123", "beta_phase": "0.1", "delta_phase": "-2.5",
+                  "m_max": "77", "a": "1.5", "b": "0.5", "k0": "momentum:3",
+                  "alpha1": "0.25", "grid": "4x4", "out": "x.csv", "seed": "9",
+                  "tolerance": "1e-3"}
         path = tmp_path / "run.cfg"
-        cfg.to_file(str(path))
-        assert ExperimentConfig.from_file(str(path)) == cfg
+        path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        flags = [x for k, v in values.items() for x in ("--" + k.replace("_", "-"), v)]
+        via_file = cli.parse_config(["sweep", "--config", str(path)])
+        via_flags = cli.parse_config(["sweep", *flags])
+        assert via_file == via_flags
+        assert via_file.n == 123 and via_file.tolerance == 1e-3
 
     def test_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -143,6 +148,14 @@ class TestTrace:
         # a backfills to keep the state normalized
         a2 = 1000 - 0.25 * 999
         assert float(rows[0][1]) == pytest.approx(a2 / 1000)
+
+    def test_non_finite_coefficients_rejected(self, capsys):
+        for flag in ("--a", "--b"):
+            rc, out, err = run(capsys, "trace", "--n", "100", "--m-max", "5",
+                               flag, "nan")
+            assert rc == 1
+            assert out == ""
+            assert "error:" in err
 
     def test_inconsistent_a_b_rejected(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "1000", "--m-max", "2",
@@ -437,6 +450,13 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", "--tolerance", "0")
         assert rc == 2
         assert "FAIL" in out
+
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys):
+        for bad in ("nan", "-1", "inf"):
+            rc, out, err = run(capsys, "verify", "--tolerance", bad)
+            assert rc == 1
+            assert out == ""
+            assert "--tolerance" in err
 
 
 class TestExitCodes:

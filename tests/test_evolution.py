@@ -50,6 +50,8 @@ class TestInitialState:
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(NormalizationError):
             InitialState(2.0, 1.0, 1000)
+        with pytest.raises(NormalizationError):
+            InitialState(float("nan"), 1, 10)
 
     def test_rejects_tiny_list(self):
         with pytest.raises(InvalidSizeError):

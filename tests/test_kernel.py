@@ -12,7 +12,6 @@ from groverlab.errors import (
     ResourceLimitError,
 )
 from groverlab.kernel import (
-    ExtendedAmplitudes,
     FullSpaceConfig,
     GroverPhases,
     ReducedKernel,
@@ -55,6 +54,8 @@ class TestGroverPhases:
     def test_rejects_non_unit_modulus(self):
         with pytest.raises(NormalizationError):
             GroverPhases(beta=1.1, delta=1.0)
+        with pytest.raises(NormalizationError):
+            GroverPhases(complex("nan"), 1)
 
 
 class TestGroverOperator:
@@ -163,26 +164,6 @@ class TestExtendedKernel:
     def test_rejects_collapsed_plane(self, bad):
         with pytest.raises(DegenerateSubspaceError):
             extended_reduced_kernel(1.0, 1.0, bad)
-
-
-class TestExtendedAmplitudes:
-    def test_alpha1_reads_leading_amplitude(self):
-        amps = ExtendedAmplitudes(np.array([0.6, 0.8]))
-        assert amps.alpha1 == pytest.approx(0.6)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            ExtendedAmplitudes(np.array([1.0, 1.0]))
-
-    def test_rejects_complex_or_negative_leading(self):
-        with pytest.raises(NormalizationError):
-            ExtendedAmplitudes(np.array([0.6j, 0.8]))
-        with pytest.raises(NormalizationError):
-            ExtendedAmplitudes(np.array([-0.6, 0.8]))
-
-    def test_rejects_all_weight_on_marked(self):
-        with pytest.raises(DegenerateSubspaceError):
-            ExtendedAmplitudes(np.array([1.0, 0.0]))
 
 
 class TestMomentumProjector:
