@@ -47,6 +47,8 @@ from .spectral import (
 __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
+# N reaches numpy as an int64; a larger int makes np.sqrt fail.
+MAX_N = 2**63 - 1
 TAU = 2 * math.pi
 
 
@@ -115,6 +117,30 @@ OPTIONS = (
     ("seed", int, "seed for randomized checks"),
     ("tolerance", float, "override verify tolerances (fault injection)"),
 )
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_values(cfg: ExperimentConfig) -> None:
+    """Range-check every numeric option once, whether a flag or a config value."""
+    if not 2 <= cfg.n <= MAX_N:
+        raise UsageError(f"--n must lie in [2, {MAX_N}], got {cfg.n}")
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
+    for name, cast, _ in OPTIONS:
+        val = getattr(cfg, name)
+        if cast is float and val is not None and not math.isfinite(val):
+            raise UsageError(f"{_flag(name)} must be finite, got {val}")
+    # A normalizable start has |a|^2, |b|^2 <= N (1 + 1e-6), so a larger
+    # coefficient is refused here, before squaring it can overflow.
+    bound = math.sqrt(2 * cfg.n)
+    for name in ("a", "b"):
+        val = getattr(cfg, name)
+        if val is not None and abs(val) > bound:
+            raise UsageError(f"{_flag(name)} must have magnitude at most sqrt(2N) = {bound:g}, "
+                             f"got {val}")
 
 
 def wrap_angle(t: float) -> float:
@@ -349,8 +375,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    if cfg.tolerance is not None and not 0 <= cfg.tolerance < math.inf:
-        raise UsageError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
+    if cfg.tolerance is not None and cfg.tolerance < 0:
+        raise UsageError(f"--tolerance must be >= 0, got {cfg.tolerance}")
     rng = np.random.default_rng(cfg.seed)
     small = (2, 4, 8, 16, 64)
     suites = [
@@ -388,7 +414,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
     for name, cast, text in OPTIONS:
-        shared.add_argument("--" + name.replace("_", "-"), type=cast, dest=name, help=text)
+        shared.add_argument(_flag(name), type=cast, dest=name, help=text)
     shared.add_argument("--config", help="flat key=value config file")
 
     parser = _Parser(prog="groverlab",
@@ -423,6 +449,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
             provided.add(name)
     if cfg.command == "manifold" and "n" not in provided:
         cfg.n = 10
+    _check_values(cfg)
     return cfg
 
 

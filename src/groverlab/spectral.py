@@ -1,18 +1,19 @@
 """Spectral analysis of reduced kernels.
 
-A reduced kernel is a 2x2 unitary, so its eigensystem is available in
-closed form from the trace and determinant.  This module computes exact
-eigenphases and eigenvectors, the phase gap that sets the search period,
-the large-N asymptotics of both, and the axis-angle form that places a
-kernel on the rotation-group picture of the family.
+A reduced kernel is a 2x2 unitary, a global phase times an SU(2) rotation,
+so its eigensystem is available in closed form from that rotation.  This
+module computes exact eigenphases and eigenvectors, the phase gap that
+sets the search period, the large-N asymptotics of both, and the
+axis-angle form that places a kernel on the rotation-group picture.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -133,16 +134,16 @@ def _phase_fixed_eigvec(m: np.ndarray, z: complex) -> np.ndarray:
 
 
 def eigensystem(k: Union[ReducedKernel, np.ndarray]) -> SpectralData:
-    """Closed-form eigensystem of a reduced kernel.
+    """Closed-form eigensystem of a reduced kernel, from ``_dephase``.
 
-    The two eigenvalue branches of the quadratic are labeled by eigenvector
-    character rather than by the raw sign of the square root: eigvec2 is the
-    branch concentrated on the marked state when the two first-component
-    magnitudes separate by more than DOMINANCE_RATIO, and otherwise (the
-    balanced regime) the branch whose phase-fixed first component has
-    positive imaginary part.  This keeps eigvec2 continuous across the
-    family and matched to the asymptotic formulas for every family angle;
-    the raw principal-root labeling flips branches on half the range.
+    The eigenvalues are e^{i(lam -/+ angle)} and the phase gap is
+    2 atan2(sin(angle), |cos(angle)|), exact to rounding however close the
+    levels sit; |eigval1 - eigval2| = 2 sin(angle) <= DEGENERACY_TOL makes
+    them one level.  eigvec2 is the eigenvector concentrated on the marked
+    state when the two first-component magnitudes differ by more than
+    DOMINANCE_RATIO, and otherwise (the balanced regime) the one whose
+    phase-fixed first component has positive imaginary part, which keeps it
+    continuous across the family and matched to the asymptotic formulas.
     """
     m = _kernel_matrix(k)
     size = k.size if isinstance(k, ReducedKernel) else None
@@ -150,35 +151,31 @@ def eigensystem(k: Union[ReducedKernel, np.ndarray]) -> SpectralData:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     diag_gap = size * (m[0, 0] - m[1, 1]) if size is not None else None
 
-    disc = np.sqrt(tr * tr - 4 * det)
-    za, zb = (tr - disc) / 2, (tr + disc) / 2
-    if abs(za - zb) <= DEGENERACY_TOL:
-        w = float(np.angle(za))
-        return SpectralData(
-            det=complex(det), trace=complex(tr),
-            eigval1=complex(za), eigval2=complex(zb),
-            eigphase1=w, eigphase2=w,
-            eigvec1=np.array([1.0 + 0j, 0.0]), eigvec2=np.array([0.0, 1.0 + 0j]),
-            phase_gap=0.0, diag_gap=diag_gap, degenerate=True)
-
-    va = _phase_fixed_eigvec(m, za)
-    vb = _phase_fixed_eigvec(m, zb)
-    ma, mb = abs(va[0]), abs(vb[0])
-    if max(ma, mb) > DOMINANCE_RATIO * min(ma, mb):
-        swap = ma > mb
+    lam, c, sin_axis = _dephase(m)
+    s = math.hypot(*sin_axis)
+    angle = math.atan2(s, c)
+    za, zb = cmath.exp(1j * (lam - angle)), cmath.exp(1j * (lam + angle))
+    degenerate = 2 * s <= DEGENERACY_TOL
+    if degenerate:
+        zb = za
+        va, vb = np.array([1.0 + 0j, 0.0]), np.array([0.0, 1.0 + 0j])
     else:
-        swap = va[0].imag > vb[0].imag
-    if swap:
-        za, zb, va, vb = zb, za, vb, va
+        va = _phase_fixed_eigvec(m, za)
+        vb = _phase_fixed_eigvec(m, zb)
+        ma, mb = abs(va[0]), abs(vb[0])
+        if max(ma, mb) > DOMINANCE_RATIO * min(ma, mb):
+            swap = ma > mb
+        else:
+            swap = va[0].imag > vb[0].imag
+        if swap:
+            za, zb, va, vb = zb, za, vb, va
 
-    w1, w2 = float(np.angle(za)), float(np.angle(zb))
-    d = abs(w2 - w1)
     return SpectralData(
         det=complex(det), trace=complex(tr),
-        eigval1=complex(za), eigval2=complex(zb),
-        eigphase1=w1, eigphase2=w2,
-        eigvec1=va, eigvec2=vb,
-        phase_gap=min(d, 2 * math.pi - d), diag_gap=diag_gap, degenerate=False)
+        eigval1=za, eigval2=zb,
+        eigphase1=cmath.phase(za), eigphase2=cmath.phase(zb),
+        eigvec1=va, eigvec2=vb, diag_gap=diag_gap, degenerate=degenerate,
+        phase_gap=0.0 if degenerate else 2 * math.atan2(s, abs(c)))
 
 
 def asymptotic_eigvec(beta: complex, delta: complex, n: int) -> np.ndarray:
@@ -194,8 +191,7 @@ def asymptotic_eigvec(beta: complex, delta: complex, n: int) -> np.ndarray:
     beta = _unit_phase(beta, "beta")
     delta = _unit_phase(delta, "delta")
     if abs(beta - delta) <= TOL_EXACT:
-        v = np.array([1j * np.sqrt(delta), 1.0 + 0j]) / np.sqrt(2)
-        return v
+        return np.array([1j * np.sqrt(delta), 1.0 + 0j]) / np.sqrt(2)
     if abs(1 + delta) <= TOL_EXACT:
         raise SingularLimitError("off-balance direction undefined at delta = -1")
     v = np.array([(beta - delta) * np.sqrt(n) / (1 + delta), 1.0 + 0j])
@@ -254,23 +250,27 @@ def _axis_matrix(axis: Sequence[float]) -> np.ndarray:
     return np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
 
 
+def _dephase(m: np.ndarray) -> Tuple[float, float, Tuple[float, float, float]]:
+    """SU(2) form of a 2x2 unitary m: (lam, cos(angle), sin(angle) n).
+
+    lam = arg(det)/2, and m e^{-i lam} = cos(angle) I + i sin(angle) n.sigma.
+    Python scalars: several times faster than numpy scalars at this size.
+    """
+    (a, b), (c, d) = m.tolist()
+    lam = cmath.phase(a * d - b * c) / 2
+    u = cmath.exp(-1j * lam)
+    a, b, c, d = a * u, b * u, c * u, d * u
+    return lam, (a + d).real / 2, ((b + c).imag / 2, (b - c).real / 2, a.imag)
+
+
 def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
     """Split a 2x2 unitary into global phase times an axis-angle rotation.
 
-    The phase is arg(det)/2 (principal).  The dephased matrix is
-    cos(angle) I + i sin(angle) n.sigma: half its real trace gives the
-    cosine, the Pauli components of its traceless part give sin(angle) n,
-    and atan2 of the two keeps full precision at both ends of [0, pi].
-    At angle 0 or pi the rotation is a multiple of the identity and the
-    axis is reported as None.
+    The parts come from ``_dephase``; atan2 of sin(angle) and cos(angle)
+    keeps full precision at both ends of [0, pi].  At angle 0 or pi the
+    rotation is a multiple of the identity and the axis is reported as None.
     """
-    m = _kernel_matrix(k)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    lam = float(np.angle(det)) / 2
-    mp = m * np.exp(-1j * lam)
-    c = (mp[0, 0] + mp[1, 1]).real / 2
-    sin_axis = ((mp[0, 1] + mp[1, 0]).imag / 2, (mp[0, 1] - mp[1, 0]).real / 2,
-                mp[0, 0].imag)
+    lam, c, sin_axis = _dephase(_kernel_matrix(k))
     s = math.hypot(*sin_axis)
     angle = math.atan2(s, c)
     if s < 1e-9:

@@ -348,6 +348,32 @@ class TestSpectrum:
         rc, out, err = run(capsys, "spectrum", "--n", "100", "--grid", "4x4")
         assert rc == 1
 
+    def test_large_n_gap_survives(self, capsys):
+        # Two levels 4e-9 apart: a quadratic-formula discriminant cancels to
+        # a gap of 0 here.  Expected values are from a 50-digit reference.
+        rc, out, err = run(capsys, "spectrum", "--n", "1000000000000000000",
+                           "--beta-phase", "0.3", "--delta-phase", "0.3")
+        assert rc == 0
+        _, (row,) = parse_csv(out)
+        assert float(row[8]) == pytest.approx(3.955084311744169e-09, rel=1e-12)
+        assert row[11] == "794317492"
+        assert row[14] == "0"
+
+    @pytest.mark.parametrize("index, gap, m_exact", [
+        (0, 0.0, ""), (1, 1.9869176449895615e-08, "158113883"),
+        (19999, 1.986917644986753e-08, "158113883"), (20000, 0.0, "")])
+    def test_fine_grid_rows_near_the_far_end(self, capsys, index, gap, m_exact):
+        # Row ``index`` of `spectrum --n 1000000000 --grid 20001`, run as the
+        # same single point.  Only the end rows are the degenerate identity.
+        t = fmt(np.linspace(-math.pi, math.pi, 20001)[index])
+        rc, out, err = run(capsys, "spectrum", "--n", "1000000000",
+                           "--beta-phase", t, "--delta-phase", t)
+        assert rc == 0
+        _, (row,) = parse_csv(out)
+        assert float(row[8]) == pytest.approx(gap, rel=1e-12)
+        assert row[11] == m_exact
+        assert row[14] == ("1" if gap == 0 else "0")
+
 
 class TestAsymptotics:
     def test_single_point(self, capsys):
@@ -485,6 +511,30 @@ class TestExitCodes:
         rc, out, err = run(capsys, "trace", "--n", "5000", "--m-max", "2",
                            "--k0", "momentum:1")
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--n", "1000000000000000000000"],
+        ["spectrum", "--n", "1000000000000000000000"],
+        ["manifold", "--n", "1000000000000000000000"],
+        ["asymptotics", "--n", "1"],
+        ["sweep", "--grid", "4x4", "--delta-phase", "inf"],
+        ["asymptotics", "--n", "1000", "--alpha1", "inf"],
+        ["verify", "--seed", "-1"],
+        ["trace", "--n", "10", "--a", "1e200"],
+    ], ids="_".join)
+    def test_out_of_range_values_refused(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: " + argv[-2])
+
+    def test_out_of_range_config_value_refused(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"n={10**21}\n")
+        rc, out, err = run(capsys, "spectrum", "--config", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --n")
 
 
 # What the wrapper that pip generates for a console script does: load the
