@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -34,6 +35,7 @@ from .kernel import (
     GroverPhases,
     extended_reduced_kernel,
     reduced_kernel,
+    require_full_size,
 )
 from .spectral import (
     delta_omega_asymptotic,
@@ -47,6 +49,9 @@ from .spectral import (
 __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
+# Longest trace (--m-max): a trace holds its probabilities and its whole CSV
+# body in memory, about 150 bytes per step, so 1e7 steps take about 1.5 GB.
+MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
 MAX_N = 2**63 - 1
 TAU = 2 * math.pi
@@ -129,6 +134,8 @@ def _check_values(cfg: ExperimentConfig) -> None:
         raise UsageError(f"--n must lie in [2, {MAX_N}], got {cfg.n}")
     if cfg.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
+    if cfg.m_max > MAX_STEPS:
+        raise ResourceLimitError(f"--m-max must be at most {MAX_STEPS}, got {cfg.m_max}")
     for name, cast, _ in OPTIONS:
         val = getattr(cfg, name)
         if cast is float and val is not None and not math.isfinite(val):
@@ -166,15 +173,25 @@ def _parse_grid(text: str) -> Tuple[int, int]:
     raise UsageError(f"grid must look like <p> or <p>x<q>, got {text!r}")
 
 
-def _write_csv(cfg: ExperimentConfig, header: str, rows: List[List[str]],
+def _lines(rows: List[List[str]]) -> str:
+    """CSV body of the given cells, one newline-terminated line per row."""
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _write_csv(cfg: ExperimentConfig, header: str, body: str,
                summary: Optional[str] = None) -> None:
-    body = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    """Write the header line, then the body, to --out or stdout.
+
+    Two writes, so no second copy of a large body is ever built.
+    """
     if cfg.out in (None, "-"):
+        sys.stdout.write(header + "\n")
         sys.stdout.write(body)
         if summary:
             print(summary, file=sys.stderr)
     else:
         with open(cfg.out, "w", newline="") as fh:
+            fh.write(header + "\n")
             fh.write(body)
         if summary:
             print(summary)
@@ -247,6 +264,8 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         rk = reduced_kernel(phases.beta, phases.delta, cfg.n)
         trace = probability_trace(rk, _initial_state(cfg), cfg.m_max)
     else:
+        # Refused before the N-entry k0 vector is built or read.
+        require_full_size(cfg.n, "full-space trace")
         vec = _k0_vector(cfg)
         fcfg = FullSpaceConfig(cfg.n, 0, vec, phases)
         if cfg.a is None and cfg.b is None:
@@ -254,8 +273,9 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         else:
             x_in = _embed_reduced(_initial_state(cfg), 0)
         trace = full_space_trace(fcfg, x_in, cfg.m_max)
-    rows = [[str(int(m)), fmt(p)] for m, p in zip(trace.steps, trace.probs)]
-    _write_csv(cfg, "m,prob", rows, _summary_line(trace))
+    # One format call per row; "%.17g" gives the same bytes as fmt().
+    body = "".join(map("%d,%.17g\n".__mod__, enumerate(trace.probs.tolist())))
+    _write_csv(cfg, "m,prob", body, _summary_line(trace))
     return 0
 
 
@@ -285,7 +305,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                     pred = ""
             rows.append([fmt(bp), fmt(dp), fmt(g_abs),
                          fmt(trace.peak_prob), str(trace.peak_step), pred])
-    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", rows)
+    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", _lines(rows))
     return 0
 
 
@@ -328,7 +348,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         ])
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
-                    "m_exact,m_asymptotic,m_stability,degenerate", rows)
+                    "m_exact,m_asymptotic,m_stability,degenerate", _lines(rows))
     return 0
 
 
@@ -346,7 +366,7 @@ def cmd_asymptotics(cfg: ExperimentConfig) -> int:
         rows.append([fmt(phi), str(cfg.n),
                      fmt(cfg.alpha1) if cfg.alpha1 is not None else "",
                      gap, m_asym])
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", rows)
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", _lines(rows))
     return 0
 
 
@@ -370,7 +390,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
                      *axis, fmt(aa.global_phase),
                      "1" if grover else "0", "1" if equal else "0"])
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
-                    "global_phase,grover_point,equal_angles", rows)
+                    "global_phase,grover_point,equal_angles", _lines(rows))
     return 0
 
 
@@ -407,6 +427,11 @@ DISPATCH = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for a flag: its own pattern knows no exponent.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 

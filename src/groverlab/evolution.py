@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from .errors import (
     InvalidSizeError,
     NormalizationError,
     PeakedInitialStateWarning,
-    ResourceLimitError,
 )
-from .kernel import MAX_FULL_SIZE, FullSpaceConfig, ReducedKernel
+from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
 from .spectral import SpectralData
 
 __all__ = [
@@ -118,15 +117,30 @@ def _reduced_input(k: ReducedKernel, s: Union[InitialState, np.ndarray]) -> np.n
     return v
 
 
+def _iterate(k: ReducedKernel, v: np.ndarray, m: int) -> Tuple[List[float], complex]:
+    """Apply the kernel m times to the reduced vector v.
+
+    The one reduced-kernel step loop.  It runs on Python complex scalars,
+    which is several times faster than a 2x2 numpy product per step, and
+    returns P = |x|^2 of the marked amplitude x after 0..m steps together
+    with the final x.
+    """
+    (a, b), (c, d) = k.matrix.tolist()
+    x, y = v.tolist()
+    probs = [abs(x) ** 2]
+    append = probs.append
+    for _ in range(m):
+        x, y = a * x + b * y, c * x + d * y
+        append(abs(x) ** 2)
+    return probs, x
+
+
 def amplitude_iterative(k: ReducedKernel, s: Union[InitialState, np.ndarray],
                         m: int) -> complex:
     """Marked-state amplitude after m kernel applications, by iteration."""
     if m < 0:
         raise InvalidSizeError(f"step count must be >= 0, got {m}")
-    v = _reduced_input(k, s)
-    for _ in range(m):
-        v = k.matrix @ v
-    return complex(v[0])
+    return _iterate(k, _reduced_input(k, s), m)[1]
 
 
 def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> complex:
@@ -154,13 +168,7 @@ def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
     """P(m) for m = 0..m_max by a single pass over a running state."""
     if m_max < 1:
         raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
-    v = _reduced_input(k, s)
-    probs = np.empty(m_max + 1)
-    probs[0] = abs(v[0]) ** 2
-    for m in range(1, m_max + 1):
-        v = k.matrix @ v
-        probs[m] = abs(v[0]) ** 2
-    return EvolutionTrace.from_probs(probs)
+    return EvolutionTrace.from_probs(_iterate(k, _reduced_input(k, s), m_max)[0])
 
 
 def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
@@ -172,9 +180,7 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     """
     if m_max < 0:
         raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
-    if cfg.size > MAX_FULL_SIZE:
-        raise ResourceLimitError(
-            f"full-space trace limited to N <= {MAX_FULL_SIZE}, got {cfg.size}")
+    require_full_size(cfg.size, "full-space trace")
     v = as_vector(x_in).copy()
     if v.shape[0] != cfg.size:
         raise InvalidSizeError(f"state has dim {v.shape[0]}, expected {cfg.size}")

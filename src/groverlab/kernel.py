@@ -28,6 +28,7 @@ from .errors import (
 
 __all__ = [
     "MAX_FULL_SIZE",
+    "require_full_size",
     "GroverPhases",
     "ReducedKernel",
     "FullSpaceConfig",
@@ -41,6 +42,13 @@ __all__ = [
 
 # Full N x N simulation is desk-scale by design.
 MAX_FULL_SIZE = 4096
+
+
+def require_full_size(n: int, what: str) -> None:
+    """Refuse a full-space computation (named by ``what``) beyond MAX_FULL_SIZE."""
+    if n > MAX_FULL_SIZE:
+        raise ResourceLimitError(f"{what} limited to N <= {MAX_FULL_SIZE}, got {n}")
+
 
 # Phases within this distance of the unit circle are renormalized onto it;
 # anything farther is rejected as genuinely non-unitary input.
@@ -211,9 +219,7 @@ def full_kernel(cfg: FullSpaceConfig) -> np.ndarray:
     Assembled from rank-1 updates rather than a dense matrix product, which
     keeps construction O(N^2) at the largest supported sizes.
     """
-    if cfg.size > MAX_FULL_SIZE:
-        raise ResourceLimitError(
-            f"full-space kernel limited to N <= {MAX_FULL_SIZE}, got {cfg.size}")
+    require_full_size(cfg.size, "full-space kernel")
     ph = cfg.phases
     e = np.zeros(cfg.size, dtype=complex)
     e[cfg.marked] = 1.0

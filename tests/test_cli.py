@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import shutil
@@ -138,6 +139,19 @@ class TestTrace:
         assert cli.main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_bytes(self, tmp_path, capsys):
+        args = ["trace", "--n", "1000", "--m-max", "20000"]
+        rc, out, err = run(capsys, *args)
+        assert rc == 0
+        digest = "9ab75cc8f44111982ea462ff2d60089d161291e71abefea310c1c08def1f2a96"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        path = tmp_path / "t.csv"
+        rc, summary, _ = run(capsys, *args, "--out", str(path))
+        assert rc == 0
+        assert path.read_bytes() == out.encode()
+        assert out.count("m,prob") == 1
+        assert summary == err
 
     def test_partial_initial_state_flags(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "1000", "--m-max", "2",
@@ -527,6 +541,54 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: " + argv[-2])
+
+    @pytest.mark.parametrize("k0", ["momentum:0", "file:/nonexistent"])
+    @pytest.mark.parametrize("n", [4097, 5000, 2**63 - 1])
+    def test_full_space_refused_before_k0_is_built(self, capsys, monkeypatch, n, k0):
+        def unreachable(cfg):
+            raise AssertionError("k0 vector built before the size check")
+        monkeypatch.setattr(cli, "_k0_vector", unreachable)
+        rc, out, err = run(capsys, "trace", "--n", str(n), "--k0", k0, "--m-max", "2")
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: full-space trace limited to N <= 4096, got {n}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["trace"],
+        ["sweep", "--grid", "2x2"],
+    ], ids="_".join)
+    def test_m_max_limit(self, capsys, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("trace started above the step limit")
+        monkeypatch.setattr(cli, "probability_trace", unreachable)
+        rc, out, err = run(capsys, *argv, "--m-max", str(cli.MAX_STEPS + 1))
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: --m-max must be at most {cli.MAX_STEPS}, got {cli.MAX_STEPS + 1}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "100", "--beta-phase", "-1e-3", "--delta-phase", "-1e-3"],
+        ["spectrum", "--n", "100", "--beta-phase", "-1E-3"],
+        ["spectrum", "--n", "100", "--delta-phase", "-.5e1"],
+        ["trace", "--n", "100", "--m-max", "5", "--b", "-1e-1"],
+    ], ids="_".join)
+    def test_negative_exponent_values(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        # The same values attached to their flags with "=", which argparse
+        # never takes for a flag.
+        joined = []
+        for tok in argv:
+            if tok.startswith("-") and not tok.startswith("--"):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        assert run(capsys, *joined) == (rc, out, err)
+
+    def test_missing_value_is_still_an_error(self, capsys):
+        rc, out, err = run(capsys, "trace", "--n", "--seed", "3")
+        assert rc == 1
+        assert err.startswith("error: argument --n: expected one argument")
 
     def test_out_of_range_config_value_refused(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"

@@ -20,7 +20,13 @@ from groverlab.evolution import (
     probability_trace,
     uniform_initial,
 )
-from groverlab.kernel import FullSpaceConfig, GroverPhases, full_kernel, reduced_kernel
+from groverlab.kernel import (
+    FullSpaceConfig,
+    GroverPhases,
+    extended_reduced_kernel,
+    full_kernel,
+    reduced_kernel,
+)
 from groverlab.spectral import eigensystem, optimal_steps_asymptotic
 
 rng = np.random.default_rng(23)
@@ -199,6 +205,60 @@ class TestProbabilityTrace:
     def test_rejects_empty_window(self):
         with pytest.raises(InvalidSizeError):
             probability_trace(reduced_kernel(1, 1, 4), uniform_initial(4), 0)
+
+
+def reference_probs(k, v, m_max):
+    """The numpy loop the scalar engine replaced: one 2x2 product per step."""
+    v = np.asarray(v, dtype=complex)
+    probs = np.empty(m_max + 1)
+    probs[0] = abs(v[0]) ** 2
+    for m in range(1, m_max + 1):
+        v = k.matrix @ v
+        probs[m] = abs(v[0]) ** 2
+    return probs
+
+
+class TestScalarEngine:
+    """The scalar recurrence against the numpy matrix-vector loop."""
+
+    @pytest.mark.parametrize("n", [2, 1000, 10**6])
+    def test_real_kernels_bitwise_equal(self, n):
+        k = reduced_kernel(1.0, 1.0, n)
+        b = 0.9
+        starts = [uniform_initial(n), InitialState.complete(0.5, n),
+                  InitialState(np.sqrt(n - b**2 * (n - 1)), b, n)]
+        for s in starts:
+            got = probability_trace(k, s, 10**4).probs
+            assert np.array_equal(got, reference_probs(k, s.reduced_vector(), 10**4))
+
+    def test_complex_kernels_within_tolerance(self):
+        r = np.random.default_rng(5)
+        for _ in range(6):
+            n = int(r.integers(2, 10**6))
+            k = reduced_kernel(random_phase(r), random_phase(r), n)
+            s = uniform_initial(n)
+            diff = probability_trace(k, s, 10**4).probs - reference_probs(
+                k, s.reduced_vector(), 10**4)
+            assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_extended_kernels_within_tolerance(self):
+        r = np.random.default_rng(6)
+        for _ in range(4):
+            alpha1 = float(r.uniform(0.01, 0.99))
+            k = extended_reduced_kernel(random_phase(r), random_phase(r), alpha1)
+            start = np.array([alpha1, np.sqrt(1 - alpha1**2)], dtype=complex)
+            diff = probability_trace(k, start, 10**4).probs - reference_probs(
+                k, start, 10**4)
+            assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_amplitude_matches_trace_exactly(self):
+        r = np.random.default_rng(7)
+        for m in (1, 17, 1000):
+            n = int(r.integers(2, 5000))
+            k = reduced_kernel(random_phase(r), random_phase(r), n)
+            s = uniform_initial(n)
+            assert abs(amplitude_iterative(k, s, m)) ** 2 == probability_trace(
+                k, s, m).probs[m]
 
 
 class TestPeakLocations:
