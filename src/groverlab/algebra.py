@@ -7,6 +7,8 @@ thousand), so dense storage and O(N^2) transforms are deliberate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidSizeError, NormalizationError, ShapeError
@@ -15,6 +17,7 @@ __all__ = [
     "TOL_EXACT",
     "TOL_PIPELINE",
     "require_unit",
+    "require_unitary",
     "unitarity_residual",
     "momentum_state",
     "dft_matrix",
@@ -60,9 +63,51 @@ def require_unit(x: float, tol: float, what: str, error=NormalizationError) -> N
         raise error(f"{what} is {x}; expected 1 within {tol:g}")
 
 
-def unitarity_residual(a: np.ndarray) -> float:
-    """max|M^dagger M - I| of a square array already coerced by as_matrix."""
-    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+def unitarity_residual(a: np.ndarray):
+    """max|M^dagger M - I| of a square array already coerced by as_matrix,
+    or one such residual per matrix of a stack of shape (K, n, n)."""
+    resid = np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    return float(resid) if resid.ndim == 0 else resid
+
+
+def require_unitary(m: np.ndarray, tol: float, what: str) -> None:
+    """Raise NormalizationError unless the matrix m, or every matrix of the
+    stack m, is unitary within ``tol``; NaN never passes.
+
+    The one unitarity test; for a stack the message names the worst index.
+    """
+    resid = np.reshape(unitarity_residual(m), -1)
+    if resid.size and not resid.max() <= tol:
+        worst = int(np.argmax(resid))
+        at = f" {worst}" if m.ndim > 2 else ""
+        raise NormalizationError(f"{what}{at} is not unitary (residual {resid[worst]:.3e})")
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex array from its parts, signed zeros included."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z| as Python computes it; numpy's complex abs may differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise math.atan2 of 1-D arrays: numpy's arctan2 may differ in the last bit."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b with the rounding of a Python complex product.
+
+    numpy's complex product may fuse a multiply and an add, which changes
+    the last bit, so batched code that must match a scalar formula
+    bit for bit multiplies part by part.
+    """
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
 def momentum_state(y0, n: int) -> np.ndarray:

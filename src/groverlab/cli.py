@@ -16,12 +16,12 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import checks
-from .algebra import TOL_EXACT, TOL_PIPELINE, momentum_state, require_unit
+from .algebra import TOL_EXACT, TOL_PIPELINE, _abs, _atan2, momentum_state, require_unit
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
     EvolutionTrace,
@@ -33,22 +33,27 @@ from .evolution import (
 from .kernel import (
     FullSpaceConfig,
     GroverPhases,
-    extended_reduced_kernel,
-    reduced_kernel,
+    ReducedKernel,
+    extended_reduced_kernels,
+    reduced_kernels,
     require_full_size,
+    unit_phases,
 )
 from .spectral import (
+    asymptotic_steps,
     delta_omega_asymptotic,
-    eigensystem,
+    eigensystems,
     kernel_manifold_points,
     optimal_steps_asymptotic,
-    optimal_steps_exact,
     stability_expansion,
 )
 
 __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
+# Grid points per batch: sweep, spectrum and manifold build and format their
+# rows this many at a time, which bounds the arrays one batch holds.
+BLOCK = 2**16
 # Longest trace (--m-max): a trace holds its probabilities and its whole CSV
 # body in memory, about 150 bytes per step, so 1e7 steps take about 1.5 GB.
 MAX_STEPS = 10**7
@@ -134,12 +139,16 @@ def _check_values(cfg: ExperimentConfig) -> None:
         raise UsageError(f"--n must lie in [2, {MAX_N}], got {cfg.n}")
     if cfg.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
+    if cfg.m_max < 1:
+        raise UsageError(f"--m-max must be >= 1, got {cfg.m_max}")
     if cfg.m_max > MAX_STEPS:
         raise ResourceLimitError(f"--m-max must be at most {MAX_STEPS}, got {cfg.m_max}")
     for name, cast, _ in OPTIONS:
         val = getattr(cfg, name)
         if cast is float and val is not None and not math.isfinite(val):
             raise UsageError(f"{_flag(name)} must be finite, got {val}")
+    if cfg.alpha1 is not None and not 0 < cfg.alpha1 < 1:
+        raise UsageError(f"--alpha1 must lie strictly between 0 and 1, got {cfg.alpha1}")
     # A normalizable start has |a|^2, |b|^2 <= N (1 + 1e-6), so a larger
     # coefficient is refused here, before squaring it can overflow.
     bound = math.sqrt(2 * cfg.n)
@@ -173,9 +182,13 @@ def _parse_grid(text: str) -> Tuple[int, int]:
     raise UsageError(f"grid must look like <p> or <p>x<q>, got {text!r}")
 
 
-def _lines(rows: List[List[str]]) -> str:
-    """CSV body of the given cells, one newline-terminated line per row."""
-    return "".join(",".join(r) + "\n" for r in rows)
+def _table(template: str, columns) -> str:
+    """CSV body of equal-length columns (arrays or lists), one %-format call per row.
+
+    A NaN cell prints as an empty one: no other cell can contain "nan".
+    """
+    cells = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return "".join(map(template.__mod__, cells)).replace("nan", "")
 
 
 def _write_csv(cfg: ExperimentConfig, header: str, body: str,
@@ -254,29 +267,49 @@ def _summary_line(trace: EvolutionTrace) -> str:
             f"maxima_count={trace.maxima_count} threshold_step={thr}")
 
 
+def _reduced_problem(cfg: ExperimentConfig, beta: np.ndarray, delta: np.ndarray):
+    """Reduced kernels for the unit phases beta, delta, the list size they
+    stand for, and the start they evolve from.
+
+    ``--alpha1`` switches every kernel to the general-superposition form,
+    which has no list size, and the start to (alpha1, sqrt(1 - alpha1^2));
+    otherwise the kernels have size ``--n`` and the start is --a/--b.
+    """
+    if cfg.alpha1 is None:
+        return reduced_kernels(beta, delta, cfg.n), cfg.n, _initial_state(cfg)
+    start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
+    return extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
+
+
+def _blocks(*columns: np.ndarray):
+    """The columns cut into slices of at most BLOCK rows."""
+    for lo in range(0, len(columns[0]), BLOCK):
+        yield [c[lo:lo + BLOCK] for c in columns]
+
+
 def cmd_trace(cfg: ExperimentConfig) -> int:
-    phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
-    if cfg.alpha1 is not None:
-        rk = extended_reduced_kernel(phases.beta, phases.delta, cfg.alpha1)
-        start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
-        trace = probability_trace(rk, start, cfg.m_max)
-    elif cfg.k0 == "uniform":
-        rk = reduced_kernel(phases.beta, phases.delta, cfg.n)
-        trace = probability_trace(rk, _initial_state(cfg), cfg.m_max)
-    else:
+    if cfg.alpha1 is None and cfg.k0 != "uniform":
         # Refused before the N-entry k0 vector is built or read.
         require_full_size(cfg.n, "full-space trace")
         vec = _k0_vector(cfg)
+        phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
         fcfg = FullSpaceConfig(cfg.n, 0, vec, phases)
         if cfg.a is None and cfg.b is None:
             x_in = vec
         else:
             x_in = _embed_reduced(_initial_state(cfg), 0)
         trace = full_space_trace(fcfg, x_in, cfg.m_max)
+    else:
+        kernels, size, start = _reduced_problem(
+            cfg, unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase]))
+        trace = probability_trace(ReducedKernel(kernels[0], size), start, cfg.m_max)
     # One format call per row; "%.17g" gives the same bytes as fmt().
     body = "".join(map("%d,%.17g\n".__mod__, enumerate(trace.probs.tolist())))
     _write_csv(cfg, "m,prob", body, _summary_line(trace))
     return 0
+
+
+SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%d,%.0f\n"
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -287,87 +320,87 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         raise UsageError(f"sweep grid sizes must be >= 2, got {p}x{q}")
     if p * q > MAX_GRID_POINTS:
         raise ResourceLimitError(f"sweep grid has {p * q} points (limit {MAX_GRID_POINTS})")
-    state = _initial_state(cfg)
-    rows = []
-    for i in range(p):
-        bp = wrap_angle(cfg.beta_phase + TAU * i / p)
-        for j in range(q):
-            dp = wrap_angle(cfg.delta_phase + TAU * j / q)
-            phases = GroverPhases.from_angles(bp, dp)
-            trace = probability_trace(
-                reduced_kernel(phases.beta, phases.delta, cfg.n), state, cfg.m_max)
-            g_abs = abs(phases.beta - phases.delta)
-            pred = ""
-            if g_abs <= TOL_EXACT:
-                try:
-                    pred = str(optimal_steps_asymptotic(phases.phi, cfg.n, cfg.alpha1))
-                except GroverLabError:
-                    pred = ""
-            rows.append([fmt(bp), fmt(dp), fmt(g_abs),
-                         fmt(trace.peak_prob), str(trace.peak_step), pred])
-    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", _lines(rows))
+    grid1 = [wrap_angle(cfg.beta_phase + TAU * i / p) for i in range(p)]
+    grid2 = [wrap_angle(cfg.delta_phase + TAU * j / q) for j in range(q)]
+    chunks = []
+    for bp, dp in _blocks(np.repeat(grid1, q), np.tile(grid2, p)):
+        beta, delta = unit_phases(bp), unit_phases(dp)
+        kernels, size, start = _reduced_problem(cfg, beta, delta)
+        traces = [probability_trace(ReducedKernel(k, size), start, cfg.m_max) for k in kernels]
+        g_abs = _abs(beta - delta)
+        chunks.append(_table(SWEEP_ROW, [
+            bp, dp, g_abs, [t.peak_prob for t in traces], [t.peak_step for t in traces],
+            np.where(g_abs <= TOL_EXACT, asymptotic_steps(
+                _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]))
+    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M",
+               "".join(chunks))
     return 0
 
 
-def _phase_pairs(cfg: ExperimentConfig) -> List[Tuple[float, float]]:
-    """Rows for spectrum/asymptotics: one config point, or a diagonal sweep."""
+def _phase_columns(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase angles (beta, delta) for spectrum/asymptotics: one config point,
+    or the diagonal sweep linspace(-pi, pi, p)."""
     if cfg.grid is None:
-        return [(cfg.beta_phase, cfg.delta_phase)]
+        return np.array([cfg.beta_phase]), np.array([cfg.delta_phase])
     p, q = _parse_grid(cfg.grid)
     if q != 1:
         raise UsageError("this command sweeps one angle; use --grid <p> or <p>x1")
     if p < 2:
         raise UsageError(f"sweep needs at least 2 points, got {p}")
-    return [(t, t) for t in np.linspace(-math.pi, math.pi, p)]
+    t = np.linspace(-math.pi, math.pi, p)
+    return t, t
+
+
+# beta_phase .. diag_gap_im, m_exact, m_asymptotic, m_stability, degenerate.
+SPECTRUM_ROW = "%.17g," * 11 + "%.0f,%.0f,%.17g,%d\n"
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    rows = []
-    for bp, dp in _phase_pairs(cfg):
-        phases = GroverPhases.from_angles(bp, dp)
-        spec = eigensystem(reduced_kernel(phases.beta, phases.delta, cfg.n))
-        diagonal = abs(phases.beta - phases.delta) <= TOL_EXACT
-        m_exact = "" if spec.degenerate else str(optimal_steps_exact(spec))
-        m_asym = ""
-        m_stab = ""
-        if diagonal:
-            try:
-                m_asym = str(optimal_steps_asymptotic(phases.phi, cfg.n, cfg.alpha1))
-            except GroverLabError:
-                pass
-            if abs(phases.phi) <= 0.5:
-                m_stab = fmt(stability_expansion(phases.phi, cfg.n))
-        rows.append([
-            fmt(wrap_angle(bp)), fmt(wrap_angle(dp)),
-            fmt(spec.det.real), fmt(spec.det.imag),
-            fmt(spec.trace.real), fmt(spec.trace.imag),
-            fmt(spec.eigphase1), fmt(spec.eigphase2), fmt(spec.phase_gap),
-            fmt(spec.diag_gap.real), fmt(spec.diag_gap.imag),
-            m_exact, m_asym, m_stab,
-            "1" if spec.degenerate else "0",
-        ])
+    chunks = []
+    for bp, dp in _blocks(*_phase_columns(cfg)):
+        beta, delta = unit_phases(bp), unit_phases(dp)
+        kernels, size, _ = _reduced_problem(cfg, beta, delta)
+        spec = eigensystems(kernels, size)
+        diagonal = _abs(beta - delta) <= TOL_EXACT
+        phi = _atan2(delta.imag, delta.real)
+        stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
+        no_size = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
+        diag_gap = no_size if size is None else spec.diag_gap
+        chunks.append(_table(SPECTRUM_ROW, [
+            list(map(wrap_angle, bp.tolist())), list(map(wrap_angle, dp.tolist())),
+            spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
+            spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
+            np.floor(math.pi / np.where(spec.degenerate, np.nan, spec.phase_gap)),
+            np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
+            np.where(stable, stability_expansion(phi, cfg.n), np.nan),
+            spec.degenerate]))
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
-                    "m_exact,m_asymptotic,m_stability,degenerate", _lines(rows))
+                    "m_exact,m_asymptotic,m_stability,degenerate", "".join(chunks))
     return 0
 
 
 def cmd_asymptotics(cfg: ExperimentConfig) -> int:
-    rows = []
-    for _, dp in _phase_pairs(cfg):
-        phi = wrap_angle(dp)
-        gap = ""
-        m_asym = ""
+    phis = [wrap_angle(t) for t in _phase_columns(cfg)[1].tolist()]
+    gaps, steps = [], []
+    for phi in phis:
+        gap = m_asym = math.nan
         try:
-            gap = fmt(delta_omega_asymptotic(complex(math.cos(phi), math.sin(phi)), cfg.n))
-            m_asym = str(optimal_steps_asymptotic(phi, cfg.n, cfg.alpha1))
+            gap = delta_omega_asymptotic(complex(math.cos(phi), math.sin(phi)), cfg.n)
+            m_asym = optimal_steps_asymptotic(phi, cfg.n, cfg.alpha1)
         except GroverLabError:
             pass
-        rows.append([fmt(phi), str(cfg.n),
-                     fmt(cfg.alpha1) if cfg.alpha1 is not None else "",
-                     gap, m_asym])
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", _lines(rows))
+        gaps.append(gap)
+        steps.append(m_asym)
+    alpha1 = math.nan if cfg.alpha1 is None else cfg.alpha1
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", _table(
+        "%.17g,%d,%.17g,%.17g,%.0f\n", [phis, [cfg.n] * len(phis), [alpha1] * len(phis),
+                                        gaps, steps]))
     return 0
+
+
+# angle1, angle2, kernel_angle, axis_x, axis_y, axis_z, global_phase, flags.
+MANIFOLD_ROW = "%.17g," * 7 + "%d,%d\n"
 
 
 def cmd_manifold(cfg: ExperimentConfig) -> int:
@@ -379,18 +412,15 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     # Anchor both grids at pi/2 so the original kernel is always on-grid.
     grid1 = [(math.pi / 2 + TAU * i / p) % TAU for i in range(p)]
     grid2 = [(math.pi / 2 + TAU * j / q) % TAU for j in range(q)]
-    rows = []
-    for pt in kernel_manifold_points(grid1, grid2, cfg.n):
-        aa = pt.decomposition
-        axis = ["", "", ""] if aa.axis is None else [fmt(c) for c in aa.axis]
-        grover = (abs(pt.angle1 - math.pi / 2) <= 1e-9
-                  and abs(pt.angle2 - math.pi / 2) <= 1e-9)
-        equal = abs(wrap_angle(pt.angle1 - pt.angle2)) <= 1e-9
-        rows.append([fmt(pt.angle1), fmt(pt.angle2), fmt(aa.angle),
-                     *axis, fmt(aa.global_phase),
-                     "1" if grover else "0", "1" if equal else "0"])
+    chunks = []
+    for t1, t2 in _blocks(np.repeat(grid1, q), np.tile(grid2, p)):
+        aa = kernel_manifold_points(t1, t2, cfg.n)
+        grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
+        equal = np.abs(list(map(wrap_angle, (t1 - t2).tolist()))) <= 1e-9
+        chunks.append(_table(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
+                                            grover, equal]))
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
-                    "global_phase,grover_point,equal_angles", _lines(rows))
+                    "global_phase,grover_point,equal_angles", "".join(chunks))
     return 0
 
 

@@ -17,12 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (TOL_EXACT, as_matrix, as_vector, dft_matrix, momentum_state, outer,
-                      require_unit, unitarity_residual)
+from .algebra import (TOL_EXACT, _abs, _cmul, _complex, as_matrix, as_vector, dft_matrix,
+                      momentum_state, outer, require_unit, require_unitary)
 from .errors import (
     DegenerateSubspaceError,
     InvalidSizeError,
-    NormalizationError,
     ResourceLimitError,
 )
 
@@ -33,8 +32,11 @@ __all__ = [
     "ReducedKernel",
     "FullSpaceConfig",
     "grover_operator",
+    "unit_phases",
     "reduced_kernel",
+    "reduced_kernels",
     "extended_reduced_kernel",
+    "extended_reduced_kernels",
     "momentum_projector",
     "full_kernel",
     "dft_conjugate",
@@ -55,11 +57,27 @@ def require_full_size(n: int, what: str) -> None:
 PHASE_SNAP_TOL = 1e-9
 
 
+def _unit_phases(z, name: str) -> np.ndarray:
+    """Snap every entry of z onto the unit circle; refuse one that is farther.
+
+    Divides part by part, as a Python complex is divided by its float abs
+    (numpy's complex division multiplies by a reciprocal instead).
+    """
+    z = np.asarray(z, dtype=complex)
+    r = _abs(z)
+    if r.size:
+        require_unit(r.flat[np.argmax(np.abs(r - 1))], PHASE_SNAP_TOL, f"|{name}|")
+    return _complex(z.real / r, z.imag / r)
+
+
 def _unit_phase(z: complex, name: str) -> complex:
-    z = complex(z)
-    r = abs(z)
-    require_unit(r, PHASE_SNAP_TOL, f"|{name}|")
-    return z / r
+    return complex(_unit_phases(z, name))
+
+
+def unit_phases(angles) -> np.ndarray:
+    """e^{it} for every angle t, with the bits GroverPhases.from_angles gives beta and delta."""
+    t = np.asarray(angles, dtype=float)
+    return _unit_phases(_complex(np.cos(t), np.sin(t)), "phase")
 
 
 @dataclass(frozen=True)
@@ -110,9 +128,7 @@ class ReducedKernel:
         m = as_matrix(self.matrix).copy()
         if m.shape != (2, 2):
             raise InvalidSizeError(f"reduced kernel must be 2x2, got {m.shape}")
-        resid = unitarity_residual(m)
-        if resid > TOL_EXACT:
-            raise NormalizationError(f"reduced kernel is not unitary (residual {resid:.3e})")
+        require_unitary(m, TOL_EXACT, "reduced kernel")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -154,51 +170,67 @@ def grover_operator(p: np.ndarray, lam1: complex, lam2: complex) -> np.ndarray:
 
 
 def reduced_kernel(beta: complex, delta: complex, n: int) -> ReducedKernel:
-    """The kernel restricted to the search plane, for a uniform superposition.
+    """The kernel restricted to the search plane, for a uniform superposition:
+    ``reduced_kernels`` of one phase pair."""
+    return ReducedKernel(reduced_kernels([beta], [delta], n)[0], size=n)
 
-    With s = sqrt(n-1) the block is
+
+def reduced_kernels(beta, delta, n: int) -> np.ndarray:
+    """Reduced kernels for arrays of phases, as a (K, 2, 2) stack.
+
+    With s = sqrt(n-1) each block is
 
         (1/n) [[1 + delta (1 - n),  -beta (1 + delta) s],
                [(1 + delta) s,       beta (1 + delta - n)]].
 
     beta = delta = -1 gives the identity (the trivial member of the family);
-    beta = delta = 1 is the textbook search kernel.
+    beta = delta = 1 is the textbook search kernel.  The stack is checked for
+    unitarity at once.  Complex products are taken part by part, so every
+    block has the bits of this formula in Python complex arithmetic.
     """
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
-    beta = _unit_phase(beta, "beta")
-    delta = _unit_phase(delta, "delta")
+    beta, delta = _unit_phases(beta, "beta"), _unit_phases(delta, "delta")
     s = np.sqrt(n - 1)
-    m = np.array([
-        [1 + delta * (1 - n), -beta * (1 + delta) * s],
-        [(1 + delta) * s, beta * (1 + delta - n)],
-    ]) / n
-    return ReducedKernel(m, size=n)
+    m = _stack(1 + delta * (1 - n), _cmul(-beta, 1 + delta) * s,
+               (1 + delta) * s, _cmul(beta, 1 + delta - n)) / n
+    require_unitary(m, TOL_EXACT, "reduced kernel")
+    return m
 
 
 def extended_reduced_kernel(beta: complex, delta: complex, alpha1: float) -> ReducedKernel:
-    """Reduced kernel for a general superposition with marked-state overlap alpha1.
+    """Reduced kernel for a general superposition with marked-state overlap
+    alpha1: ``extended_reduced_kernels`` of one phase pair."""
+    return ReducedKernel(extended_reduced_kernels([beta], [delta], alpha1)[0], size=None)
 
-    With D = 1 + delta and c = sqrt(1 - alpha1^2):
+
+def extended_reduced_kernels(beta, delta, alpha1: float) -> np.ndarray:
+    """General-superposition kernels for arrays of phases, as a (K, 2, 2) stack.
+
+    With D = 1 + delta and c = sqrt(1 - alpha1^2) each block is
 
         [[-delta + D alpha1^2,  -beta D alpha1 c],
          [D alpha1 c,            beta (D alpha1^2 - 1)]].
 
     Setting alpha1 = 1/sqrt(n) recovers reduced_kernel(beta, delta, n)
     entrywise.  alpha1 in {0, 1} collapses the search plane and is rejected.
+    Checked and rounded as ``reduced_kernels``.
     """
     if not 0.0 < alpha1 < 1.0:
         raise DegenerateSubspaceError(
             f"overlap must lie strictly between 0 and 1, got {alpha1}")
-    beta = _unit_phase(beta, "beta")
-    delta = _unit_phase(delta, "delta")
+    beta, delta = _unit_phases(beta, "beta"), _unit_phases(delta, "delta")
     big_d = 1 + delta
     c = np.sqrt(1 - alpha1 * alpha1)
-    m = np.array([
-        [-delta + big_d * alpha1**2, -beta * big_d * alpha1 * c],
-        [big_d * alpha1 * c, beta * (big_d * alpha1**2 - 1)],
-    ])
-    return ReducedKernel(m, size=None)
+    m = _stack(-delta + big_d * alpha1**2, _cmul(-beta, big_d) * alpha1 * c,
+               big_d * alpha1 * c, _cmul(beta, big_d * alpha1**2 - 1))
+    require_unitary(m, TOL_EXACT, "reduced kernel")
+    return m
+
+
+def _stack(k00, k01, k10, k11) -> np.ndarray:
+    """(K, 2, 2) matrices from their entry columns."""
+    return np.stack([k00, k01, k10, k11], axis=-1).reshape(-1, 2, 2)
 
 
 def momentum_projector(y0: int, n: int) -> np.ndarray:

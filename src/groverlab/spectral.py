@@ -5,24 +5,28 @@ so its eigensystem is available in closed form from that rotation.  This
 module computes exact eigenphases and eigenvectors, the phase gap that
 sets the search period, the large-N asymptotics of both, and the
 axis-angle form that places a kernel on the rotation-group picture.
+
+The decompositions work on stacks of kernels of shape (K, 2, 2);
+``eigensystem`` and ``su2_decompose`` are their batches of one.  Each
+entry has the bits of the scalar formula: complex products are taken part
+by part and atan2 and the 3-norm come from ``math``, because numpy's may
+differ in the last bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import TOL_EXACT, TOL_PIPELINE, as_matrix, unitarity_residual
+from .algebra import TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _complex, require_unitary
 from .errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
     InvalidSizeError,
-    NormalizationError,
+    ShapeError,
     SingularLimitError,
 )
 from .kernel import ReducedKernel, _unit_phase, grover_operator
@@ -30,14 +34,16 @@ from .kernel import ReducedKernel, _unit_phase, grover_operator
 __all__ = [
     "SpectralData",
     "AxisAngle",
-    "ManifoldPoint",
     "eigensystem",
+    "eigensystems",
     "asymptotic_eigvec",
     "delta_omega_asymptotic",
     "optimal_steps_exact",
+    "asymptotic_steps",
     "optimal_steps_asymptotic",
     "stability_expansion",
     "su2_decompose",
+    "su2_decompositions",
     "reconstruct",
     "kernel_manifold_points",
 ]
@@ -49,6 +55,9 @@ DEGENERACY_TOL = 1e-12
 # considered clearly concentrated on the marked state.
 DOMINANCE_RATIO = 4.0
 
+# A rotation with sin(angle) below this is a multiple of the identity: no axis.
+AXIS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -59,7 +68,8 @@ class SpectralData:
     (0, pi] (0 only when degenerate); it sets the search period.
     ``diag_gap`` is size * (K00 - K11), the scaled diagonal imbalance that
     appears in the closed-form eigenvectors; None when the kernel carries
-    no list size.
+    no list size.  From ``eigensystems`` every field is an array with one
+    entry (an eigenvector: one row) per kernel.
     """
 
     det: complex
@@ -90,7 +100,8 @@ class AxisAngle:
 
     The matrix equals e^{i global_phase} (cos(angle) I + i sin(angle) n.sigma)
     with ``axis`` = n.  ``axis`` is None when angle is 0 or pi, where every
-    axis reproduces the same matrix.
+    axis reproduces the same matrix.  From ``su2_decompositions`` the fields
+    are arrays, ``axis`` of shape (K, 3) with NaN rows for the missing axes.
     """
 
     global_phase: float
@@ -98,43 +109,69 @@ class AxisAngle:
     axis: Optional[np.ndarray]
 
 
-@dataclass(frozen=True)
-class ManifoldPoint:
-    """One sampled kernel of the two-rotation-angle family."""
-
-    angle1: float
-    angle2: float
-    decomposition: AxisAngle
-
-
-def _kernel_matrix(k: Union[ReducedKernel, np.ndarray]) -> np.ndarray:
+def _kernel_stack(k: Union[ReducedKernel, np.ndarray]) -> np.ndarray:
+    """A kernel or a stack of kernels as a (K, 2, 2) array; an array must be
+    finite and, matrix by matrix, unitary within TOL_PIPELINE."""
     if isinstance(k, ReducedKernel):
-        return k.matrix
-    m = as_matrix(k)
-    if m.shape != (2, 2):
-        raise InvalidSizeError(f"expected a 2x2 matrix, got {m.shape}")
-    if unitarity_residual(m) > TOL_PIPELINE:
-        raise NormalizationError("matrix is not unitary")
-    return m
+        return k.matrix[None]
+    m = np.asarray(k, dtype=complex)
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2x2 matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-2:] != (2, 2):
+        raise InvalidSizeError(f"expected 2x2 matrices, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ShapeError("matrix has non-finite entries")
+    require_unitary(m, TOL_PIPELINE, "matrix")
+    return m.reshape(-1, 2, 2)
 
 
-def _phase_fixed_eigvec(m: np.ndarray, z: complex) -> np.ndarray:
-    """Unit eigenvector of ``m`` for eigenvalue ``z``.
+def _single(k: Union[ReducedKernel, np.ndarray]) -> Union[ReducedKernel, np.ndarray]:
+    """One kernel, for a batch of one: a bare array must be 2-D."""
+    if not isinstance(k, ReducedKernel) and np.ndim(k) != 2:
+        raise ShapeError(f"expected a 2x2 matrix, got shape {np.shape(k)}")
+    return k
 
-    Built from whichever column of (m - z I) is better conditioned, then
-    rotated so the second component is real positive (first component used
-    as the reference when the second vanishes).
+
+def _expi(t: np.ndarray) -> np.ndarray:
+    """e^{it}, as cmath.exp(1j * t) computes it."""
+    return _complex(np.cos(t), np.sin(t))
+
+
+def _dephase(m: np.ndarray):
+    """SU(2) form of a stack m of 2x2 unitaries: (det, lam, cos(angle),
+    sin(angle), sin(angle) n), each with one entry (n: one row) per matrix.
+
+    lam = arg(det)/2, and m e^{-i lam} = cos(angle) I + i sin(angle) n.sigma.
     """
-    c1 = np.array([m[0, 1], z - m[0, 0]])
-    c2 = np.array([z - m[1, 1], m[1, 0]])
-    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    v = v / np.linalg.norm(v)
-    ref = v[1] if abs(v[1]) > 1e-14 else v[0]
-    return v * (abs(ref) / ref)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    det = _cmul(a, d) - _cmul(b, c)
+    lam = _atan2(det.imag, det.real) / 2
+    u = _expi(-lam)
+    a, b, c, d = _cmul(a, u), _cmul(b, u), _cmul(c, u), _cmul(d, u)
+    sin_axis = np.stack([(b.imag + c.imag) / 2, (b.real - c.real) / 2, a.imag], axis=-1)
+    sin = np.fromiter(map(math.hypot, *sin_axis.T.tolist()), float, len(m))
+    return det, lam, (a.real + d.real) / 2, sin, sin_axis
 
 
-def eigensystem(k: Union[ReducedKernel, np.ndarray]) -> SpectralData:
-    """Closed-form eigensystem of a reduced kernel, from ``_dephase``.
+def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors (rows) of the kernels m for their eigenvalues z.
+
+    Each is built from whichever column of (m - z I) is better conditioned,
+    then rotated so the second component is real positive (first component
+    used as the reference when the second vanishes).
+    """
+    c1 = np.stack([m[:, 0, 1], z - m[:, 0, 0]], axis=-1)
+    c2 = np.stack([z - m[:, 1, 1], m[:, 1, 0]], axis=-1)
+    first = np.linalg.norm(c1, axis=-1) >= np.linalg.norm(c2, axis=-1)
+    v = np.where(first[:, None], c1, c2)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    ref = np.where(np.abs(v[:, 1]) > 1e-14, v[:, 1], v[:, 0])
+    return v * (np.abs(ref) / ref)[:, None]
+
+
+def eigensystems(kernels: Union[ReducedKernel, np.ndarray],
+                 size: Optional[int] = None) -> SpectralData:
+    """Closed-form eigensystems of a (K, 2, 2) stack of kernels, from ``_dephase``.
 
     The eigenvalues are e^{i(lam -/+ angle)} and the phase gap is
     2 atan2(sin(angle), |cos(angle)|), exact to rounding however close the
@@ -144,38 +181,44 @@ def eigensystem(k: Union[ReducedKernel, np.ndarray]) -> SpectralData:
     DOMINANCE_RATIO, and otherwise (the balanced regime) the one whose
     phase-fixed first component has positive imaginary part, which keeps it
     continuous across the family and matched to the asymptotic formulas.
+    ``size`` is the list size the kernels stand for, if any.
     """
-    m = _kernel_matrix(k)
-    size = k.size if isinstance(k, ReducedKernel) else None
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    diag_gap = size * (m[0, 0] - m[1, 1]) if size is not None else None
-
-    lam, c, sin_axis = _dephase(m)
-    s = math.hypot(*sin_axis)
-    angle = math.atan2(s, c)
-    za, zb = cmath.exp(1j * (lam - angle)), cmath.exp(1j * (lam + angle))
+    m = _kernel_stack(kernels)
+    det, lam, c, s, _ = _dephase(m)
+    angle = _atan2(s, c)
     degenerate = 2 * s <= DEGENERACY_TOL
-    if degenerate:
-        zb = za
-        va, vb = np.array([1.0 + 0j, 0.0]), np.array([0.0, 1.0 + 0j])
-    else:
-        va = _phase_fixed_eigvec(m, za)
-        vb = _phase_fixed_eigvec(m, zb)
-        ma, mb = abs(va[0]), abs(vb[0])
-        if max(ma, mb) > DOMINANCE_RATIO * min(ma, mb):
-            swap = ma > mb
-        else:
-            swap = va[0].imag > vb[0].imag
-        if swap:
-            za, zb, va, vb = zb, za, vb, va
-
+    za = _expi(lam - angle)
+    zb = np.where(degenerate, za, _expi(lam + angle))
+    va = np.zeros((len(m), 2), dtype=complex)
+    vb = va.copy()
+    va[:, 0] = vb[:, 1] = 1.0
+    live = ~degenerate
+    va[live] = _phase_fixed_eigvecs(m[live], za[live])
+    vb[live] = _phase_fixed_eigvecs(m[live], zb[live])
+    ma, mb = np.abs(va[:, 0]), np.abs(vb[:, 0])
+    dominated = np.maximum(ma, mb) > DOMINANCE_RATIO * np.minimum(ma, mb)
+    swap = live & np.where(dominated, ma > mb, va[:, 0].imag > vb[:, 0].imag)
+    za, zb = np.where(swap, zb, za), np.where(swap, za, zb)
+    va, vb = np.where(swap[:, None], vb, va), np.where(swap[:, None], va, vb)
     return SpectralData(
-        det=complex(det), trace=complex(tr),
-        eigval1=za, eigval2=zb,
-        eigphase1=cmath.phase(za), eigphase2=cmath.phase(zb),
-        eigvec1=va, eigvec2=vb, diag_gap=diag_gap, degenerate=degenerate,
-        phase_gap=0.0 if degenerate else 2 * math.atan2(s, abs(c)))
+        det=det, trace=m[:, 0, 0] + m[:, 1, 1], eigval1=za, eigval2=zb,
+        eigphase1=_atan2(za.imag, za.real), eigphase2=_atan2(zb.imag, zb.real),
+        eigvec1=va, eigvec2=vb, degenerate=degenerate,
+        diag_gap=None if size is None else size * (m[:, 0, 0] - m[:, 1, 1]),
+        phase_gap=np.where(degenerate, 0.0, 2 * _atan2(s, np.abs(c))))
+
+
+def eigensystem(k: Union[ReducedKernel, np.ndarray]) -> SpectralData:
+    """The eigensystem of one kernel: ``eigensystems`` of a batch of one."""
+    size = k.size if isinstance(k, ReducedKernel) else None
+    b = eigensystems(_single(k), size)
+    return SpectralData(
+        det=complex(b.det[0]), trace=complex(b.trace[0]),
+        eigval1=complex(b.eigval1[0]), eigval2=complex(b.eigval2[0]),
+        eigphase1=float(b.eigphase1[0]), eigphase2=float(b.eigphase2[0]),
+        eigvec1=b.eigvec1[0], eigvec2=b.eigvec2[0], phase_gap=float(b.phase_gap[0]),
+        diag_gap=None if size is None else complex(b.diag_gap[0]),
+        degenerate=bool(b.degenerate[0]))
 
 
 def asymptotic_eigvec(beta: complex, delta: complex, n: int) -> np.ndarray:
@@ -216,6 +259,18 @@ def optimal_steps_exact(s: SpectralData) -> int:
     return int(math.floor(math.pi / s.phase_gap))
 
 
+def asymptotic_steps(phi, n: int, alpha1: Optional[float] = None) -> np.ndarray:
+    """``optimal_steps_asymptotic`` over an array of angles, as floats that
+    are NaN where |phi| >= pi or the period overflows (as pi / (4 alpha1
+    cos(phi/2)) can for a tiny alpha1); n and alpha1 are not checked."""
+    phi = np.asarray(phi, dtype=float)
+    c = np.cos(phi / 2)
+    with np.errstate(over="ignore"):
+        period = (math.pi * math.sqrt(n) / (4 * c) if alpha1 is None
+                  else math.pi / (4 * alpha1 * c))
+    return np.where((np.abs(phi) < math.pi) & np.isfinite(period), np.floor(period), np.nan)
+
+
 def optimal_steps_asymptotic(phi: float, n: int, alpha1: Optional[float] = None) -> int:
     """Asymptotic optimal step count of the balanced family at angle phi.
 
@@ -223,59 +278,51 @@ def optimal_steps_asymptotic(phi: float, n: int, alpha1: Optional[float] = None)
     given, the general-superposition form floor(pi / (4 alpha1 cos(phi/2)))
     is used instead; alpha1 = 1/sqrt(n) reproduces the standard value.
     """
-    if abs(phi) >= math.pi:
-        raise DivergentPeriodError("no finite period at the far end of the family")
-    c = math.cos(phi / 2)
-    if alpha1 is None:
-        if n < 2:
-            raise InvalidSizeError(f"list size must be >= 2, got {n}")
-        return int(math.floor(math.pi * math.sqrt(n) / (4 * c)))
-    if not 0.0 < alpha1 < 1.0:
+    if alpha1 is None and n < 2:
+        raise InvalidSizeError(f"list size must be >= 2, got {n}")
+    if alpha1 is not None and not 0.0 < alpha1 < 1.0:
         raise DegenerateSubspaceError(
             f"overlap must lie strictly between 0 and 1, got {alpha1}")
-    return int(math.floor(math.pi / (4 * alpha1 * c)))
+    steps = float(asymptotic_steps(phi, n, alpha1))
+    if math.isnan(steps):
+        raise DivergentPeriodError(f"no finite period at phi = {phi}")
+    return int(steps)
 
 
 def stability_expansion(dphi: float, n: int) -> float:
     """Second-order step-count growth (pi/4)(1 + 0.125 dphi^2) sqrt(n).
 
     Valid as an expansion for |dphi| <= 0.5 around the textbook kernel;
-    returned unfloored.
+    returned unfloored.  Elementwise when dphi is an array.
     """
     return (math.pi / 4) * (1 + 0.125 * dphi * dphi) * math.sqrt(n)
 
 
-def _axis_matrix(axis: Sequence[float]) -> np.ndarray:
+def _axis_matrix(axis) -> np.ndarray:
     nx, ny, nz = axis
     return np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
 
 
-def _dephase(m: np.ndarray) -> Tuple[float, float, Tuple[float, float, float]]:
-    """SU(2) form of a 2x2 unitary m: (lam, cos(angle), sin(angle) n).
+def su2_decompositions(kernels: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
+    """Split each unitary of a (K, 2, 2) stack into global phase times an
+    axis-angle rotation.
 
-    lam = arg(det)/2, and m e^{-i lam} = cos(angle) I + i sin(angle) n.sigma.
-    Python scalars: several times faster than numpy scalars at this size.
+    The parts come from ``_dephase``; atan2 of sin(angle) and cos(angle)
+    keeps full precision at both ends of [0, pi].  Where sin(angle) is
+    below AXIS_TOL the rotation is a multiple of the identity and the axis
+    row is NaN.
     """
-    (a, b), (c, d) = m.tolist()
-    lam = cmath.phase(a * d - b * c) / 2
-    u = cmath.exp(-1j * lam)
-    a, b, c, d = a * u, b * u, c * u, d * u
-    return lam, (a + d).real / 2, ((b + c).imag / 2, (b - c).real / 2, a.imag)
+    _, lam, c, s, sin_axis = _dephase(_kernel_stack(kernels))
+    axis = np.divide(sin_axis, s[:, None], out=np.full_like(sin_axis, np.nan),
+                     where=(s >= AXIS_TOL)[:, None])
+    return AxisAngle(global_phase=lam, angle=_atan2(s, c), axis=axis)
 
 
 def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
-    """Split a 2x2 unitary into global phase times an axis-angle rotation.
-
-    The parts come from ``_dephase``; atan2 of sin(angle) and cos(angle)
-    keeps full precision at both ends of [0, pi].  At angle 0 or pi the
-    rotation is a multiple of the identity and the axis is reported as None.
-    """
-    lam, c, sin_axis = _dephase(_kernel_matrix(k))
-    s = math.hypot(*sin_axis)
-    angle = math.atan2(s, c)
-    if s < 1e-9:
-        return AxisAngle(global_phase=lam, angle=angle, axis=None)
-    return AxisAngle(global_phase=lam, angle=angle, axis=np.array(sin_axis) / s)
+    """One unitary's ``su2_decompositions``; the axis is None at angle 0 or pi."""
+    b = su2_decompositions(_single(k))
+    axis = None if np.isnan(b.axis[0, 0]) else b.axis[0]
+    return AxisAngle(global_phase=float(b.global_phase[0]), angle=float(b.angle[0]), axis=axis)
 
 
 def reconstruct(aa: AxisAngle) -> np.ndarray:
@@ -286,31 +333,27 @@ def reconstruct(aa: AxisAngle) -> np.ndarray:
     return np.exp(1j * aa.global_phase) * rot
 
 
-def _rotation(t: float, axis: np.ndarray) -> np.ndarray:
-    return math.cos(t) * np.eye(2) + 1j * math.sin(t) * _axis_matrix(axis)
-
-
-def kernel_manifold_points(grid1: Sequence[float], grid2: Sequence[float],
-                           n: int = 10) -> List[ManifoldPoint]:
+def kernel_manifold_points(angle1, angle2, n: int = 10) -> AxisAngle:
     """Sample the two-angle family of kernels built from the textbook factors.
 
     The two reflections of the size-n search kernel, made special-unitary
     with a factor of i each, fix two rotation axes.  Varying the rotation
     angles about those fixed axes (and keeping the -1 phase the two factors
     of i contribute) sweeps a two-parameter surface of kernels; the point
-    (pi/2, pi/2) is the original kernel itself.  Points are emitted in
-    row-major order: grid1 outer, grid2 inner.
+    (pi/2, pi/2) is the original kernel itself.  ``angle1`` and ``angle2``
+    broadcast against each other (a column against a row gives a grid);
+    the decompositions come back as ``su2_decompositions`` columns, one per
+    point in row-major order.
     """
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
     marked = np.array([1.0 + 0j, 0.0])
     u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
-    g1 = grover_operator(marked, -1.0, 1.0)
-    g2 = grover_operator(u, -1.0, 1.0)
-    axis1 = su2_decompose(1j * g1).axis
-    axis2 = su2_decompose(1j * g2).axis
-    points = []
-    for t1, t2 in product(grid1, grid2):
-        m = -(_rotation(t2, axis2) @ _rotation(t1, axis1))
-        points.append(ManifoldPoint(float(t1), float(t2), su2_decompose(m)))
-    return points
+    reflections = 1j * np.stack([grover_operator(marked, -1.0, 1.0),
+                                 grover_operator(u, -1.0, 1.0)])
+    axis1, axis2 = su2_decompositions(reflections).axis
+    t1, t2 = (np.reshape(t, -1)[:, None, None]
+              for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
+    r1 = np.cos(t1) * np.eye(2) + 1j * np.sin(t1) * _axis_matrix(axis1)
+    r2 = np.cos(t2) * np.eye(2) + 1j * np.sin(t2) * _axis_matrix(axis2)
+    return su2_decompositions(-(r2 @ r1))

@@ -12,8 +12,10 @@ from groverlab.algebra import (
     dft_matrix,
     is_unitary,
     outer,
+    require_unitary,
+    unitarity_residual,
 )
-from groverlab.errors import InvalidSizeError, ShapeError
+from groverlab.errors import InvalidSizeError, NormalizationError, ShapeError
 
 rng = np.random.default_rng(42)
 
@@ -54,6 +56,28 @@ def test_is_unitary_rejects_scaling():
 def test_is_unitary_needs_square():
     with pytest.raises(ShapeError):
         is_unitary(np.ones((2, 3)), 1e-12)
+
+
+def test_unitarity_residual_of_a_stack():
+    stack = np.array([np.eye(2), 2 * np.eye(2), dft_matrix(2)], dtype=complex)
+    resid = unitarity_residual(stack)
+    assert resid.shape == (3,)
+    assert resid[0] == 0.0 and resid[1] == 3.0 and resid[2] <= 1e-15
+    assert unitarity_residual(stack[1]) == 3.0
+
+
+def test_require_unitary_names_the_worst_matrix():
+    stack = np.array([np.eye(2), 1.5 * np.eye(2), 2 * np.eye(2), np.eye(2)], dtype=complex)
+    with pytest.raises(NormalizationError,
+                       match=r"^kernel 2 is not unitary \(residual 3\.000e\+00\)"):
+        require_unitary(stack, TOL_EXACT, "kernel")
+    with pytest.raises(NormalizationError, match=r"^kernel is not unitary"):
+        require_unitary(stack[1], TOL_EXACT, "kernel")
+    stack[3, 0, 0] = np.nan
+    with pytest.raises(NormalizationError, match=r"^kernel 3 "):
+        require_unitary(stack, TOL_EXACT, "kernel")
+    require_unitary(stack[:1], TOL_EXACT, "kernel")
+    require_unitary(stack[:0], TOL_EXACT, "kernel")
 
 
 def test_outer_projector():

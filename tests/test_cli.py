@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groverlab
 from groverlab import cli
@@ -290,6 +294,17 @@ class TestSweep:
         assert float(rows[0][2]) >= 0.5  # well-detuned coupling
         assert float(rows[0][3]) <= 0.0021923
 
+    def test_alpha1_traces_the_overlap_kernel(self, capsys):
+        # The (0, 0) point is the alpha1 = 1/2 kernel: it peaks where pred_M says.
+        rc, out, err = run(capsys, "sweep", "--n", "100", "--alpha1", "0.5",
+                           "--grid", "2x2", "--m-max", "20")
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert rows[0][:2] == ["0", "0"]
+        assert rows[0][4] == rows[0][5] == "1"
+        rc, out, err = run(capsys, "trace", "--alpha1", "0.5", "--m-max", "20")
+        assert f"peak_prob={rows[0][3]} peak_step=1 " in err
+
     def test_requires_grid(self, capsys):
         rc, out, err = run(capsys, "sweep", "--n", "100")
         assert rc == 1
@@ -389,6 +404,40 @@ class TestSpectrum:
         assert row[14] == ("1" if gap == 0 else "0")
 
 
+    @pytest.mark.parametrize("extra", [[], ["--grid", "101"]], ids=["point", "grid"])
+    def test_alpha1_kernel_matches_list_size(self, capsys, extra):
+        # alpha1 = 1/sqrt(1000) is the N = 1000 kernel, so every column that
+        # comes from the kernel agrees; the list-size columns go empty.
+        rc, out, err = run(capsys, "spectrum", "--n", "1000", *extra)
+        assert rc == 0
+        _, plain = parse_csv(out)
+        rc, out, err = run(capsys, "spectrum", "--n", "1000", *extra,
+                           "--alpha1", "0.03162277660168379")
+        assert rc == 0
+        _, overlap = parse_csv(out)
+        assert len(plain) == len(overlap)
+        for p, o in zip(plain, overlap):
+            assert o[11] == p[11] and o[12] == p[12] and o[14] == p[14]
+            assert float(o[8]) == pytest.approx(float(p[8]), rel=1e-12, abs=0)
+            assert o[9] == o[10] == o[13] == ""
+
+    def test_overflowing_asymptotic_period_is_empty(self, capsys):
+        # pi / (4 alpha1 cos(phi/2)) overflows here; the row still prints.
+        t = "3.1415926535897927"
+        rc, out, err = run(capsys, "spectrum", "--alpha1", "1e-300",
+                           "--beta-phase", t, "--delta-phase", t)
+        assert rc == 0, err
+        _, (row,) = parse_csv(out)
+        assert row[12] == ""
+
+    def test_alpha1_drives_every_column(self, capsys):
+        # At alpha1 = 0.3 the exact and asymptotic counts describe one kernel.
+        rc, out, err = run(capsys, "spectrum", "--n", "1000", "--alpha1", "0.3")
+        assert rc == 0
+        _, (row,) = parse_csv(out)
+        assert row[11] == row[12] == "2"
+
+
 class TestAsymptotics:
     def test_single_point(self, capsys):
         rc, out, err = run(capsys, "asymptotics", "--n", "1000")
@@ -472,6 +521,21 @@ class TestManifold:
     def test_rejects_oversized_grid(self, capsys):
         rc, out, err = run(capsys, "manifold", "--grid", "1100x1100")
         assert rc == 1
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "1000", "--grid", "101"],
+        ["spectrum", "--n", "1000", "--grid", "30", "--alpha1", "0.2"],
+        ["manifold", "--grid", "9x7"],
+        ["sweep", "--n", "64", "--grid", "5x4", "--m-max", "30"],
+    ], ids="_".join)
+    def test_small_blocks_give_the_same_bytes(self, capsys, monkeypatch, argv):
+        rc, whole, err = run(capsys, *argv)
+        assert rc == 0
+        for block in (1, 7, 20):
+            monkeypatch.setattr(cli, "BLOCK", block)
+            assert run(capsys, *argv) == (0, whole, err)
 
 
 class TestVerify:
@@ -567,6 +631,27 @@ class TestExitCodes:
         assert err == f"error: --m-max must be at most {cli.MAX_STEPS}, got {cli.MAX_STEPS + 1}\n"
 
     @pytest.mark.parametrize("argv", [
+        ["trace", "--n", "10"],
+        ["trace", "--n", "10", "--k0", "momentum:1"],
+        ["sweep", "--n", "10", "--grid", "2x2"],
+    ], ids="_".join)
+    def test_m_max_lower_bound(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--m-max", "0")
+        assert (rc, out, err) == (1, "", "error: --m-max must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotics", "--n", "2", "--alpha1", "1"],
+        ["spectrum", "--alpha1", "1.5"],
+        ["trace", "--alpha1", "0"],
+        ["sweep", "--grid", "2x2", "--alpha1", "-0.5"],
+    ], ids="_".join)
+    def test_alpha1_range(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == (f"error: --alpha1 must lie strictly between 0 and 1, "
+                       f"got {float(argv[-1])}\n")
+
+    @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "100", "--beta-phase", "-1e-3", "--delta-phase", "-1e-3"],
         ["spectrum", "--n", "100", "--beta-phase", "-1E-3"],
         ["spectrum", "--n", "100", "--delta-phase", "-.5e1"],
@@ -597,6 +682,40 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: --n")
+
+
+# Small values, and values just past each limit, for every option but --out
+# (which would write files); a command's work stays within milliseconds.
+FUZZ_VALUES = {
+    "n": ["-1", "0", "1", "2", "3", "17", "4097", "1000000000000000000", "10" * 11, "x"],
+    "m_max": ["-1", "0", "1", "2", "17", "10000001", "1.5"],
+    "grid": ["1", "2", "3", "1x1", "2x3", "3x2", "0x3", "2x2x2", "x", "-2x2", "1200x1200"],
+    "k0": ["uniform", "momentum:1", "momentum:-1", "momentum:x", "file:/nonexistent", "bogus"],
+    "seed": ["-1", "0", "7", "x"],
+}
+FUZZ_FLOATS = ["0", "-0.0", "0.5", "1", "1.5", "-2.5", "3.141592653589793",
+               "3.1415926535897927", "1e-300", "1e308", "-1e-3", "nan", "inf", "-inf", "x"]
+
+
+@st.composite
+def argvs(draw):
+    argv = [draw(st.sampled_from(sorted(cli.DISPATCH)))]
+    for name, cast, _ in cli.OPTIONS:
+        if name == "out" or draw(st.integers(0, 3)):
+            continue
+        values = FUZZ_VALUES.get(name, FUZZ_FLOATS)
+        argv.append(f"{cli._flag(name)}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 # What the wrapper that pip generates for a console script does: load the

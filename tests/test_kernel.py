@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from groverlab.algebra import dft_matrix, is_unitary, outer
 from groverlab.errors import (
@@ -19,8 +19,11 @@ from groverlab.kernel import (
     extended_reduced_kernel,
     full_kernel,
     grover_operator,
+    extended_reduced_kernels,
     momentum_projector,
     reduced_kernel,
+    reduced_kernels,
+    unit_phases,
 )
 
 rng = np.random.default_rng(7)
@@ -164,6 +167,48 @@ class TestExtendedKernel:
     def test_rejects_collapsed_plane(self, bad):
         with pytest.raises(DegenerateSubspaceError):
             extended_reduced_kernel(1.0, 1.0, bad)
+
+
+class TestBatchedKernels:
+    """The stacks carry the bits of the scalar formulas, written here with
+    Python complex arithmetic as the single-kernel code once computed them."""
+
+    ANGLES = np.concatenate([rng.uniform(-np.pi, np.pi, 60), [0.0, -0.0, np.pi, -np.pi]])
+
+    def test_unit_phases_match_grover_phases(self):
+        z = unit_phases(self.ANGLES)
+        snapped = [complex(np.cos(t), np.sin(t)) for t in self.ANGLES]
+        want = np.array([w / abs(w) for w in snapped])
+        assert_array_equal(z.view(np.uint64), want.view(np.uint64))
+        beta = np.array([GroverPhases.from_angles(t, 0.0).beta for t in self.ANGLES])
+        assert_array_equal(beta.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 1000, 10**9, 2**63 - 1])
+    def test_reduced_stack_is_the_scalar_formula(self, n):
+        beta, delta = unit_phases(self.ANGLES), unit_phases(self.ANGLES[::-1])
+        stack = reduced_kernels(beta, delta, n)
+        for k, (b, d) in enumerate(zip(beta.tolist(), delta.tolist())):
+            s = np.sqrt(n - 1)
+            m = np.array([[1 + d * (1 - n), -b * (1 + d) * s],
+                          [(1 + d) * s, b * (1 + d - n)]]) / n
+            assert_array_equal(stack[k].view(np.uint64), m.view(np.uint64))
+        assert_array_equal(stack[3], reduced_kernel(beta[3], delta[3], n).matrix)
+
+    def test_extended_stack_is_the_scalar_formula(self):
+        beta, delta = unit_phases(self.ANGLES), unit_phases(self.ANGLES[::-1])
+        a1 = 0.3
+        stack = extended_reduced_kernels(beta, delta, a1)
+        for k, (b, d) in enumerate(zip(beta.tolist(), delta.tolist())):
+            big_d, c = 1 + d, np.sqrt(1 - a1 * a1)
+            m = np.array([[-d + big_d * a1**2, -b * big_d * a1 * c],
+                          [big_d * a1 * c, b * (big_d * a1**2 - 1)]])
+            assert_array_equal(stack[k].view(np.uint64), m.view(np.uint64))
+
+    def test_batch_refuses_a_phase_off_the_circle(self):
+        with pytest.raises(NormalizationError, match=r"\|beta\| is 2"):
+            reduced_kernels([1.0, 2.0, 1j], [1.0, 1.0, 1.0], 10)
+        with pytest.raises(InvalidSizeError):
+            reduced_kernels([1.0], [1.0], 1)
 
 
 class TestMomentumProjector:

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from groverlab.algebra import is_unitary
 from groverlab.errors import (
@@ -12,12 +13,17 @@ from groverlab.errors import (
     DivergentPeriodError,
     InvalidSizeError,
     NormalizationError,
+    ShapeError,
     SingularLimitError,
 )
-from groverlab.kernel import extended_reduced_kernel, reduced_kernel
+from groverlab.kernel import (ReducedKernel, extended_reduced_kernel, grover_operator,
+                              reduced_kernel, reduced_kernels, unit_phases)
 from groverlab.spectral import (
     AxisAngle,
+    SpectralData,
+    asymptotic_steps,
     eigensystem,
+    eigensystems,
     asymptotic_eigvec,
     delta_omega_asymptotic,
     kernel_manifold_points,
@@ -26,6 +32,7 @@ from groverlab.spectral import (
     reconstruct,
     stability_expansion,
     su2_decompose,
+    su2_decompositions,
 )
 
 rng = np.random.default_rng(19)
@@ -161,6 +168,10 @@ class TestEigensystem:
             eigensystem(np.array([[1, 0], [0, 2]], dtype=complex))
         with pytest.raises(InvalidSizeError):
             eigensystem(np.eye(3))
+        with pytest.raises(ShapeError):
+            eigensystem(np.stack([np.eye(2), np.eye(2)]))
+        with pytest.raises(ShapeError):
+            su2_decompose(np.ones(2))
 
 
 class TestAsymptoticEigvec:
@@ -300,37 +311,183 @@ class TestSu2:
                 assert np.linalg.norm(aa.axis) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestBatches:
+    # The identity member (degenerate), the textbook kernel, balanced and
+    # unbalanced pairs, all in one batch.
+    BP = [np.pi, 0.0, 0.7, 0.3, -2.0, 3.1, -3.0]
+    DP = [np.pi, 0.0, 0.7, -1.1, 2.5, 3.1, 1.0]
+
+    @pytest.mark.parametrize("n", [2, 1000, 10**9])
+    def test_eigensystem_rows_do_not_depend_on_the_batch(self, n):
+        stack = reduced_kernels(unit_phases(self.BP), unit_phases(self.DP), n)
+        batch = eigensystems(stack, n)
+        assert batch.degenerate.tolist() == [True] + [False] * 6
+        for k in range(len(self.BP)):
+            one = eigensystem(ReducedKernel(stack[k], n))
+            for name in SpectralData.__dataclass_fields__:
+                assert_array_equal(getattr(batch, name)[k], getattr(one, name))
+        assert eigensystems(stack).diag_gap is None
+
+    def test_su2_rows_do_not_depend_on_the_batch(self):
+        stack = reduced_kernels(unit_phases(self.BP), unit_phases(self.DP), 10)
+        batch = su2_decompositions(stack)
+        for k in range(len(self.BP)):
+            one = su2_decompose(stack[k])
+            assert (batch.global_phase[k], batch.angle[k]) == (one.global_phase, one.angle)
+            if one.axis is None:
+                assert np.isnan(batch.axis[k]).all()
+            else:
+                assert_array_equal(batch.axis[k], one.axis)
+
+    def test_batch_names_a_non_unitary_matrix(self):
+        stack = np.array([np.eye(2), np.eye(2), [[1, 0], [0, 2]]], dtype=complex)
+        with pytest.raises(NormalizationError, match=r"^matrix 2 is not unitary"):
+            eigensystems(stack)
+
+    def test_overflowing_asymptotic_period_diverges(self):
+        with pytest.raises(DivergentPeriodError):
+            optimal_steps_asymptotic(3.1415926535897927, 1000, alpha1=1e-300)
+
+    def test_asymptotic_steps_are_elementwise(self):
+        phi = np.linspace(-3, 3, 13)
+        for alpha1 in (None, 0.1):
+            steps = asymptotic_steps(phi, 1000, alpha1)
+            assert steps.tolist() == [optimal_steps_asymptotic(p, 1000, alpha1) for p in phi]
+        steps = asymptotic_steps([-np.pi, 0.0, np.pi, 3.1415926535897927], 1000, 1e-300)
+        assert np.isnan(steps).tolist() == [True, False, True, True]
+
+
+def scalar_dephase(m):
+    """The per-kernel SU(2) split the batched code replaced, on Python scalars."""
+    (a, b), (c, d) = m.tolist()
+    lam = cmath.phase(a * d - b * c) / 2
+    u = cmath.exp(-1j * lam)
+    a, b, c, d = a * u, b * u, c * u, d * u
+    return lam, (a + d).real / 2, ((b + c).imag / 2, (b - c).real / 2, a.imag)
+
+
+def scalar_eigvec(m, z):
+    c1 = np.array([m[0, 1], z - m[0, 0]])
+    c2 = np.array([z - m[1, 1], m[1, 0]])
+    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
+    v = v / np.linalg.norm(v)
+    ref = v[1] if abs(v[1]) > 1e-14 else v[0]
+    return v * (abs(ref) / ref)
+
+
+def scalar_eigensystem(m):
+    """(eigphase1, eigphase2, phase_gap, degenerate, eigvec2) by the replaced scalar code."""
+    lam, c, sin_axis = scalar_dephase(m)
+    s = math.hypot(*sin_axis)
+    angle = math.atan2(s, c)
+    za, zb = cmath.exp(1j * (lam - angle)), cmath.exp(1j * (lam + angle))
+    if 2 * s <= 1e-12:
+        return cmath.phase(za), cmath.phase(za), 0.0, True, np.array([0, 1.0 + 0j])
+    va, vb = scalar_eigvec(m, za), scalar_eigvec(m, zb)
+    ma, mb = abs(va[0]), abs(vb[0])
+    swap = ma > mb if max(ma, mb) > 4 * min(ma, mb) else va[0].imag > vb[0].imag
+    if swap:
+        za, zb, vb = zb, za, va
+    return cmath.phase(za), cmath.phase(zb), 2 * math.atan2(s, abs(c)), False, vb
+
+
+EPS = np.finfo(float).eps
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+class TestScalarReference:
+    """The batched code against the per-kernel loop it replaced: the same bits
+    wherever the arithmetic is the same.  Eigenvector norms are now summed in
+    another order, which can flip the choice between two equally good
+    columns, so eigenvectors agree to their conditioning, 16 eps / |z1 - z2|."""
+
+    @pytest.mark.parametrize("n", [2, 10, 1000, 10**9, 10**18])
+    def test_eigensystems(self, n):
+        t = np.concatenate([rng.uniform(-np.pi, np.pi, (2, 200)),
+                            [[np.pi, 0.0, 0.3, 1e-9], [np.pi, 0.0, 0.3, -1e-9]]], axis=1)
+        t[1, :100] = t[0, :100]
+        stack = reduced_kernels(unit_phases(t[0]), unit_phases(t[1]), n)
+        batch = eigensystems(stack, n)
+        for k, m in enumerate(stack):
+            e1, e2, gap, degenerate, v2 = scalar_eigensystem(m)
+            got = (batch.eigphase1[k], batch.eigphase2[k], batch.phase_gap[k])
+            assert bits(got) == bits((e1, e2, gap)) and batch.degenerate[k] == degenerate
+            det, tr = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], m[0, 0] + m[1, 1]
+            assert bits([batch.det[k].real, batch.det[k].imag, batch.trace[k].real,
+                         batch.trace[k].imag]) == bits([det.real, det.imag, tr.real, tr.imag])
+            sep = abs(batch.eigval1[k] - batch.eigval2[k])
+            assert np.max(np.abs(batch.eigvec2[k] - v2)) <= (0 if degenerate else 16 * EPS / sep)
+
+    @pytest.mark.parametrize("n", [4, 10, 10**6])
+    def test_manifold(self, n):
+        marked = np.array([1.0 + 0j, 0.0])
+        u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
+        axes = []
+        for g in (grover_operator(marked, -1.0, 1.0), grover_operator(u, -1.0, 1.0)):
+            _, _, sin_axis = scalar_dephase(1j * g)
+            axes.append(np.array(sin_axis) / math.hypot(*sin_axis))
+
+        def rotation(t, axis):
+            nx, ny, nz = axis
+            return math.cos(t) * np.eye(2) + 1j * math.sin(t) * np.array(
+                [[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+
+        g1 = [(np.pi / 2 + 2 * np.pi * i / 9) % (2 * np.pi) for i in range(9)]
+        g2 = [(np.pi / 2 + 2 * np.pi * j / 8) % (2 * np.pi) for j in range(8)]
+        aa = kernel_manifold_points(np.array(g1)[:, None], g2, n)
+        for k, (t1, t2) in enumerate((t1, t2) for t1 in g1 for t2 in g2):
+            lam, c, sin_axis = scalar_dephase(-(rotation(t2, axes[1]) @ rotation(t1, axes[0])))
+            s = math.hypot(*sin_axis)
+            assert bits([aa.global_phase[k], aa.angle[k]]) == bits([lam, math.atan2(s, c)])
+            if s < 1e-9:
+                assert np.isnan(aa.axis[k]).all()
+            else:
+                assert bits(aa.axis[k]) == bits(np.array(sin_axis) / s)
+
+
+def point(aa, i):
+    """Row i of a batch of decompositions as one AxisAngle."""
+    axis = aa.axis[i]
+    return AxisAngle(aa.global_phase[i], aa.angle[i], None if np.isnan(axis[0]) else axis)
+
+
 class TestManifold:
     def test_central_point_reproduces_kernel(self):
-        (pt,) = kernel_manifold_points([np.pi / 2], [np.pi / 2], n=10)
-        assert pt.angle1 == pytest.approx(np.pi / 2)
-        assert pt.angle2 == pytest.approx(np.pi / 2)
-        assert np.max(np.abs(reconstruct(pt.decomposition)
-                             - reduced_kernel(1.0, 1.0, 10).matrix)) <= 1e-12
-        assert pt.decomposition.angle == pytest.approx(math.acos(-0.8), rel=1e-10)
-        assert_allclose(pt.decomposition.axis, [0, -1, 0], atol=1e-10)
+        pt = point(kernel_manifold_points([np.pi / 2], [np.pi / 2], n=10), 0)
+        assert np.max(np.abs(reconstruct(pt) - reduced_kernel(1.0, 1.0, 10).matrix)) <= 1e-12
+        assert pt.angle == pytest.approx(math.acos(-0.8), rel=1e-10)
+        assert_allclose(pt.axis, [0, -1, 0], atol=1e-10)
 
     def test_zero_angles_give_negative_identity(self):
-        (pt,) = kernel_manifold_points([0.0], [0.0], n=10)
-        assert pt.decomposition.angle == pytest.approx(np.pi)
-        assert pt.decomposition.axis is None
+        pt = point(kernel_manifold_points([0.0], [0.0], n=10), 0)
+        assert pt.angle == pytest.approx(np.pi)
+        assert pt.axis is None
 
     def test_row_major_ordering(self):
-        pts = kernel_manifold_points([0.0, 1.0], [0.0, 2.0], n=4)
-        assert [(p.angle1, p.angle2) for p in pts] == [
-            (0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
+        # A column of angle1 against a row of angle2 is the grid, angle1 outer.
+        grid = kernel_manifold_points(np.array([[0.0], [1.0]]), [0.0, 2.0], n=4)
+        for i, (t1, t2) in enumerate([(0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]):
+            one = kernel_manifold_points([t1], [t2], n=4)
+            assert (grid.angle[i], grid.global_phase[i]) == (one.angle[0], one.global_phase[0])
+            assert_array_equal(grid.axis[i], one.axis[0])
 
     def test_grid_decompositions_reconstruct(self):
         g1 = np.linspace(0, 2 * np.pi, 7, endpoint=False)
         g2 = np.linspace(0, 2 * np.pi, 5, endpoint=False)
-        for pt in kernel_manifold_points(g1, g2, n=10):
-            aa = pt.decomposition
-            assert is_unitary(reconstruct(aa), 1e-12)
-            if aa.axis is not None:
-                assert np.linalg.norm(aa.axis) == pytest.approx(1.0, abs=1e-12)
+        aa = kernel_manifold_points(g1[:, None], g2, n=10)
+        assert aa.angle.shape == (35,) and aa.axis.shape == (35, 3)
+        for i in range(35):
+            pt = point(aa, i)
+            assert is_unitary(reconstruct(pt), 1e-12)
+            if pt.axis is not None:
+                assert np.linalg.norm(pt.axis) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_grid(self):
-        assert kernel_manifold_points([], [1.0], n=4) == []
+        aa = kernel_manifold_points([], [1.0], n=4)
+        assert aa.angle.shape == (0,) and aa.axis.shape == (0, 3)
 
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidSizeError):
