@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from . import checks
 from .algebra import TOL_EXACT, TOL_PIPELINE, _abs, _atan2, momentum_state, require_unit
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
+    BLOCK,
     EvolutionTrace,
     InitialState,
     full_space_trace,
@@ -51,11 +52,8 @@ from .spectral import (
 __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
-# Grid points per batch: sweep, spectrum and manifold build and format their
-# rows this many at a time, which bounds the arrays one batch holds.
-BLOCK = 2**16
-# Longest trace (--m-max): a trace holds its probabilities and its whole CSV
-# body in memory, about 150 bytes per step, so 1e7 steps take about 1.5 GB.
+# Longest trace (--m-max): a trace holds its probabilities, 8 bytes per step,
+# and formats and writes its CSV body BLOCK rows at a time.
 MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
 MAX_N = 2**63 - 1
@@ -191,21 +189,21 @@ def _table(template: str, columns) -> str:
     return "".join(map(template.__mod__, cells)).replace("nan", "")
 
 
-def _write_csv(cfg: ExperimentConfig, header: str, body: str,
+def _write_csv(cfg: ExperimentConfig, header: str, chunks: Iterable[str],
                summary: Optional[str] = None) -> None:
-    """Write the header line, then the body, to --out or stdout.
+    """Write the header line, then the body chunk by chunk, to --out or stdout.
 
-    Two writes, so no second copy of a large body is ever built.
+    The body is never joined, so a lazy iterable is formatted as it is written.
     """
     if cfg.out in (None, "-"):
         sys.stdout.write(header + "\n")
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
         if summary:
             print(summary, file=sys.stderr)
     else:
         with open(cfg.out, "w", newline="") as fh:
             fh.write(header + "\n")
-            fh.write(body)
+            fh.writelines(chunks)
         if summary:
             print(summary)
 
@@ -271,12 +269,16 @@ def _reduced_problem(cfg: ExperimentConfig, beta: np.ndarray, delta: np.ndarray)
     """Reduced kernels for the unit phases beta, delta, the list size they
     stand for, and the start they evolve from.
 
-    ``--alpha1`` switches every kernel to the general-superposition form,
-    which has no list size, and the start to (alpha1, sqrt(1 - alpha1^2));
-    otherwise the kernels have size ``--n`` and the start is --a/--b.
+    ``--alpha1`` (refused with --a, --b or --k0) switches every kernel to
+    the general-superposition form, which has no list size, and the start to
+    (alpha1, sqrt(1 - alpha1^2)); otherwise the kernels have size ``--n``
+    and the start is --a/--b.
     """
     if cfg.alpha1 is None:
         return reduced_kernels(beta, delta, cfg.n), cfg.n, _initial_state(cfg)
+    if cfg.a is not None or cfg.b is not None or cfg.k0 != "uniform":
+        raise UsageError("--alpha1 fixes the kernel and the start; "
+                         "it cannot be combined with --a, --b or --k0")
     start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
     return extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
 
@@ -287,6 +289,15 @@ def _blocks(*columns: np.ndarray):
         yield [c[lo:lo + BLOCK] for c in columns]
 
 
+def _trace_rows(probs: np.ndarray):
+    """The trace body, one %-format call per BLOCK rows ("%.17g" is fmt())."""
+    for lo in range(0, len(probs), BLOCK):
+        block = probs[lo:lo + BLOCK].tolist()
+        cells = [0] * (2 * len(block))
+        cells[::2], cells[1::2] = range(lo, lo + len(block)), block
+        yield ("%d,%.17g\n" * len(block)) % tuple(cells)
+
+
 def cmd_trace(cfg: ExperimentConfig) -> int:
     if cfg.alpha1 is None and cfg.k0 != "uniform":
         # Refused before the N-entry k0 vector is built or read.
@@ -294,18 +305,13 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         vec = _k0_vector(cfg)
         phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
         fcfg = FullSpaceConfig(cfg.n, 0, vec, phases)
-        if cfg.a is None and cfg.b is None:
-            x_in = vec
-        else:
-            x_in = _embed_reduced(_initial_state(cfg), 0)
+        x_in = vec if cfg.a is None and cfg.b is None else _embed_reduced(_initial_state(cfg), 0)
         trace = full_space_trace(fcfg, x_in, cfg.m_max)
     else:
         kernels, size, start = _reduced_problem(
             cfg, unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase]))
         trace = probability_trace(ReducedKernel(kernels[0], size), start, cfg.m_max)
-    # One format call per row; "%.17g" gives the same bytes as fmt().
-    body = "".join(map("%d,%.17g\n".__mod__, enumerate(trace.probs.tolist())))
-    _write_csv(cfg, "m,prob", body, _summary_line(trace))
+    _write_csv(cfg, "m,prob", _trace_rows(trace.probs), _summary_line(trace))
     return 0
 
 
@@ -332,8 +338,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             bp, dp, g_abs, [t.peak_prob for t in traces], [t.peak_step for t in traces],
             np.where(g_abs <= TOL_EXACT, asymptotic_steps(
                 _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]))
-    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M",
-               "".join(chunks))
+    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", chunks)
     return 0
 
 
@@ -376,7 +381,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
             spec.degenerate]))
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
-                    "m_exact,m_asymptotic,m_stability,degenerate", "".join(chunks))
+                    "m_exact,m_asymptotic,m_stability,degenerate", chunks)
     return 0
 
 
@@ -393,9 +398,9 @@ def cmd_asymptotics(cfg: ExperimentConfig) -> int:
         gaps.append(gap)
         steps.append(m_asym)
     alpha1 = math.nan if cfg.alpha1 is None else cfg.alpha1
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", _table(
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", [_table(
         "%.17g,%d,%.17g,%.17g,%.0f\n", [phis, [cfg.n] * len(phis), [alpha1] * len(phis),
-                                        gaps, steps]))
+                                        gaps, steps])])
     return 0
 
 
@@ -420,7 +425,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         chunks.append(_table(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
                                             grover, equal]))
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
-                    "global_phase,grover_point,equal_angles", "".join(chunks))
+                    "global_phase,grover_point,equal_angles", chunks)
     return 0
 
 

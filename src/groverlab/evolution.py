@@ -1,8 +1,8 @@
-"""Iterated search evolution and success-probability statistics.
+"""Search evolution and success-probability statistics.
 
-The primary path is plain repeated application of the kernel to a running
-state, which is exact to machine precision and makes no spectral
-assumptions; the closed-form amplitude is the cross-check, not the engine.
+The engine is the kernel's SU(2) power: m steps rotate by m times the
+kernel's angle, one array expression over m.  Plain repeated application of
+the kernel, which makes no spectral assumptions, is the cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     PeakedInitialStateWarning,
 )
 from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
-from .spectral import SpectralData
+from .spectral import SpectralData, _folded
 
 __all__ = [
     "InitialState",
@@ -32,6 +32,11 @@ __all__ = [
     "full_space_trace",
     "perturbed_peak_estimate",
 ]
+
+# Steps or rows per block: probability_trace fills its probabilities, and the
+# CLI builds and formats its rows, this many at a time, which bounds the
+# arrays one block holds.
+BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,6 @@ class EvolutionTrace:
     P(m) > 1/2, or None if the trace never crosses.
     """
 
-    steps: np.ndarray
     probs: np.ndarray
     peak_prob: float
     peak_step: int
@@ -88,14 +92,12 @@ class EvolutionTrace:
         probs = np.asarray(probs, dtype=float)
         peak = int(np.argmax(probs))
         interior = (probs[1:-1] > probs[:-2]) & (probs[1:-1] > probs[2:])
-        crossings = np.nonzero(probs > 0.5)[0]
         return cls(
-            steps=np.arange(probs.shape[0]),
             probs=probs,
             peak_prob=float(probs[peak]),
             peak_step=peak,
             maxima_count=int(np.count_nonzero(interior)),
-            threshold_step=int(crossings[0]) if crossings.size else None,
+            threshold_step=int(np.argmax(probs > 0.5)) if probs[peak] > 0.5 else None,
         )
 
 
@@ -165,10 +167,21 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 
 def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
                       m_max: int) -> EvolutionTrace:
-    """P(m) for m = 0..m_max by a single pass over a running state."""
+    """P(m) for m = 0..m_max, BLOCK steps at a time, from the SU(2) power:
+    k = e^{i lam} (cos a I + i sin a n.sigma) gives P(m) = |cos(m a) x0 +
+    sin(m a) w|^2 for the start (x0, x1) and w = (i n.sigma (x0, x1))[0],
+    and a folded into [0, pi/2] (``spectral._folded``) keeps its precision."""
     if m_max < 1:
         raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
-    return EvolutionTrace.from_probs(_iterate(k, _reduced_input(k, s), m_max)[0])
+    x0, x1 = _reduced_input(k, s).tolist()
+    (angle,), ((nx, ny, nz),) = _folded(k.matrix[None])
+    w = 1j * (nz * x0 + complex(nx, -ny) * x1)
+    probs = np.empty(m_max + 1)
+    for lo in range(0, m_max + 1, BLOCK):
+        t = angle * np.arange(lo, min(lo + BLOCK, m_max + 1))
+        amp = np.cos(t) * x0 + np.sin(t) * w
+        probs[lo:lo + len(t)] = amp.real ** 2 + amp.imag ** 2
+    return EvolutionTrace.from_probs(probs)
 
 
 def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
@@ -176,8 +189,10 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     """P(m) in the full N-dimensional space.
 
     Each step applies the two reflections as rank-1 updates, O(N) per step,
-    so no N x N matrix is ever materialized.
-    """
+    so no N x N matrix is ever materialized.  It evolves u_m = v_m /
+    (beta delta)^m, whose marked probability is P(m) as the phases are unit:
+    each reflection divided by its phase is the identity plus a rank-1 term,
+    an in-place update with no temporary per step."""
     if m_max < 0:
         raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
     require_full_size(cfg.size, "full-space trace")
@@ -185,16 +200,15 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     if v.shape[0] != cfg.size:
         raise InvalidSizeError(f"state has dim {v.shape[0]}, expected {cfg.size}")
     require_unit(np.linalg.norm(v), TOL_EXACT, "norm of the initial state")
-    ph = cfg.phases
-    k0 = cfg.k0
+    ph, k0, marked = cfg.phases, cfg.k0, cfg.marked
+    r1, r2 = ph.alpha / ph.beta, ph.gamma / ph.delta - 1
+    buf = np.empty_like(v)
     probs = np.empty(m_max + 1)
-    probs[0] = abs(v[cfg.marked]) ** 2
+    probs[0] = abs(v[marked]) ** 2
     for m in range(1, m_max + 1):
-        marked_amp = v[cfg.marked]
-        v *= ph.beta
-        v[cfg.marked] = ph.alpha * marked_amp
-        v = ph.delta * v + ((ph.gamma - ph.delta) * np.vdot(k0, v)) * k0
-        probs[m] = abs(v[cfg.marked]) ** 2
+        v[marked] *= r1
+        v += np.multiply(k0, r2 * np.vdot(k0, v), out=buf)
+        probs[m] = abs(v[marked]) ** 2
     return EvolutionTrace.from_probs(probs)
 
 

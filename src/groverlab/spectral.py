@@ -153,6 +153,17 @@ def _dephase(m: np.ndarray):
     return det, lam, (a.real + d.real) / 2, sin, sin_axis
 
 
+def _folded(m: np.ndarray):
+    """``_dephase``'s (angle, n), n zero where sin(angle) is 0, with a negative
+    cos(angle) moved into the global phase: angle lies in [0, pi/2], so it
+    keeps full relative precision where the unfolded one (near pi for the
+    textbook kernel, -1 times a small rotation) has an error of ulp(pi)."""
+    _, _, c, s, sin_axis = _dephase(m)
+    sign = np.where(c < 0, -1.0, 1.0)[:, None]
+    return _atan2(s, np.abs(c)), np.divide(sign * sin_axis, s[:, None], where=(s > 0)[:, None],
+                                           out=np.zeros_like(sin_axis))
+
+
 def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Unit eigenvectors (rows) of the kernels m for their eigenvalues z.
 

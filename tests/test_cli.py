@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import groverlab
 from groverlab import cli
 from groverlab.cli import ExperimentConfig, fmt, wrap_angle
+from groverlab.evolution import probability_trace, uniform_initial
+from groverlab.kernel import GroverPhases, reduced_kernel
 from groverlab.spectral import stability_expansion
 
 
@@ -148,7 +150,7 @@ class TestTrace:
         args = ["trace", "--n", "1000", "--m-max", "20000"]
         rc, out, err = run(capsys, *args)
         assert rc == 0
-        digest = "9ab75cc8f44111982ea462ff2d60089d161291e71abefea310c1c08def1f2a96"
+        digest = "f49c13fefee5720ac87c52162440154c1de0a6bec8d51bc611791e4f44476828"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         path = tmp_path / "t.csv"
         rc, summary, _ = run(capsys, *args, "--out", str(path))
@@ -156,6 +158,29 @@ class TestTrace:
         assert path.read_bytes() == out.encode()
         assert out.count("m,prob") == 1
         assert summary == err
+
+    def test_rows_are_fmt_cells(self, capsys):
+        rc, out, err = run(capsys, "trace", "--n", "1000", "--m-max", "300",
+                           "--beta-phase", "0.3", "--delta-phase", "-1.1")
+        assert rc == 0
+        phases = GroverPhases.from_angles(0.3, -1.1)
+        probs = probability_trace(reduced_kernel(phases.beta, phases.delta, 1000),
+                                  uniform_initial(1000), 300).probs
+        assert out == "m,prob\n" + "".join(f"{m},{fmt(p)}\n" for m, p in enumerate(probs))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_memory_per_step(self):
+        """A trace holds its float64 probabilities and one block of text, so
+        its peak RSS grows by at most 24 bytes per step (about 8 measured)."""
+        peaks = {}
+        for steps in (200000, 1000000):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(steps)],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": _PACKAGE_PATH})
+            assert proc.returncode == 0, proc.stderr
+            peaks[steps] = int(proc.stdout.split()[-1])  # after the summary line
+        growth = (peaks[1000000] - peaks[200000]) * 1024 / 800000
+        assert growth <= 24, f"{growth:.1f} bytes per step"
 
     def test_partial_initial_state_flags(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "1000", "--m-max", "2",
@@ -529,6 +554,7 @@ class TestBlocks:
         ["spectrum", "--n", "1000", "--grid", "30", "--alpha1", "0.2"],
         ["manifold", "--grid", "9x7"],
         ["sweep", "--n", "64", "--grid", "5x4", "--m-max", "30"],
+        ["trace", "--n", "1000", "--m-max", "50", "--beta-phase", "0.3"],
     ], ids="_".join)
     def test_small_blocks_give_the_same_bytes(self, capsys, monkeypatch, argv):
         rc, whole, err = run(capsys, *argv)
@@ -651,6 +677,20 @@ class TestExitCodes:
         assert err == (f"error: --alpha1 must lie strictly between 0 and 1, "
                        f"got {float(argv[-1])}\n")
 
+    @pytest.mark.parametrize("argv,extra", [
+        (["trace", "--alpha1", "0.3", "--m-max", "3"], ["--k0", "file:/nonexistent", "--a", "5"]),
+        (["trace", "--alpha1", "0.3"], ["--k0", "momentum:1"]),
+        (["trace", "--alpha1", "0.3"], ["--a", "1"]),
+        (["sweep", "--grid", "2x2", "--alpha1", "0.3"], ["--b", "1"]),
+        (["spectrum", "--alpha1", "0.3"], ["--k0", "momentum:0"]),
+    ], ids=lambda argv: "_".join(argv))
+    def test_alpha1_refuses_other_starts(self, capsys, argv, extra):
+        rc, out, err = run(capsys, *argv, *extra)
+        assert (rc, out) == (1, "")
+        assert err == ("error: --alpha1 fixes the kernel and the start; "
+                       "it cannot be combined with --a, --b or --k0\n")
+        assert run(capsys, *argv, "--k0", "uniform")[0] == 0
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "100", "--beta-phase", "-1e-3", "--delta-phase", "-1e-3"],
         ["spectrum", "--n", "100", "--beta-phase", "-1E-3"],
@@ -718,6 +758,19 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+# A trace child at N = 1e6 that prints its own peak RSS in KiB.
+_PEAK_RSS = """\
+import os, sys
+from groverlab import cli
+assert cli.main(["trace", "--n", "1000000", "--m-max", sys.argv[1], "--out", os.devnull]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+# The directory this suite imports groverlab from, for child processes.
+_PACKAGE_PATH = os.pathsep.join(filter(None, [str(Path(groverlab.__file__).resolve().parents[1]),
+                                              os.environ.get("PYTHONPATH")]))
+
+
 # What the wrapper that pip generates for a console script does: load the
 # entry point, name the program after the script, exit with its return value.
 _RUN_ENTRY_POINT = """\
@@ -737,9 +790,7 @@ def test_console_script_installed():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert "groverlab" in scripts, scripts
     # The child imports the same copy of groverlab as this suite.
-    package_root = str(Path(groverlab.__file__).resolve().parents[1])
-    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    env = {**os.environ, "PYTHONPATH": _PACKAGE_PATH}
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_ENTRY_POINT, "groverlab", scripts["groverlab"],
          "trace", "--n", "4", "--m-max", "2"],

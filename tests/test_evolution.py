@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from groverlab import evolution
 from groverlab.errors import (
     InvalidSizeError,
     NormalizationError,
@@ -13,6 +14,7 @@ from groverlab.errors import (
 from groverlab.evolution import (
     EvolutionTrace,
     InitialState,
+    _iterate,
     amplitude_closed_form,
     amplitude_iterative,
     full_space_trace,
@@ -202,6 +204,13 @@ class TestProbabilityTrace:
         assert np.all(t.probs >= 0.0)
         assert np.all(t.probs <= 1.0 + 1e-10)
 
+    def test_blocks_give_the_same_probabilities(self, monkeypatch):
+        k = reduced_kernel(np.exp(0.3j), np.exp(-1.1j), 1000)
+        whole = probability_trace(k, uniform_initial(1000), 500).probs
+        for block in (1, 7, 500, 501):
+            monkeypatch.setattr(evolution, "BLOCK", block)
+            assert np.array_equal(probability_trace(k, uniform_initial(1000), 500).probs, whole)
+
     def test_rejects_empty_window(self):
         with pytest.raises(InvalidSizeError):
             probability_trace(reduced_kernel(1, 1, 4), uniform_initial(4), 0)
@@ -219,7 +228,8 @@ def reference_probs(k, v, m_max):
 
 
 class TestScalarEngine:
-    """The scalar recurrence against the numpy matrix-vector loop."""
+    """The scalar recurrence behind amplitude_iterative against the numpy
+    matrix-vector loop it replaced."""
 
     @pytest.mark.parametrize("n", [2, 1000, 10**6])
     def test_real_kernels_bitwise_equal(self, n):
@@ -228,7 +238,7 @@ class TestScalarEngine:
         starts = [uniform_initial(n), InitialState.complete(0.5, n),
                   InitialState(np.sqrt(n - b**2 * (n - 1)), b, n)]
         for s in starts:
-            got = probability_trace(k, s, 10**4).probs
+            got = _iterate(k, s.reduced_vector(), 10**4)[0]
             assert np.array_equal(got, reference_probs(k, s.reduced_vector(), 10**4))
 
     def test_complex_kernels_within_tolerance(self):
@@ -236,9 +246,8 @@ class TestScalarEngine:
         for _ in range(6):
             n = int(r.integers(2, 10**6))
             k = reduced_kernel(random_phase(r), random_phase(r), n)
-            s = uniform_initial(n)
-            diff = probability_trace(k, s, 10**4).probs - reference_probs(
-                k, s.reduced_vector(), 10**4)
+            v = uniform_initial(n).reduced_vector()
+            diff = np.subtract(_iterate(k, v, 10**4)[0], reference_probs(k, v, 10**4))
             assert np.max(np.abs(diff)) <= 1e-12
 
     def test_extended_kernels_within_tolerance(self):
@@ -247,8 +256,7 @@ class TestScalarEngine:
             alpha1 = float(r.uniform(0.01, 0.99))
             k = extended_reduced_kernel(random_phase(r), random_phase(r), alpha1)
             start = np.array([alpha1, np.sqrt(1 - alpha1**2)], dtype=complex)
-            diff = probability_trace(k, start, 10**4).probs - reference_probs(
-                k, start, 10**4)
+            diff = np.subtract(_iterate(k, start, 10**4)[0], reference_probs(k, start, 10**4))
             assert np.max(np.abs(diff)) <= 1e-12
 
     def test_amplitude_matches_trace_exactly(self):
@@ -257,8 +265,8 @@ class TestScalarEngine:
             n = int(r.integers(2, 5000))
             k = reduced_kernel(random_phase(r), random_phase(r), n)
             s = uniform_initial(n)
-            assert abs(amplitude_iterative(k, s, m)) ** 2 == probability_trace(
-                k, s, m).probs[m]
+            assert abs(amplitude_iterative(k, s, m)) ** 2 == _iterate(
+                k, s.reduced_vector(), m)[0][m]
 
 
 class TestPeakLocations:

@@ -30,10 +30,13 @@ BALANCED = [(t, t) for t in np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 41).tol
 UNBALANCED = [tuple(p) for p in np.random.default_rng(4).uniform(-math.pi, math.pi, (40, 2)).tolist()]
 
 
-def reflections(beta, delta, n):
-    """G1 and G2 as mpmath matrices; call inside mp.workdps(50)."""
+def reflections(beta, delta, n, alpha1=None):
+    """G1 and G2 as mpmath matrices; call inside mp.workdps(50).  With
+    ``alpha1`` the superposition is |u> = (alpha1, sqrt(1 - alpha1^2)) and n
+    is not used."""
     alpha = gamma = mpc(-1)
-    u = (1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n))
+    u = ((1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n)) if alpha1 is None
+         else (mpf(alpha1), mp.sqrt(1 - mpf(alpha1) ** 2)))
     g1 = mp.matrix([[alpha, 0], [0, beta]])
     g2 = mp.matrix([[delta * (i == j) + (gamma - delta) * u[i] * u[j] for j in range(2)]
                     for i in range(2)])
