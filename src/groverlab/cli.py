@@ -66,10 +66,11 @@ class UsageError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """One experiment invocation: a command plus every tunable knob.
+    """One experiment invocation: a command and its settings.
 
-    Field names mirror the command-line flags.  ``a``/``b`` are the
-    initial-state coefficients (None means uniform), ``k0`` selects the
+    The fields are the union of every command's flags and mirror their
+    names; each command reads only its ``COMMANDS`` row.  ``a``/``b`` are
+    the initial-state coefficients (None means uniform), ``k0`` selects the
     second reflection's direction, ``alpha1`` switches the reduced kernel
     to the general-superposition form.
     """
@@ -91,7 +92,7 @@ class ExperimentConfig:
     @staticmethod
     def read_file(path: str) -> dict:
         """Parse a flat key=value file into typed values, keyed by field name."""
-        casts = {"command": str, **{name: cast for name, cast, _ in OPTIONS}}
+        casts = {name: cast for name, cast, _ in OPTIONS}
         values = {}
         with open(path) as fh:
             for raw in fh:
@@ -109,7 +110,7 @@ class ExperimentConfig:
         return values
 
 
-# Every shared flag once: config key and argparse dest, value type, help text.
+# Every flag once: config key and argparse dest, value type, help text.
 # The flag spelling is the name with dashes, e.g. beta_phase -> --beta-phase.
 OPTIONS = (
     ("n", int, "list size N"),
@@ -125,6 +126,20 @@ OPTIONS = (
     ("seed", int, "seed for randomized checks"),
     ("tolerance", float, "override verify tolerances (fault injection)"),
 )
+
+# Each command's help line and the OPTIONS it reads: it takes exactly these
+# flags and config keys, plus --config.
+COMMANDS = {
+    "trace": ("success probability P(m) for one kernel",
+              "n beta_phase delta_phase m_max a b k0 alpha1 out"),
+    "sweep": ("peak statistics over a (beta, delta) phase grid",
+              "n beta_phase delta_phase m_max a b alpha1 grid out"),
+    "spectrum": ("eigenphases, gaps and step predictions",
+                 "n beta_phase delta_phase alpha1 grid out"),
+    "manifold": ("axis-angle point cloud of the two-rotation family", "n grid out"),
+    "asymptotics": ("large-N gap and step-count formulas", "n delta_phase alpha1 grid out"),
+    "verify": ("run the seeded invariant suites", "seed tolerance"),
+}
 
 
 def _flag(name: str) -> str:
@@ -145,6 +160,8 @@ def _check_values(cfg: ExperimentConfig) -> None:
         val = getattr(cfg, name)
         if cast is float and val is not None and not math.isfinite(val):
             raise UsageError(f"{_flag(name)} must be finite, got {val}")
+    if cfg.tolerance is not None and cfg.tolerance < 0:
+        raise UsageError(f"--tolerance must be >= 0, got {cfg.tolerance}")
     if cfg.alpha1 is not None and not 0 < cfg.alpha1 < 1:
         raise UsageError(f"--alpha1 must lie strictly between 0 and 1, got {cfg.alpha1}")
     # A normalizable start has |a|^2, |b|^2 <= N (1 + 1e-6), so a larger
@@ -430,8 +447,6 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    if cfg.tolerance is not None and cfg.tolerance < 0:
-        raise UsageError(f"--tolerance must be >= 0, got {cfg.tolerance}")
     rng = np.random.default_rng(cfg.seed)
     small = (2, 4, 8, 16, 64)
     suites = [
@@ -472,43 +487,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    for name, cast, text in OPTIONS:
-        shared.add_argument(_flag(name), type=cast, dest=name, help=text)
-    shared.add_argument("--config", help="flat key=value config file")
-
     parser = _Parser(prog="groverlab",
                      description="Numerical laboratory for Grover-type search kernels")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "trace": "success probability P(m) for one kernel",
-        "sweep": "peak statistics over a (beta, delta) phase grid",
-        "spectrum": "eigenphases, gaps and step predictions",
-        "manifold": "axis-angle point cloud of the two-rotation family",
-        "asymptotics": "large-N gap and step-count formulas",
-        "verify": "run the seeded invariant suites",
-    }
-    for name, text in helps.items():
-        sub.add_parser(name, parents=[shared], help=text)
+    for command, (text, reads) in COMMANDS.items():
+        # No abbreviations: "--a" must not stand for another command's "--alpha1".
+        cmd = sub.add_parser(command, help=text, allow_abbrev=False)
+        for name, cast, option_help in OPTIONS:
+            if name in reads.split():
+                cmd.add_argument(_flag(name), type=cast, dest=name, help=option_help)
+        cmd.add_argument("--config", help="flat key=value config file")
     return parser
 
 
 def parse_config(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
     ns = build_parser().parse_args(argv)
-    provided = set()
     cfg = ExperimentConfig(command=ns.command)
+    if cfg.command == "manifold":
+        cfg.n = 10
+    reads = COMMANDS[cfg.command][1].split()
     if ns.config is not None:
         for key, val in ExperimentConfig.read_file(ns.config).items():
-            if key != "command":
-                setattr(cfg, key, val)
-                provided.add(key)
-    for name, _, _ in OPTIONS:
-        val = getattr(ns, name)
-        if val is not None:
-            setattr(cfg, name, val)
-            provided.add(name)
-    if cfg.command == "manifold" and "n" not in provided:
-        cfg.n = 10
+            if key not in reads:
+                raise UsageError(f"config key {key} is not read by {cfg.command}")
+            setattr(cfg, key, val)
+    for name in reads:
+        if getattr(ns, name) is not None:
+            setattr(cfg, name, getattr(ns, name))
     _check_values(cfg)
     return cfg
 

@@ -55,19 +55,29 @@ class TestHelpers:
             cli._parse_grid("2x3x4")
 
 
+# One valid, non-default value for every option.
+VALUES = {"n": "123", "beta_phase": "0.1", "delta_phase": "-2.5", "m_max": "77",
+          "a": "1.5", "b": "0.5", "k0": "momentum:3", "alpha1": "0.25", "grid": "4x4",
+          "out": "x.csv", "seed": "9", "tolerance": "1e-3"}
+
+
+def reads(command):
+    return cli.COMMANDS[command][1].split()
+
+
 class TestConfigFile:
-    def test_config_file_matches_flags(self, tmp_path):
-        values = {"n": "123", "beta_phase": "0.1", "delta_phase": "-2.5",
-                  "m_max": "77", "a": "1.5", "b": "0.5", "k0": "momentum:3",
-                  "alpha1": "0.25", "grid": "4x4", "out": "x.csv", "seed": "9",
-                  "tolerance": "1e-3"}
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_config_file_matches_flags(self, tmp_path, command):
+        values = {k: VALUES[k] for k in reads(command)}
         path = tmp_path / "run.cfg"
         path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
         flags = [x for k, v in values.items() for x in ("--" + k.replace("_", "-"), v)]
-        via_file = cli.parse_config(["sweep", "--config", str(path)])
-        via_flags = cli.parse_config(["sweep", *flags])
+        via_file = cli.parse_config([command, "--config", str(path)])
+        via_flags = cli.parse_config([command, *flags])
         assert via_file == via_flags
-        assert via_file.n == 123 and via_file.tolerance == 1e-3
+        casts = {name: cast for name, cast, _ in cli.OPTIONS}
+        assert {k: getattr(via_file, k) for k in values} == {
+            k: casts[k](v) for k, v in values.items()}
 
     def test_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -592,6 +602,13 @@ class TestVerify:
             assert out == ""
             assert "--tolerance" in err
 
+    def test_config_tolerance_refused_like_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("tolerance=-1\n")
+        via_file = run(capsys, "verify", "--config", str(path))
+        assert via_file == run(capsys, "verify", "--tolerance", "-1")
+        assert via_file == (1, "", "error: --tolerance must be >= 0, got -1.0\n")
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -682,14 +699,14 @@ class TestExitCodes:
         (["trace", "--alpha1", "0.3"], ["--k0", "momentum:1"]),
         (["trace", "--alpha1", "0.3"], ["--a", "1"]),
         (["sweep", "--grid", "2x2", "--alpha1", "0.3"], ["--b", "1"]),
-        (["spectrum", "--alpha1", "0.3"], ["--k0", "momentum:0"]),
     ], ids=lambda argv: "_".join(argv))
     def test_alpha1_refuses_other_starts(self, capsys, argv, extra):
         rc, out, err = run(capsys, *argv, *extra)
         assert (rc, out) == (1, "")
         assert err == ("error: --alpha1 fixes the kernel and the start; "
                        "it cannot be combined with --a, --b or --k0\n")
-        assert run(capsys, *argv, "--k0", "uniform")[0] == 0
+        # sweep takes no --k0.
+        assert run(capsys, *argv, *(["--k0", "uniform"] if argv[0] == "trace" else []))[0] == 0
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "100", "--beta-phase", "-1e-3", "--delta-phase", "-1e-3"],
@@ -724,6 +741,78 @@ class TestExitCodes:
         assert err.startswith("error: --n")
 
 
+# A run of each command that succeeds; the tests below add a flag it does not read.
+BASE_ARGV = {
+    "trace": ["--n", "4", "--m-max", "2"],
+    "sweep": ["--grid", "2x2", "--m-max", "2"],
+    "spectrum": ["--n", "100"],
+    "manifold": ["--grid", "2x2"],
+    "asymptotics": ["--n", "100"],
+    "verify": [],
+}
+UNREAD = [(command, name) for command in cli.COMMANDS
+          for name, _, _ in cli.OPTIONS if name not in reads(command)]
+
+
+class TestCommandFlags:
+    """A command takes its own flags and config keys only: any other is
+    refused with exit 1 before anything runs or is written."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def base(command):
+        out = ["--out", "out.csv"] if "out" in reads(command) else []
+        return [command, *BASE_ARGV[command], *out]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_base_runs(self, capsys, command):
+        assert run(capsys, *self.base(command))[0] == 0
+        assert Path("out.csv").exists() == ("out" in reads(command))
+
+    @pytest.mark.parametrize("command,name", UNREAD, ids="-".join)
+    def test_unread_flag_refused(self, capsys, tmp_path, command, name):
+        flag, value = cli._flag(name), VALUES[name]
+        rc, out, err = run(capsys, *self.base(command), flag, value)
+        assert (rc, out, err) == (1, "", f"error: unrecognized arguments: {flag} {value}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,name", UNREAD, ids="-".join)
+    def test_unread_config_key_refused(self, capsys, tmp_path, command, name):
+        Path("run.cfg").write_text(f"{name}={VALUES[name]}\n")
+        rc, out, err = run(capsys, *self.base(command), "--config", "run.cfg")
+        assert (rc, out, err) == (1, "", f"error: config key {name} is not read by {command}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_command_line_in_config_refused(self, capsys, tmp_path):
+        Path("run.cfg").write_text("command=spectrum\nn=4\n")
+        rc, out, err = run(capsys, *self.base("trace"), "--config", "run.cfg")
+        assert (rc, out, err) == (1, "", "error: unknown config line: 'command=spectrum'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["manifold", "--grid", "2x2", "--k0", "file:/nonexistent", "--alpha1", "0.3",
+         "--seed", "5", "--tolerance", "9"],
+        ["sweep", "--grid", "2x2", "--m-max", "2", "--k0", "file:/nonexistent"],
+        ["verify", "--out", "x.csv"],
+        ["spectrum", "--a", "5", "--b", "0.1"],
+        ["spectrum", "--alpha1", "0.3", "--k0", "momentum:0"],
+        ["spectrum", "--k0", "file:/nonexistent", "--b", "1"],
+        ["asymptotics", "--k0", "file:/nonexistent", "--a", "5"],
+        ["verify", "--k0", "momentum:3", "--alpha1", "0.2", "--grid", "3x3"],
+    ], ids="_".join)
+    def test_unread_flags_named(self, capsys, tmp_path, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: ")
+        words = err.split()
+        for tok in argv[1::2]:
+            assert (tok in words) == (tok[2:].replace("-", "_") not in reads(argv[0])), tok
+        assert list(tmp_path.iterdir()) == []
+
+
 # Small values, and values just past each limit, for every option but --out
 # (which would write files); a command's work stays within milliseconds.
 FUZZ_VALUES = {
@@ -737,25 +826,38 @@ FUZZ_FLOATS = ["0", "-0.0", "0.5", "1", "1.5", "-2.5", "3.141592653589793",
                "3.1415926535897927", "1e-300", "1e308", "-1e-3", "nan", "inf", "-inf", "x"]
 
 
+def fuzz_flag(draw, name):
+    return f"{cli._flag(name)}={draw(st.sampled_from(FUZZ_VALUES.get(name, FUZZ_FLOATS)))}"
+
+
 @st.composite
 def argvs(draw):
-    argv = [draw(st.sampled_from(sorted(cli.DISPATCH)))]
-    for name, cast, _ in cli.OPTIONS:
+    """A command with some of its own flags and, in about one draw in four,
+    one flag it does not read; the second value says whether it has one."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [command]
+    for name in reads(command):
         if name == "out" or draw(st.integers(0, 3)):
             continue
-        values = FUZZ_VALUES.get(name, FUZZ_FLOATS)
-        argv.append(f"{cli._flag(name)}={draw(st.sampled_from(values))}")
-    return argv
+        argv.append(fuzz_flag(draw, name))
+    unread = [name for name, _, _ in cli.OPTIONS if name not in reads(command) + ["out"]]
+    if draw(st.integers(0, 3)):
+        return argv, False
+    argv.insert(draw(st.integers(1, len(argv))), fuzz_flag(draw, draw(st.sampled_from(unread))))
+    return argv, True
 
 
 @settings(max_examples=60, deadline=None)
 @given(argvs())
-def test_cli_fuzz_exits_cleanly(argv):
+def test_cli_fuzz_exits_cleanly(drawn):
+    argv, has_unread = drawn
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+    if has_unread:
+        assert (rc, out.getvalue()) == (1, ""), argv
 
 
 # A trace child at N = 1e6 that prints its own peak RSS in KiB.
