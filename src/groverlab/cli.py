@@ -22,6 +22,7 @@ import numpy as np
 
 from . import checks
 from .algebra import TOL_EXACT, TOL_PIPELINE, _abs, _atan2, momentum_state, require_unit
+from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
     BLOCK,
@@ -53,7 +54,8 @@ __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
 # Longest trace (--m-max): a trace holds its probabilities, 8 bytes per step,
-# and formats and writes its CSV body BLOCK rows at a time.
+# and formats and writes its CSV body BLOCK = 2^14 rows at a time, which adds
+# a few MB of text and temporaries whatever the length.
 MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
 MAX_N = 2**63 - 1
@@ -197,15 +199,6 @@ def _parse_grid(text: str) -> Tuple[int, int]:
     raise UsageError(f"grid must look like <p> or <p>x<q>, got {text!r}")
 
 
-def _table(template: str, columns) -> str:
-    """CSV body of equal-length columns (arrays or lists), one %-format call per row.
-
-    A NaN cell prints as an empty one: no other cell can contain "nan".
-    """
-    cells = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    return "".join(map(template.__mod__, cells)).replace("nan", "")
-
-
 def _write_csv(cfg: ExperimentConfig, header: str, chunks: Iterable[str],
                summary: Optional[str] = None) -> None:
     """Write the header line, then the body chunk by chunk, to --out or stdout.
@@ -306,13 +299,14 @@ def _blocks(*columns: np.ndarray):
         yield [c[lo:lo + BLOCK] for c in columns]
 
 
+TRACE_ROW = "%d,%.17g\n"
+
+
 def _trace_rows(probs: np.ndarray):
-    """The trace body, one %-format call per BLOCK rows ("%.17g" is fmt())."""
+    """The trace body, formatted BLOCK rows at a time as it is written."""
     for lo in range(0, len(probs), BLOCK):
-        block = probs[lo:lo + BLOCK].tolist()
-        cells = [0] * (2 * len(block))
-        cells[::2], cells[1::2] = range(lo, lo + len(block)), block
-        yield ("%d,%.17g\n" * len(block)) % tuple(cells)
+        block = probs[lo:lo + BLOCK]
+        yield rows(TRACE_ROW, [np.arange(lo, lo + len(block)), block])
 
 
 def cmd_trace(cfg: ExperimentConfig) -> int:
@@ -351,7 +345,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         kernels, size, start = _reduced_problem(cfg, beta, delta)
         traces = [probability_trace(ReducedKernel(k, size), start, cfg.m_max) for k in kernels]
         g_abs = _abs(beta - delta)
-        chunks.append(_table(SWEEP_ROW, [
+        chunks.append(rows(SWEEP_ROW, [
             bp, dp, g_abs, [t.peak_prob for t in traces], [t.peak_step for t in traces],
             np.where(g_abs <= TOL_EXACT, asymptotic_steps(
                 _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]))
@@ -388,7 +382,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
         no_size = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
         diag_gap = no_size if size is None else spec.diag_gap
-        chunks.append(_table(SPECTRUM_ROW, [
+        chunks.append(rows(SPECTRUM_ROW, [
             list(map(wrap_angle, bp.tolist())), list(map(wrap_angle, dp.tolist())),
             spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
             spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
@@ -400,6 +394,9 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
                     "m_exact,m_asymptotic,m_stability,degenerate", chunks)
     return 0
+
+
+ASYMPTOTICS_ROW = "%.17g,%d,%.17g,%.17g,%.0f\n"
 
 
 def cmd_asymptotics(cfg: ExperimentConfig) -> int:
@@ -415,9 +412,9 @@ def cmd_asymptotics(cfg: ExperimentConfig) -> int:
         gaps.append(gap)
         steps.append(m_asym)
     alpha1 = math.nan if cfg.alpha1 is None else cfg.alpha1
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", [_table(
-        "%.17g,%d,%.17g,%.17g,%.0f\n", [phis, [cfg.n] * len(phis), [alpha1] * len(phis),
-                                        gaps, steps])])
+    columns = (phis, np.full(len(phis), cfg.n), np.full(len(phis), alpha1), gaps, steps)
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic",
+               [rows(ASYMPTOTICS_ROW, block) for block in _blocks(*map(np.asarray, columns))])
     return 0
 
 
@@ -439,8 +436,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
         aa = kernel_manifold_points(t1, t2, cfg.n)
         grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
         equal = np.abs(list(map(wrap_angle, (t1 - t2).tolist()))) <= 1e-9
-        chunks.append(_table(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
-                                            grover, equal]))
+        chunks.append(rows(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
+                                          grover, equal]))
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
                     "global_phase,grover_point,equal_angles", chunks)
     return 0
@@ -479,8 +476,10 @@ DISPATCH = {
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-1e-3" for a flag: its own pattern knows no exponent.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse takes "-1e-3" or "-inf" for a flag: its own pattern knows no
+        # exponent and no word.  These are the negative values float() reads.
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)

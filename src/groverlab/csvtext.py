@@ -1,0 +1,330 @@
+"""CSV body text from numpy columns, byte for byte what Python's % prints.
+
+``rows(template, columns)`` formats equal-length columns through a row
+template of literal text and the three conversions the CSV writer uses:
+``%d``, ``%.17g`` and ``%.0f``.  Each conversion writes its column into a
+matrix of bytes, one row per CSV row, in which 0 means "no byte"; so a cell
+of any width is made by whole-column array operations, most of them on
+8-byte words looked up in small tables.  The matrices are joined with the
+literals, the zeros are dropped once per step of rows and the rest is
+decoded as ASCII.  A NaN float cell is empty.
+
+A ``%.17g`` cell scales |x| by 10^(16 - e), e = floor(log10 |x|), in
+double-double arithmetic: a Dekker two-product of |x| with the double
+nearest 10^(16 - e), plus |x| times that double's error.  That gives the
+17-digit integer part and a remainder within 1e-14 of the exact one, which
+decides the rounding wherever it is not within 1e-9 of one half.  Python's
+% formats every cell the arithmetic cannot vouch for (a near-tie, a float
+outside the ranges below, an integer not held in a numpy integer array), so
+those bytes are Python's by construction.
+"""
+
+from __future__ import annotations
+
+import functools
+import re
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+__all__ = ["rows"]
+
+# The values each conversion formats in numpy; Python's % takes the rest.
+# |x| for %.17g: the power-of-ten table and the Dekker split stay normal and
+# finite in this range.
+_G_RANGE = (1e-280, 1e280)
+# |x| for %.0f: np.rint and the int64 cast are exact below 2^53.
+_F_LIMIT = 2.0**53
+# Array kinds %d formats in numpy: bool, signed and unsigned integers.
+_INT_KINDS = "biu"
+# A %.17g remainder this close to one half may be a tie the double-double
+# product cannot resolve.
+_TIE = 1e-9
+# Cells per formatting step: a cell takes at most 56 bytes of its matrix
+# (unless Python's text is longer), so one step's matrices take a few MB.
+_STEP_CELLS = 2**16
+
+_CONVERSION = re.compile(r"%(d|\.17g|\.0f)")
+_POWERS = 300  # the power table holds 10^k for |k| <= _POWERS
+_EXPONENTS = 330  # the exponent table holds e+XX for |e| <= _EXPONENTS
+_SPLIT = 2.0**27 + 1  # Veltkamp splitter: 26-bit halves multiply exactly
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(template: str):
+    """The template's literals (one more than its conversions) as bytes."""
+    parts = _CONVERSION.split(template)
+    literals = [p.encode("ascii") for p in parts[::2]]
+    if len(parts) == 1 or any(b"%" in lit for lit in literals):
+        raise ValueError(f"template {template!r} needs conversions, all %d, %.17g or %.0f")
+    return tuple(literals), tuple(parts[1::2])
+
+
+class _Tables(NamedTuple):
+    quads: np.ndarray  # uint32 whose bytes are the four ASCII digits of 0..9999
+    zeros: np.ndarray  # trailing zero digits of 0..9999 as four digits
+    # uint32 masks of the digits of 0..9999 without leading zeros: row 0
+    # keeps none of 0, row 1 (a number's last group) keeps its last "0"
+    significant: np.ndarray
+    powers: np.ndarray  # rows hi, lo, hi_hi, hi_lo for 10^k, k = -300..300
+    lead: np.ndarray  # sign, "0." and zeros, the first digit and a point after it
+    integer: np.ndarray  # two words of masks of the 16 digits after the first
+    fraction: np.ndarray  # the same for the fraction part
+    point: np.ndarray  # "." after the integer digits after the first, or nothing
+    exponent: np.ndarray  # "e+XX" for e = -330..330, after an empty word
+
+
+def _words(text: Sequence[bytes], width: int = 8) -> np.ndarray:
+    """Byte strings, zero-padded to ``width``, as native words of that width."""
+    raw = b"".join(t.ljust(width, b"\0") for t in text)
+    return np.frombuffer(raw, f"u{width}").copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _tables() -> _Tables:
+    """The lookup tables, built on first use.
+
+    The powers of ten come from Python's int arithmetic and its correctly
+    rounded int/int division: hi is the double nearest 10^k, lo the double
+    nearest 10^k - hi, and hi is split into two 26-bit halves.
+
+    The %.17g layout is up to seven words: the lead word, the integer
+    digits after the first (two words) and the point after them, the
+    fraction digits (two words) and the exponent.  ``q`` below is the
+    number of integer digits after the first, or 17 when e < 0 and there
+    are none.
+    """
+    n = np.arange(10000)
+    quads = np.ascontiguousarray(n[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48,
+                                 dtype=np.uint8).view(np.uint32).ravel()
+    zeros = np.zeros(10000, np.int64)
+    length = np.ones(10000, np.int64)
+    for k in (1, 2, 3, 4):
+        zeros += n % 10**k == 0
+        length += n >= 10**k
+    suffix = _words([b"", b"\0\0\0\xff", b"\0\0\xff\xff", b"\0\xff\xff\xff", b"\xff" * 4], 4)
+    significant = suffix[np.stack([np.where(n == 0, 0, length), length])]
+
+    hi, lo = [], []
+    for k in range(-_POWERS, _POWERS + 1):
+        if k >= 0:
+            exact = 10**k
+            h = float(exact)
+            lo.append(float(exact - int(h)))
+        else:
+            den = 10**-k
+            h = 1 / den
+            num, two = h.as_integer_ratio()
+            lo.append((two - num * den) / (two * den))
+        hi.append(h)
+    hi = np.array(hi)
+    t = hi * _SPLIT
+    hh = t - (t - hi)
+
+    # Lead word, by ((sign * 5 + zeros) * 2 + point) * 10 + first digit, where
+    # e = -zeros in fixed notation below 1, else zeros = 0, and the point
+    # follows the first digit when no integer digits do.
+    lead = _words([b"-"[:sign] + (b"0." + b"0" * (z - 1) if z else b"") + str(d).encode()
+                   + b"."[:dot] for sign in (0, 1) for z in range(5) for dot in (0, 1)
+                   for d in range(10)])
+    j = np.arange(1, 17)
+    q = np.arange(18)[:, None]
+    ints = np.where(q == 17, 0, q)
+    digits = np.arange(18)[None, :, None]  # significant digits, by q * 18 + digits
+    keep_int = (j <= ints) & (q < 17)
+    keep_frac = (j > ints[:, :, None]) & (j < digits)
+    integer = (keep_int * np.uint8(255)).view(np.uint64)
+    fraction = (keep_frac * np.uint8(255)).reshape(-1, 16).view(np.uint64)
+    point = np.where(((digits[..., 0] > ints + 1) & (q > 0) & (q < 17)).ravel(),
+                     _words([b"."])[0], 0)
+    exponent = _words([b""] + [b"e" + format(e, "+03d").encode()
+                               for e in range(-_EXPONENTS, _EXPONENTS + 1)])
+    tables = _Tables(quads, zeros, significant, np.stack([hi, lo, hh, hi - hh], axis=1), lead,
+                     integer.T.copy(), fraction.T.copy(), point.astype(np.uint64), exponent)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _python_cells(conversion: str, values: np.ndarray) -> np.ndarray:
+    """Python's ``conversion % v`` for each value, as zero-padded uint8 rows."""
+    texts = [(conversion % v).encode("ascii") for v in values.tolist()]
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         np.uint8).reshape(len(texts), width)
+
+
+def _patch(cell: np.ndarray, values: np.ndarray, bad: np.ndarray, conversion: str) -> np.ndarray:
+    """Replace the rows ``bad`` of the byte matrix ``cell``: a NaN in a float
+    conversion with no bytes, anything else with Python's bytes (widening
+    the cell if they need it)."""
+    if bad.size == 0:
+        return cell
+    cell[bad] = 0
+    if conversion != "%d":
+        bad = bad[~np.isnan(values[bad])]
+        if bad.size == 0:
+            return cell
+    text = _python_cells(conversion, values[bad])
+    if text.shape[1] > cell.shape[1]:
+        cell = np.pad(cell, ((0, 0), (0, text.shape[1] - cell.shape[1])))
+    cell[bad, :text.shape[1]] = text
+    return cell
+
+
+def _integer_cells(u: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Sign and decimal digits of the uint64 magnitudes ``u``, without
+    leading zeros: a sign word if any is negative, then one word per four
+    digits."""
+    t = _tables()
+    groups = max(1, -(-len(str(int(u.max()))) // 4))
+    parts = []  # four-digit groups, right to left
+    for _ in range(groups - 1):
+        q = u // np.uint64(10000)
+        parts.append((u - q * np.uint64(10000)).view(np.int64))
+        u = q
+    parts.append(u.view(np.int64))
+    signed = int(negative.any())  # a sign word only where some value needs it
+    cell = np.empty((len(u), signed + groups), np.uint32)
+    if signed:
+        cell[:, 0] = np.where(negative, _words([b"-"], 4)[0], 0)
+    # A group keeps all four digits once a group to its left is nonzero.
+    seen = np.zeros(len(u), bool)
+    for g, part in enumerate(reversed(parts)):
+        keep = np.where(seen, np.uint32(0xFFFFFFFF), t.significant[int(g == groups - 1)][part])
+        np.bitwise_and(t.quads[part], keep, out=cell[:, signed + g])
+        seen |= part != 0
+    return cell.view(np.uint8)
+
+
+def _d_cells(column) -> np.ndarray:
+    """``%d`` over the int64 and uint64 ranges; bools print 0/1."""
+    values = np.asarray(column)
+    if values.dtype.kind not in _INT_KINDS:
+        return _patch(np.zeros((len(values), 0), np.uint8), values,
+                      np.arange(len(values)), "%d")
+    if values.dtype.kind == "u":
+        return _integer_cells(values.astype(np.uint64), np.zeros(len(values), bool))
+    signed = values.astype(np.int64)
+    negative = signed < 0
+    u = signed.view(np.uint64)
+    # Two's complement: -u wraps to the magnitude, 2^63 for the int64 minimum.
+    return _integer_cells(np.where(negative, np.negative(u), u), negative)
+
+
+def _f_cells(column) -> np.ndarray:
+    """``%.0f``: np.rint rounds half to even, as C and Python do."""
+    values = np.asarray(column, dtype=np.float64)
+    magnitude = np.abs(values)
+    fast = magnitude < _F_LIMIT
+    rounded = np.rint(np.where(fast, magnitude, 0.0)).astype(np.int64)
+    cell = _integer_cells(rounded.view(np.uint64), np.signbit(values))
+    return _patch(cell, values, np.flatnonzero(~fast), "%.0f")
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """a 10^(16 - e) as p + r: p = fl(a hi), r = its exact error + a lo."""
+    hi, lo, hh, hl = np.take(_tables().powers, 16 + _POWERS - e, axis=0).T
+    p = a * hi
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    return p, (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+
+
+def _g_cells(column) -> np.ndarray:
+    """``%.17g``: 17 significant digits, trailing zeros stripped, fixed
+    notation for -4 <= e < 17 and d.ddde+XX otherwise."""
+    t = _tables()
+    values = np.asarray(column, dtype=np.float64)
+    n = len(values)
+    a = np.abs(values)
+    fast = (a >= _G_RANGE[0]) & (a <= _G_RANGE[1])
+    zero = a == 0  # formatted as 1 with the digit 1 replaced by 0
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, e)
+    # log10 may put e one off near a power of ten: then p + r lies outside
+    # [1e16, 1e17), and e moves by one.
+    edge = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if edge.size:
+        pe, re_ = p[edge], r[edge]
+        up = (pe > 1e17) | ((pe == 1e17) & (re_ >= 0))
+        down = (pe < 1e16) | ((pe == 1e16) & (re_ < 0))
+        e[edge] += up.astype(np.int64) - down
+        p[edge], r[edge] = _scaled(a[edge], e[edge])
+    whole = np.floor(r)
+    frac = r - whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = np.flatnonzero(d == 10**17)
+    d[carry] = 10**16
+    e[carry] += 1
+
+    # The first digit, then four groups of four: two words of digits.
+    first = d // 10**16
+    rest = d - first * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    quads = np.empty((n, 4), np.uint32)
+    zeros = np.zeros(n, np.int64)
+    trailing = np.ones(n, bool)  # every group after this one is 0000
+    for g, part in ((3, lower), (1, upper)):
+        q = part // 10000
+        for col, group in ((g, part - q * 10000), (g - 1, q)):
+            quads[:, col] = t.quads[group]
+            zeros += trailing * t.zeros[group]
+            trailing &= group == 0
+    digits = quads.view(np.uint64)
+    significant = 17 - zeros
+
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, e, 0)
+    ints = np.where(point < 0, 17, point)
+    frac_key = ints * 18 + significant
+    # Words no row uses are left out: the integer digits after the first
+    # and their point below 10, the second word of them below 10^9, the
+    # exponent in fixed notation.
+    top = int(point.max())
+    point_after_first = (point == 0) & (significant > 1)
+    lead = ((np.signbit(values) * 5 + np.maximum(-point, 0)) * 2 + point_after_first) * 10
+    words = [t.lead[lead + first - zero]]
+    if top > 0:
+        words += [digits[:, w] & t.integer[w][ints] for w in range((top + 7) // 8)]
+        words.append(t.point[frac_key])
+    words += [digits[:, 0] & t.fraction[0][frac_key], digits[:, 1] & t.fraction[1][frac_key]]
+    if not fixed.all():
+        words.append(t.exponent[np.where(fixed, 0, e + _EXPONENTS + 1)])
+    return _patch(np.stack(words, axis=1).view(np.uint8), values,
+                  np.flatnonzero(~(fast | zero) | (np.abs(frac - 0.5) < _TIE)), "%.17g")
+
+
+_CELLS = {"d": _d_cells, ".17g": _g_cells, ".0f": _f_cells}
+
+
+def rows(template: str, columns: Sequence) -> str:
+    """``"".join(template % row for row in zip(*columns))``, NaN cells empty.
+
+    ``template`` is literal text around ``%d``, ``%.17g`` and ``%.0f``
+    conversions, one per column; the columns are equal-length arrays or
+    lists.  They are formatted ``_STEP_CELLS`` cells at a time, so the byte
+    matrices take a few MB however many and however wide the rows are.
+    """
+    literals, conversions = _parse(template)
+    if len(columns) != len(conversions):
+        raise ValueError(f"template {template!r} takes {len(conversions)} columns, "
+                         f"got {len(columns)}")
+    step = max(1, _STEP_CELLS // len(conversions))
+    return "".join(_rows_step(literals, conversions, [c[lo:lo + step] for c in columns])
+                   for lo in range(0, len(columns[0]), step))
+
+
+def _rows_step(literals: tuple, conversions: tuple, columns: list) -> str:
+    n = len(columns[0])
+    parts = []
+    for literal, conversion, column in zip(literals, conversions + ("",), columns + [None]):
+        if literal:
+            parts.append(np.broadcast_to(np.frombuffer(literal, np.uint8), (n, len(literal))))
+        if conversion:
+            parts.append(_CELLS[conversion](column))
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0].tobytes().decode("ascii")

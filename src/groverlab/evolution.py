@@ -34,9 +34,9 @@ __all__ = [
 ]
 
 # Steps or rows per block: probability_trace fills its probabilities, and the
-# CLI builds and formats its rows, this many at a time, which bounds the
-# arrays one block holds.
-BLOCK = 2**16
+# CLI builds and formats its rows, this many at a time.  A block of trace
+# rows, its text and the formatter's byte matrices take a few MB.
+BLOCK = 2**14
 
 
 @dataclass(frozen=True)

@@ -727,6 +727,22 @@ class TestExitCodes:
                 joined.append(tok)
         assert run(capsys, *joined) == (rc, out, err)
 
+    @pytest.mark.parametrize("word", ["-inf", "-INF", "-Infinity", "-infinity", "-nan", "-NaN"])
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--beta-phase"],
+        ["sweep", "--grid", "2x2", "--delta-phase"],
+        ["spectrum", "--alpha1"],
+        ["asymptotics", "--delta-phase"],
+        ["verify", "--tolerance"],
+    ], ids="_".join)
+    def test_non_finite_words_reach_the_range_check(self, capsys, argv, word):
+        """A negative non-finite word after a float flag (manifold has none)
+        is its value, refused as "--flag=word" is, not a missing value."""
+        flag = argv[-1]
+        expected = (1, "", f"error: {flag} must be finite, got {float(word)}\n")
+        assert run(capsys, *argv, word) == expected
+        assert run(capsys, *argv[:-1], f"{flag}={word}") == expected
+
     def test_missing_value_is_still_an_error(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "--seed", "3")
         assert rc == 1

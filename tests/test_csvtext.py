@@ -1,0 +1,181 @@
+"""csvtext.rows against Python's % formatting: every byte must agree."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groverlab import cli, csvtext
+from groverlab.csvtext import rows
+from groverlab.evolution import probability_trace, uniform_initial
+from groverlab.kernel import GroverPhases, reduced_kernel
+
+FLOATS = ("%.17g", "%.0f")
+TEMPLATES = [cli.TRACE_ROW, cli.SWEEP_ROW, cli.SPECTRUM_ROW, cli.MANIFOLD_ROW, cli.ASYMPTOTICS_ROW]
+
+
+def python_rows(template, columns):
+    """The reference: one % call per row; a NaN cell is empty, and no other
+    cell can contain "nan"."""
+    cells = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return "".join(template % row for row in cells).replace("nan", "")
+
+
+@pytest.fixture
+def python_cells(monkeypatch):
+    """The number of values each call of the Python fallback formats."""
+    calls, fallback = [], csvtext._python_cells
+
+    def counted(conversion, values):
+        calls.append(len(values))
+        return fallback(conversion, values)
+    monkeypatch.setattr(csvtext, "_python_cells", counted)
+    return calls
+
+
+def assert_same(template, columns):
+    got, want = rows(template, columns), python_rows(template, columns)
+    if got != want:
+        lines = zip(got.split("\n"), want.split("\n"), zip(*columns))
+        row = next((g, w, r) for g, w, r in lines if g != w)
+        pytest.fail(f"{template!r}: {row[0]!r} != {row[1]!r} for {row[2]!r}")
+
+
+def power_neighbours():
+    """10^k for k = -320..308 (the double nearest it) and its two float
+    neighbours, with both signs."""
+    out = []
+    for k in range(-320, 309):
+        v = float(f"1e{k}")
+        out += [v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
+    return np.array(out + [-v for v in out])
+
+
+def dyadic_ties():
+    """n / 2^j whose exact decimal expansion has 18 significant digits
+    ending in 5: halfway between two 17-digit decimals."""
+    out = []
+    for j in range(2, 120):
+        five = 5**j
+        first = -(-10**17 // five) | 1
+        for n in range(first, min(10**18 // five, 2**53), 2)[:3]:
+            out += [n / 2**j, -n / 2**j]
+    return np.array(out)
+
+
+SPECIALS = np.array([
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1e-280, 1e280, np.nextafter(1e-280, 0), np.nextafter(1e280, math.inf),
+    0.5, 1.5, 2.5, -0.5, -2.5, 0.49999999999999994, 2.0**52 + 0.5, 2.0**53, 2.0**53 + 2, -2.0**53,
+    1e16, 1e17, 99999999999999999.0, 9.999999999999999e16, 1e-4, 1e-5, 9.99999999999999e-5,
+    0.1, 1 / 3, 2 / 3, math.pi, 123456789012345678.0, 1e300, -1e300,
+])
+INTEGERS = [0, 1, -1, 9, 10, -10, 9999, 10000, 99999999, 10**16 - 1, 10**16,
+            10**18, -10**18, 2**53 + 1, 2**63 - 1, -2**63, -2**63 + 1]
+
+
+@pytest.mark.parametrize("conversion", FLOATS)
+@pytest.mark.parametrize("values", [
+    power_neighbours(), dyadic_ties(), SPECIALS,
+    np.random.default_rng(1).random(20000),
+    np.exp(np.random.default_rng(2).uniform(math.log(1e-320), math.log(1e308), 20000)),
+], ids=["powers", "ties", "specials", "uniform", "log-uniform"])
+def test_float_sets(conversion, values):
+    assert_same(conversion + "\n", [values])
+    assert_same(conversion + "\n", [-values])
+
+
+@pytest.mark.parametrize("ulps", [-1, 1])
+def test_log10_one_ulp_off(monkeypatch, ulps):
+    """The exponent is checked against the scaled value, so a log10 one ulp
+    off (which puts e one off at powers of ten) changes no byte."""
+    log10 = np.log10
+    monkeypatch.setattr(csvtext.np, "log10", lambda x: np.nextafter(log10(x), ulps * math.inf))
+    assert_same("%.17g\n", [power_neighbours()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_random_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    for conversion in FLOATS:
+        assert_same(conversion + "\n", [values])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
+def test_random_int64(values):
+    assert_same("%d\n", [np.array(values, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("column", [
+    np.array(INTEGERS, dtype=np.int64), INTEGERS, np.array([True, False, True]), [False, True],
+    np.array([0, 2**63, 2**64 - 1], dtype=np.uint64), np.array([-128, 0, 127], dtype=np.int8),
+    [2**64, -2**70, 5, 10**40],  # beyond int64: Python's %
+], ids=["int64", "list", "bool", "bool-list", "uint64", "int8", "big"])
+def test_integers(column):
+    assert_same("%d\n", [column])
+
+
+def mixed_column(conversion, rng, n):
+    """Values of a conversion's own kind, drawn from the sets above."""
+    if conversion == "%d":
+        return rng.choice(np.array(INTEGERS, dtype=np.int64), n)
+    pool = np.concatenate([SPECIALS, dyadic_ties(), power_neighbours()[::7], rng.random(300)])
+    return rng.choice(pool, n)
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.replace("%.17g", "g")[:24])
+def test_cli_templates(template):
+    rng = np.random.default_rng(len(template))
+    conversions = csvtext._CONVERSION.findall(template)
+    assert_same(template, [mixed_column("%" + c, rng, 400) for c in conversions])
+
+
+@pytest.mark.parametrize("step", [1, 7])
+def test_step_size_changes_no_byte(monkeypatch, step):
+    """Rows are formatted a few cells at a time; the cut changes nothing."""
+    monkeypatch.setattr(csvtext, "_STEP_CELLS", step)
+    rng = np.random.default_rng(step)
+    for template in TEMPLATES:
+        conversions = csvtext._CONVERSION.findall(template)
+        assert_same(template, [mixed_column("%" + c, rng, 50) for c in conversions])
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.replace("%.17g", "g")[:24])
+def test_python_fallback_gives_the_same_bytes(monkeypatch, python_cells, template):
+    """Every cell through Python's %: no kind is fast, every remainder a tie."""
+    monkeypatch.setattr(csvtext, "_INT_KINDS", "")
+    monkeypatch.setattr(csvtext, "_F_LIMIT", 0.0)
+    monkeypatch.setattr(csvtext, "_TIE", math.inf)
+    rng = np.random.default_rng(7)
+    columns = [mixed_column("%" + c, rng, 200) for c in csvtext._CONVERSION.findall(template)]
+    assert_same(template, columns)
+    nan_cells = sum(int(np.isnan(c).sum()) for c in columns if c.dtype.kind == "f")
+    assert sum(python_cells) == 200 * len(columns) - nan_cells
+
+
+def test_long_trace_rarely_falls_back(python_cells):
+    """Fewer than 0.1% of the cells of `trace --n 1000000 --m-max 1000000`
+    go to Python's %: the fast path, not the fallback, carries the trace."""
+    n = 10**6
+    phases = GroverPhases.from_angles(0.0, 0.0)
+    probs = probability_trace(reduced_kernel(phases.beta, phases.delta, n),
+                              uniform_initial(n), n).probs
+    for chunk in cli._trace_rows(probs):
+        pass
+    assert sum(python_cells) < 1e-3 * len(probs)
+
+
+def test_rejects_other_conversions_and_column_counts():
+    with pytest.raises(ValueError):
+        rows("%.3f\n", [[1.0]])
+    with pytest.raises(ValueError):
+        rows("%d,%d\n", [[1]])
+    with pytest.raises(ValueError):
+        rows("m\n", [])
+    assert rows("%d\n", [np.array([], dtype=np.int64)]) == ""
