@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import checks
-from .algebra import TOL_EXACT, TOL_PIPELINE, _abs, _atan2, momentum_state, require_unit
+from .algebra import TOL_EXACT, TOL_PIPELINE, _abs, _atan2, _complex, momentum_state, require_unit
 from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
@@ -30,6 +30,7 @@ from .evolution import (
     InitialState,
     full_space_trace,
     probability_trace,
+    probability_traces,
     uniform_initial,
 )
 from .kernel import (
@@ -42,11 +43,10 @@ from .kernel import (
     unit_phases,
 )
 from .spectral import (
+    asymptotic_gaps,
     asymptotic_steps,
-    delta_omega_asymptotic,
     eigensystems,
     kernel_manifold_points,
-    optimal_steps_asymptotic,
     stability_expansion,
 )
 
@@ -176,10 +176,10 @@ def _check_values(cfg: ExperimentConfig) -> None:
                              f"got {val}")
 
 
-def wrap_angle(t: float) -> float:
-    """Principal value in (-pi, pi]."""
-    w = math.remainder(t, TAU)
-    return w if w > -math.pi else w + TAU
+def wrap_angle(t) -> np.ndarray:
+    """Principal value in (-pi, pi], elementwise, exact (fmod and a shift by TAU)."""
+    w = np.fmod(t, TAU)
+    return np.where(w > math.pi, w - TAU, np.where(w <= -math.pi, w + TAU, w))
 
 
 def fmt(x: float) -> str:
@@ -187,16 +187,19 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_grid(text: str) -> Tuple[int, int]:
-    parts = text.lower().split("x")
+def _grid(command: str, text: Optional[str], least: int, one_dim: bool = False) -> Tuple[int, int]:
+    """--grid <p> or <p>x<q> as (p, q), q = 1 for <p>, or a refusal named by ``command``."""
+    parts = (text or "").lower().split("x")
     try:
-        if len(parts) == 1:
-            return int(parts[0]), 1
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+        p, q = map(int, parts if len(parts) > 1 else parts + ["1"])
     except ValueError:
-        pass
-    raise UsageError(f"grid must look like <p> or <p>x<q>, got {text!r}")
+        p = q = 0  # refused as too small
+    if p < least or (q != 1 if one_dim else q < least):
+        shape = "<p> or <p>x1 with p" if one_dim else "<p>x<q> with p, q"
+        raise UsageError(f"{command} needs --grid {shape} >= {least}, got {text!r}")
+    if p * q > MAX_GRID_POINTS:
+        raise ResourceLimitError(f"{command} grid has {p * q} points (limit {MAX_GRID_POINTS})")
+    return p, q
 
 
 def _write_csv(cfg: ExperimentConfig, header: str, chunks: Iterable[str],
@@ -293,10 +296,10 @@ def _reduced_problem(cfg: ExperimentConfig, beta: np.ndarray, delta: np.ndarray)
     return extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
 
 
-def _blocks(*columns: np.ndarray):
-    """The columns cut into slices of at most BLOCK rows."""
-    for lo in range(0, len(columns[0]), BLOCK):
-        yield [c[lo:lo + BLOCK] for c in columns]
+def _blocks(size: int, *columns: np.ndarray):
+    """The columns cut into slices of at most ``size`` rows."""
+    for lo in range(0, len(columns[0]), size):
+        yield [c[lo:lo + size] for c in columns]
 
 
 TRACE_ROW = "%d,%.17g\n"
@@ -330,23 +333,20 @@ SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%d,%.0f\n"
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if cfg.grid is None:
-        raise UsageError("sweep requires --grid <p>x<q>")
-    p, q = _parse_grid(cfg.grid)
-    if p < 2 or q < 2:
-        raise UsageError(f"sweep grid sizes must be >= 2, got {p}x{q}")
-    if p * q > MAX_GRID_POINTS:
-        raise ResourceLimitError(f"sweep grid has {p * q} points (limit {MAX_GRID_POINTS})")
-    grid1 = [wrap_angle(cfg.beta_phase + TAU * i / p) for i in range(p)]
-    grid2 = [wrap_angle(cfg.delta_phase + TAU * j / q) for j in range(q)]
+    p, q = _grid("sweep", cfg.grid, 2)
+    beta_grid = np.repeat(wrap_angle(cfg.beta_phase + TAU * np.arange(p) / p), q)
+    delta_grid = np.tile(wrap_angle(cfg.delta_phase + TAU * np.arange(q) / q), p)
     chunks = []
-    for bp, dp in _blocks(np.repeat(grid1, q), np.tile(grid2, p)):
+    for bp, dp in _blocks(BLOCK, beta_grid, delta_grid):
         beta, delta = unit_phases(bp), unit_phases(dp)
         kernels, size, start = _reduced_problem(cfg, beta, delta)
-        traces = [probability_trace(ReducedKernel(k, size), start, cfg.m_max) for k in kernels]
+        # Engine calls of about BLOCK probabilities: one trace each once m_max >= BLOCK.
+        traces = (probability_traces(k, start, cfg.m_max, size)
+                  for (k,) in _blocks(max(1, BLOCK // (cfg.m_max + 1)), kernels))
+        peaks = [(t.max(axis=1), t.argmax(axis=1)) for t in traces]
         g_abs = _abs(beta - delta)
         chunks.append(rows(SWEEP_ROW, [
-            bp, dp, g_abs, [t.peak_prob for t in traces], [t.peak_step for t in traces],
+            bp, dp, g_abs, *map(np.concatenate, zip(*peaks)),
             np.where(g_abs <= TOL_EXACT, asymptotic_steps(
                 _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]))
     _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", chunks)
@@ -358,11 +358,10 @@ def _phase_columns(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     or the diagonal sweep linspace(-pi, pi, p)."""
     if cfg.grid is None:
         return np.array([cfg.beta_phase]), np.array([cfg.delta_phase])
-    p, q = _parse_grid(cfg.grid)
-    if q != 1:
-        raise UsageError("this command sweeps one angle; use --grid <p> or <p>x1")
-    if p < 2:
-        raise UsageError(f"sweep needs at least 2 points, got {p}")
+    p, _ = _grid(cfg.command, cfg.grid, 2, one_dim=True)
+    for name in ("beta_phase", "delta_phase"):
+        if getattr(cfg, name):
+            raise UsageError(f"{cfg.command} --grid sweeps the diagonal; drop {_flag(name)}")
     t = np.linspace(-math.pi, math.pi, p)
     return t, t
 
@@ -373,7 +372,7 @@ SPECTRUM_ROW = "%.17g," * 11 + "%.0f,%.0f,%.17g,%d\n"
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     chunks = []
-    for bp, dp in _blocks(*_phase_columns(cfg)):
+    for bp, dp in _blocks(BLOCK, *_phase_columns(cfg)):
         beta, delta = unit_phases(bp), unit_phases(dp)
         kernels, size, _ = _reduced_problem(cfg, beta, delta)
         spec = eigensystems(kernels, size)
@@ -383,7 +382,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         no_size = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
         diag_gap = no_size if size is None else spec.diag_gap
         chunks.append(rows(SPECTRUM_ROW, [
-            list(map(wrap_angle, bp.tolist())), list(map(wrap_angle, dp.tolist())),
+            wrap_angle(bp), wrap_angle(dp),
             spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
             spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
             np.floor(math.pi / np.where(spec.degenerate, np.nan, spec.phase_gap)),
@@ -400,21 +399,13 @@ ASYMPTOTICS_ROW = "%.17g,%d,%.17g,%.17g,%.0f\n"
 
 
 def cmd_asymptotics(cfg: ExperimentConfig) -> int:
-    phis = [wrap_angle(t) for t in _phase_columns(cfg)[1].tolist()]
-    gaps, steps = [], []
-    for phi in phis:
-        gap = m_asym = math.nan
-        try:
-            gap = delta_omega_asymptotic(complex(math.cos(phi), math.sin(phi)), cfg.n)
-            m_asym = optimal_steps_asymptotic(phi, cfg.n, cfg.alpha1)
-        except GroverLabError:
-            pass
-        gaps.append(gap)
-        steps.append(m_asym)
-    alpha1 = math.nan if cfg.alpha1 is None else cfg.alpha1
-    columns = (phis, np.full(len(phis), cfg.n), np.full(len(phis), alpha1), gaps, steps)
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic",
-               [rows(ASYMPTOTICS_ROW, block) for block in _blocks(*map(np.asarray, columns))])
+    chunks = []
+    for (phi,) in _blocks(BLOCK, wrap_angle(_phase_columns(cfg)[1])):
+        gap = asymptotic_gaps(_complex(np.cos(phi), np.sin(phi)), cfg.n)
+        chunks.append(rows(ASYMPTOTICS_ROW, [
+            phi, np.full(len(phi), cfg.n), np.full(len(phi), cfg.alpha1 or math.nan), gap,
+            np.where(np.isnan(gap), np.nan, asymptotic_steps(phi, cfg.n, cfg.alpha1))]))
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", chunks)
     return 0
 
 
@@ -423,19 +414,15 @@ MANIFOLD_ROW = "%.17g," * 7 + "%d,%d\n"
 
 
 def cmd_manifold(cfg: ExperimentConfig) -> int:
-    p, q = _parse_grid(cfg.grid or "50x50")
-    if p < 1 or q < 1:
-        raise UsageError(f"manifold grid sizes must be >= 1, got {p}x{q}")
-    if p * q > MAX_GRID_POINTS:
-        raise ResourceLimitError(f"manifold grid has {p * q} points (limit {MAX_GRID_POINTS})")
+    p, q = _grid("manifold", cfg.grid or "50x50", 1)
     # Anchor both grids at pi/2 so the original kernel is always on-grid.
     grid1 = [(math.pi / 2 + TAU * i / p) % TAU for i in range(p)]
     grid2 = [(math.pi / 2 + TAU * j / q) % TAU for j in range(q)]
     chunks = []
-    for t1, t2 in _blocks(np.repeat(grid1, q), np.tile(grid2, p)):
+    for t1, t2 in _blocks(BLOCK, np.repeat(grid1, q), np.tile(grid2, p)):
         aa = kernel_manifold_points(t1, t2, cfg.n)
         grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
-        equal = np.abs(list(map(wrap_angle, (t1 - t2).tolist()))) <= 1e-9
+        equal = np.abs(wrap_angle(t1 - t2)) <= 1e-9
         chunks.append(rows(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
                                           grover, equal]))
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"

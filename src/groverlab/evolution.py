@@ -13,14 +13,14 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .algebra import TOL_EXACT, as_vector, require_unit
+from .algebra import TOL_EXACT, _cmul, _complex, as_vector, require_unit
 from .errors import (
     InvalidSizeError,
     NormalizationError,
     PeakedInitialStateWarning,
 )
 from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
-from .spectral import SpectralData, _folded
+from .spectral import SpectralData, _folded, _kernel_stack
 
 __all__ = [
     "InitialState",
@@ -29,11 +29,12 @@ __all__ = [
     "amplitude_iterative",
     "amplitude_closed_form",
     "probability_trace",
+    "probability_traces",
     "full_space_trace",
     "perturbed_peak_estimate",
 ]
 
-# Steps or rows per block: probability_trace fills its probabilities, and the
+# Steps or rows per block: probability_traces fills its probabilities, and the
 # CLI builds and formats its rows, this many at a time.  A block of trace
 # rows, its text and the formatter's byte matrices take a few MB.
 BLOCK = 2**14
@@ -106,11 +107,10 @@ def uniform_initial(n: int) -> InitialState:
     return InitialState(1.0, 1.0, n)
 
 
-def _reduced_input(k: ReducedKernel, s: Union[InitialState, np.ndarray]) -> np.ndarray:
+def _reduced_input(size: Optional[int], s: Union[InitialState, np.ndarray]) -> np.ndarray:
     if isinstance(s, InitialState):
-        if k.size is not None and s.size != k.size:
-            raise InvalidSizeError(
-                f"state is for size {s.size}, kernel for size {k.size}")
+        if size is not None and s.size != size:
+            raise InvalidSizeError(f"state is for size {s.size}, kernel for size {size}")
         return s.reduced_vector()
     v = as_vector(s)
     if v.shape[0] != 2:
@@ -142,7 +142,7 @@ def amplitude_iterative(k: ReducedKernel, s: Union[InitialState, np.ndarray],
     """Marked-state amplitude after m kernel applications, by iteration."""
     if m < 0:
         raise InvalidSizeError(f"step count must be >= 0, got {m}")
-    return _iterate(k, _reduced_input(k, s), m)[1]
+    return _iterate(k, _reduced_input(k.size, s), m)[1]
 
 
 def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> complex:
@@ -165,23 +165,30 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
     return complex(phase1 * (a0 + (np.exp(1j * m * spec.signed_gap) - 1) * t))
 
 
-def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
-                      m_max: int) -> EvolutionTrace:
-    """P(m) for m = 0..m_max, BLOCK steps at a time, from the SU(2) power:
-    k = e^{i lam} (cos a I + i sin a n.sigma) gives P(m) = |cos(m a) x0 +
-    sin(m a) w|^2 for the start (x0, x1) and w = (i n.sigma (x0, x1))[0],
-    and a folded into [0, pi/2] (``spectral._folded``) keeps its precision."""
+def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
+                       s: Union[InitialState, np.ndarray], m_max: int,
+                       size: Optional[int] = None) -> np.ndarray:
+    """P(m), m = 0..m_max, from one start under each kernel of a (K, 2, 2) stack for list
+    size ``size`` (if any), as (K, m_max + 1), BLOCK steps at a time: k = e^{i lam} (cos a I
+    + i sin a n.sigma) gives P(m) = |cos(m a) x0 + sin(m a) w|^2 for the start (x0, x1) and
+    w = (i n.sigma (x0, x1))[0]; a in [0, pi/2] (``spectral._folded``) keeps its precision."""
     if m_max < 1:
         raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
-    x0, x1 = _reduced_input(k, s).tolist()
-    (angle,), ((nx, ny, nz),) = _folded(k.matrix[None])
-    w = 1j * (nz * x0 + complex(nx, -ny) * x1)
-    probs = np.empty(m_max + 1)
+    angle, nx, ny, nz = _folded(_kernel_stack(kernels))
+    x0, x1 = _reduced_input(size, s).tolist()
+    w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
+    probs = np.empty((len(angle), m_max + 1))
     for lo in range(0, m_max + 1, BLOCK):
-        t = angle * np.arange(lo, min(lo + BLOCK, m_max + 1))
-        amp = np.cos(t) * x0 + np.sin(t) * w
-        probs[lo:lo + len(t)] = amp.real ** 2 + amp.imag ** 2
-    return EvolutionTrace.from_probs(probs)
+        t = angle[:, None] * np.arange(lo, min(lo + BLOCK, m_max + 1))
+        amp = np.cos(t) * x0 + np.sin(t) * w[:, None]
+        probs[:, lo:lo + t.shape[1]] = amp.real ** 2 + amp.imag ** 2
+    return probs
+
+
+def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
+                      m_max: int) -> EvolutionTrace:
+    """P(m) for m = 0..m_max under one kernel: ``probability_traces`` of a batch of one."""
+    return EvolutionTrace.from_probs(probability_traces(k, s, m_max, k.size)[0])
 
 
 def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,

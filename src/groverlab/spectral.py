@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     SingularLimitError,
 )
-from .kernel import ReducedKernel, _unit_phase, grover_operator
+from .kernel import ReducedKernel, _unit_phase, _unit_phases, grover_operator
 
 __all__ = [
     "SpectralData",
@@ -37,6 +37,7 @@ __all__ = [
     "eigensystem",
     "eigensystems",
     "asymptotic_eigvec",
+    "asymptotic_gaps",
     "delta_omega_asymptotic",
     "optimal_steps_exact",
     "asymptotic_steps",
@@ -154,14 +155,14 @@ def _dephase(m: np.ndarray):
 
 
 def _folded(m: np.ndarray):
-    """``_dephase``'s (angle, n), n zero where sin(angle) is 0, with a negative
-    cos(angle) moved into the global phase: angle lies in [0, pi/2], so it
-    keeps full relative precision where the unfolded one (near pi for the
-    textbook kernel, -1 times a small rotation) has an error of ulp(pi)."""
+    """``_dephase``'s angle and axis columns nx, ny, nz (zero where sin(angle) is
+    0), with a negative cos(angle) moved into the global phase: angle lies in
+    [0, pi/2], so it keeps full relative precision where the unfolded one (near pi
+    for the textbook kernel, -1 times a small rotation) has an error of ulp(pi)."""
     _, _, c, s, sin_axis = _dephase(m)
     sign = np.where(c < 0, -1.0, 1.0)[:, None]
-    return _atan2(s, np.abs(c)), np.divide(sign * sin_axis, s[:, None], where=(s > 0)[:, None],
-                                           out=np.zeros_like(sin_axis))
+    return _atan2(s, np.abs(c)), *np.divide(sign * sin_axis, s[:, None], where=(s > 0)[:, None],
+                                            out=np.zeros_like(sin_axis)).T
 
 
 def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -252,15 +253,20 @@ def asymptotic_eigvec(beta: complex, delta: complex, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def asymptotic_gaps(delta, n: int) -> np.ndarray:
+    """``delta_omega_asymptotic`` over an array of phases, NaN where the gap vanishes."""
+    re_root = np.sqrt(_unit_phases(delta, "delta")).real
+    return np.where(re_root > TOL_EXACT, 4.0 * re_root / math.sqrt(n), np.nan)
+
+
 def delta_omega_asymptotic(delta: complex, n: int) -> float:
     """Leading-order phase gap 4 Re(sqrt(delta)) / sqrt(n) in the balanced regime."""
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
-    delta = _unit_phase(delta, "delta")
-    re_root = float(np.sqrt(delta).real)
-    if re_root <= TOL_EXACT:
+    gap = float(asymptotic_gaps(delta, n))
+    if math.isnan(gap):
         raise DivergentPeriodError("phase gap vanishes at the far end of the family")
-    return 4.0 * re_root / math.sqrt(n)
+    return gap
 
 
 def optimal_steps_exact(s: SpectralData) -> int:

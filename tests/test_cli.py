@@ -17,7 +17,7 @@ import groverlab
 from groverlab import cli
 from groverlab.cli import ExperimentConfig, fmt, wrap_angle
 from groverlab.evolution import probability_trace, uniform_initial
-from groverlab.kernel import GroverPhases, reduced_kernel
+from groverlab.kernel import GroverPhases, ReducedKernel, reduced_kernel, unit_phases
 from groverlab.spectral import stability_expansion
 
 
@@ -45,14 +45,72 @@ class TestHelpers:
         for x in (0.5, 1 / 3, 0.1 + 0.2, math.pi, 1e-300):
             assert float(fmt(x)) == x
 
-    def test_parse_grid(self):
-        assert cli._parse_grid("8") == (8, 1)
-        assert cli._parse_grid("4x6") == (4, 6)
-        assert cli._parse_grid("4X6") == (4, 6)
-        with pytest.raises(cli.UsageError):
-            cli._parse_grid("axb")
-        with pytest.raises(cli.UsageError):
-            cli._parse_grid("2x3x4")
+    def test_wrap_angle_is_elementwise_math_remainder(self):
+        t = np.concatenate([np.linspace(-20, 20, 4001), [0.0, -0.0, math.pi, -math.pi,
+                            2 * math.pi, -2 * math.pi, 1e300, -1e300, 5e-324]])
+        expected = [math.remainder(x, 2 * math.pi) for x in t.tolist()]
+        expected = [w if w > -math.pi else w + 2 * math.pi for w in expected]
+        assert np.array_equal(np.signbit(wrap_angle(t)), np.signbit(expected))
+        assert wrap_angle(t).tolist() == expected
+
+
+# Per grid command: a grid below its least size, and one over MAX_GRID_POINTS.
+GRID_LIMITS = {"sweep": ("1x5", "1001x1000"), "spectrum": ("1", "1000001"),
+               "asymptotics": ("1", "1000001"), "manifold": ("0x3", "1001x1000")}
+
+
+class TestGrid:
+    """One --grid reader serves the four grid commands."""
+
+    @pytest.mark.parametrize("command", list(GRID_LIMITS))
+    @pytest.mark.parametrize("kind", ["malformed", "three-part", "small", "over", "1e20"])
+    def test_refused_under_the_command_name(self, capsys, command, kind):
+        small, over = GRID_LIMITS[command]
+        grid = {"malformed": "axb", "three-part": "2x3x4", "small": small, "over": over,
+                "1e20": str(10**20)}[kind]
+        rc, out, err = run(capsys, command, "--grid", grid)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {command} ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        if kind == "over":
+            assert err.endswith(f" points (limit {cli.MAX_GRID_POINTS})\n")
+
+    def test_sweep_without_grid(self, capsys):
+        rc, out, err = run(capsys, "sweep", "--n", "100")
+        assert (rc, out, err) == (1, "", "error: sweep needs --grid <p>x<q> with p, q >= 2, "
+                                         "got None\n")
+
+    def test_spellings(self, capsys):
+        rc, out, err = run(capsys, "manifold", "--grid", "4X6")
+        assert rc == 0 and len(parse_csv(out)[1]) == 24
+        rc, out, err = run(capsys, "sweep", "--grid", "3X2", "--m-max", "2")
+        assert rc == 0 and len(parse_csv(out)[1]) == 6
+        for command in ("spectrum", "asymptotics"):
+            assert run(capsys, command, "--grid", "8x1") == run(capsys, command, "--grid", "8")
+
+    @pytest.mark.parametrize("command,name", [("spectrum", "beta_phase"),
+                                              ("spectrum", "delta_phase"),
+                                              ("asymptotics", "delta_phase")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_diagonal_refuses_the_phase_it_ignores(self, capsys, tmp_path, command, name,
+                                                   source):
+        if source == "flag":
+            extra = [cli._flag(name), "0.3"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{name}=0.3\n")
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        rc, out, err = run(capsys, command, "--n", "1000", "--grid", "11", *extra)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {command} --grid sweeps the diagonal; drop {cli._flag(name)}\n"
+        # One point takes the phase; a zero phase is the diagonal's own.
+        assert run(capsys, command, "--n", "1000", *extra)[0] == 0
+        assert run(capsys, command, "--n", "1000", "--grid", "11", cli._flag(name), "0")[0] == 0
+
+    def test_alpha1_with_n_stays_accepted(self, capsys):
+        for command in ("spectrum", "asymptotics"):
+            rc, out, err = run(capsys, command, "--n", "1000", "--grid", "11",
+                               "--alpha1", "0.03162277660168379")
+            assert (rc, err) == (0, "")
 
 
 # One valid, non-default value for every option.
@@ -340,6 +398,24 @@ class TestSweep:
         rc, out, err = run(capsys, "trace", "--alpha1", "0.5", "--m-max", "20")
         assert f"peak_prob={rows[0][3]} peak_step=1 " in err
 
+    @pytest.mark.parametrize("extra", [[], ["--a", "2"], ["--b", "0.9"], ["--alpha1", "0.3"]],
+                             ids=["n", "a", "b", "alpha1"])
+    @pytest.mark.parametrize("block", [cli.BLOCK, 20], ids=["block", "one-trace-per-call"])
+    def test_peaks_match_single_kernel_traces(self, capsys, monkeypatch, extra, block):
+        argv = ["sweep", "--n", "100", "--grid", "7x5", "--m-max", "60",
+                "--beta-phase", "0.3", "--delta-phase", "-2", *extra]
+        monkeypatch.setattr(cli, "BLOCK", block)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 35
+        cfg = cli.parse_config(argv)
+        for r in rows:
+            kernels, size, start = cli._reduced_problem(
+                cfg, unit_phases([float(r[0])]), unit_phases([float(r[1])]))
+            t = probability_trace(ReducedKernel(kernels[0], size), start, cfg.m_max)
+            assert r[3:5] == [fmt(t.peak_prob), str(t.peak_step)]
+
     def test_requires_grid(self, capsys):
         rc, out, err = run(capsys, "sweep", "--n", "100")
         assert rc == 1
@@ -564,6 +640,8 @@ class TestBlocks:
         ["spectrum", "--n", "1000", "--grid", "30", "--alpha1", "0.2"],
         ["manifold", "--grid", "9x7"],
         ["sweep", "--n", "64", "--grid", "5x4", "--m-max", "30"],
+        ["sweep", "--grid", "5x3", "--m-max", "6", "--alpha1", "0.3", "--beta-phase", "0.4"],
+        ["asymptotics", "--n", "1000", "--grid", "41"],
         ["trace", "--n", "1000", "--m-max", "50", "--beta-phase", "0.3"],
     ], ids="_".join)
     def test_small_blocks_give_the_same_bytes(self, capsys, monkeypatch, argv):
@@ -668,6 +746,7 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("trace started above the step limit")
         monkeypatch.setattr(cli, "probability_trace", unreachable)
+        monkeypatch.setattr(cli, "probability_traces", unreachable)
         rc, out, err = run(capsys, *argv, "--m-max", str(cli.MAX_STEPS + 1))
         assert rc == 1
         assert out == ""

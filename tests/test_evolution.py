@@ -10,6 +10,7 @@ from groverlab.errors import (
     NormalizationError,
     PeakedInitialStateWarning,
     ResourceLimitError,
+    ShapeError,
 )
 from groverlab.evolution import (
     EvolutionTrace,
@@ -20,16 +21,21 @@ from groverlab.evolution import (
     full_space_trace,
     perturbed_peak_estimate,
     probability_trace,
+    probability_traces,
     uniform_initial,
 )
 from groverlab.kernel import (
     FullSpaceConfig,
     GroverPhases,
+    ReducedKernel,
     extended_reduced_kernel,
+    extended_reduced_kernels,
     full_kernel,
     reduced_kernel,
+    reduced_kernels,
+    unit_phases,
 )
-from groverlab.spectral import eigensystem, optimal_steps_asymptotic
+from groverlab.spectral import _folded, eigensystem, optimal_steps_asymptotic
 
 rng = np.random.default_rng(23)
 
@@ -214,6 +220,76 @@ class TestProbabilityTrace:
     def test_rejects_empty_window(self):
         with pytest.raises(InvalidSizeError):
             probability_trace(reduced_kernel(1, 1, 4), uniform_initial(4), 0)
+
+
+def single_kernel_probs(k, x_in, m_max):
+    """The one-kernel SU(2) power the stacked engine replaced: w on Python
+    complex scalars, one kernel per call."""
+    x0, x1 = np.asarray(x_in, dtype=complex).tolist()
+    (angle,), (nx,), (ny,), (nz,) = _folded(k.matrix[None])
+    w = 1j * (nz * x0 + complex(nx, -ny) * x1)
+    t = angle * np.arange(m_max + 1)
+    amp = np.cos(t) * x0 + np.sin(t) * w
+    return amp.real ** 2 + amp.imag ** 2
+
+
+# The grid of a 6x5 sweep anchored at (0.3, -2): every kernel of the stack
+# differs, and some sit on the balanced diagonal.
+SWEEP_BETA = np.repeat(0.3 + 2 * np.pi * np.arange(6) / 6, 5)
+SWEEP_DELTA = np.tile(-2 + 2 * np.pi * np.arange(5) / 5, 6)
+
+
+class TestProbabilityTraces:
+    """The stacked engine against one kernel at a time, bit for bit."""
+
+    @pytest.mark.parametrize("n,start", [
+        (1000, uniform_initial(1000)),                # --n
+        (1000, InitialState.complete(2.0, 1000)),     # --a 2
+        (50, InitialState(np.sqrt(50 - 0.81 * 49), 0.9, 50)),  # --b 0.9
+        (None, np.array([0.3, np.sqrt(1 - 0.09)], dtype=complex)),  # --alpha1 0.3
+    ], ids=["n", "a", "b", "alpha1"])
+    def test_rows_equal_single_kernel_traces(self, monkeypatch, n, start):
+        beta, delta = unit_phases(SWEEP_BETA), unit_phases(SWEEP_DELTA)
+        stack = (extended_reduced_kernels(beta, delta, 0.3) if n is None
+                 else reduced_kernels(beta, delta, n))
+        m_max = 60
+        singles = [probability_trace(ReducedKernel(k, n), start, m_max) for k in stack]
+        x_in = start.reduced_vector() if isinstance(start, InitialState) else start
+        # A block boundary inside every row: rows of 61 steps, blocks of 7.
+        monkeypatch.setattr(evolution, "BLOCK", 7)
+        probs = probability_traces(stack, start, m_max, n)
+        assert probs.shape == (len(stack), m_max + 1)
+        for row, single, k in zip(probs, singles, stack):
+            assert np.array_equal(row, single.probs)
+            assert np.array_equal(row, single_kernel_probs(ReducedKernel(k, n), x_in, m_max))
+
+    def test_bare_stack_checked(self):
+        good = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
+        start = uniform_initial(100)
+        bad = good.copy()
+        bad[1, 0, 0] *= 1.01
+        with pytest.raises(NormalizationError, match="matrix 1 is not unitary"):
+            probability_traces(bad, start, 10, 100)
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ShapeError):
+            probability_traces(bad, start, 10, 100)
+        with pytest.raises(InvalidSizeError):
+            probability_traces(np.eye(3)[None], start, 10)
+        with pytest.raises(ShapeError):
+            probability_traces(np.ones((2, 2, 2, 2)), start, 10)
+
+    def test_start_checked(self):
+        stack = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
+        with pytest.raises(InvalidSizeError, match="state is for size 50, kernel for size 100"):
+            probability_traces(stack, uniform_initial(50), 10, 100)
+        with pytest.raises(NormalizationError):
+            probability_traces(stack, np.array([0.5, 0.5]), 10, 100)
+        with pytest.raises(InvalidSizeError):
+            probability_traces(stack, np.array([1.0, 0.0, 0.0]), 10, 100)
+        with pytest.raises(InvalidSizeError):
+            probability_traces(stack, uniform_initial(100), 0, 100)
+        # Without a list size, any InitialState start is accepted.
+        probability_traces(stack, uniform_initial(50), 10)
 
 
 def reference_probs(k, v, m_max):

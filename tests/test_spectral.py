@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from groverlab.algebra import is_unitary
+from groverlab.algebra import _complex, is_unitary
 from groverlab.errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
@@ -21,6 +21,7 @@ from groverlab.kernel import (ReducedKernel, extended_reduced_kernel, grover_ope
 from groverlab.spectral import (
     AxisAngle,
     SpectralData,
+    asymptotic_gaps,
     asymptotic_steps,
     eigensystem,
     eigensystems,
@@ -355,6 +356,38 @@ class TestBatches:
             assert steps.tolist() == [optimal_steps_asymptotic(p, 1000, alpha1) for p in phi]
         steps = asymptotic_steps([-np.pi, 0.0, np.pi, 3.1415926535897927], 1000, 1e-300)
         assert np.isnan(steps).tolist() == [True, False, True, True]
+
+    @pytest.mark.parametrize("n", [2, 1000, 2**63 - 1])
+    def test_asymptotic_gaps_are_elementwise(self, n):
+        # The diagonal grid, angles on both sides of the vanishing gap near
+        # +-pi (Re sqrt(delta) = cos(phi/2) crosses TOL_EXACT at pi - 2e-12),
+        # and random ones; the phases are off the unit circle by rounding.
+        edge = np.pi - np.array([1e-12, 1.9e-12, 2e-12, 2.1e-12, 3e-12, 1e-9])
+        phi = np.concatenate([np.linspace(-np.pi, np.pi, 2001), edge, -edge,
+                              rng.uniform(-np.pi, np.pi, 500)])
+        delta = _complex(np.cos(phi), np.sin(phi))
+        gaps = asymptotic_gaps(delta, n)
+        for d, gap in zip(delta.tolist(), gaps.tolist()):
+            try:
+                expected = delta_omega_asymptotic(d, n)
+            except DivergentPeriodError:
+                assert math.isnan(gap), d
+                continue
+            assert gap == expected == scalar_gap(d, n), d
+        assert 0 < np.isnan(gaps).sum() < len(gaps)
+
+    def test_asymptotic_gaps_check_the_phases(self):
+        with pytest.raises(NormalizationError, match=r"\|delta\|"):
+            asymptotic_gaps([1.0, 1.1], 100)
+
+
+def scalar_gap(delta, n):
+    """The per-phase gap the array form replaced, on Python scalars."""
+    r = abs(delta)
+    re_root = float(np.sqrt(complex(delta.real / r, delta.imag / r)).real)
+    if re_root <= 1e-12:
+        raise DivergentPeriodError("gap vanishes")
+    return 4.0 * re_root / math.sqrt(n)
 
 
 def scalar_dephase(m):
