@@ -21,7 +21,15 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import checks
-from .algebra import TOL_EXACT, TOL_PIPELINE, _abs, _atan2, _complex, momentum_state, require_unit
+from .algebra import (
+    TOL_EXACT,
+    TOL_PIPELINE,
+    _abs,
+    _atan2,
+    _complex,
+    momentum_state,
+    require_unit,
+)
 from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
@@ -187,16 +195,25 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _grid(command: str, text: Optional[str], least: int, one_dim: bool = False) -> Tuple[int, int]:
-    """--grid <p> or <p>x<q> as (p, q), q = 1 for <p>, or a refusal named by ``command``."""
+def _grid(command: str, text: Optional[str], least: int,
+          one_dim: bool = False) -> Tuple[int, int]:
+    """--grid <p> or <p>x<q> as (p, q), q = 1 for <p>, or a refusal named by
+    ``command``: p and q must be >= ``least``, and q = 1 if ``one_dim``."""
+    shape = "<p> or <p>x1 with p" if one_dim else "<p>x<q> with p, q"
+    refusal = UsageError(f"{command} needs --grid {shape} >= {least}, got {text!r}")
     parts = (text or "").lower().split("x")
+    if len(parts) == 1:
+        parts.append("1")
+    if len(parts) != 2:
+        raise refusal
     try:
-        p, q = map(int, parts if len(parts) > 1 else parts + ["1"])
+        p, q = int(parts[0]), int(parts[1])
     except ValueError:
-        p = q = 0  # refused as too small
-    if p < least or (q != 1 if one_dim else q < least):
-        shape = "<p> or <p>x1 with p" if one_dim else "<p>x<q> with p, q"
-        raise UsageError(f"{command} needs --grid {shape} >= {least}, got {text!r}")
+        raise refusal from None
+    if one_dim and q != 1:
+        raise refusal
+    if p < least or (not one_dim and q < least):
+        raise refusal
     if p * q > MAX_GRID_POINTS:
         raise ResourceLimitError(f"{command} grid has {p * q} points (limit {MAX_GRID_POINTS})")
     return p, q

@@ -168,12 +168,21 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
                        s: Union[InitialState, np.ndarray], m_max: int,
                        size: Optional[int] = None) -> np.ndarray:
-    """P(m), m = 0..m_max, from one start under each kernel of a (K, 2, 2) stack for list
-    size ``size`` (if any), as (K, m_max + 1), BLOCK steps at a time: k = e^{i lam} (cos a I
-    + i sin a n.sigma) gives P(m) = |cos(m a) x0 + sin(m a) w|^2 for the start (x0, x1) and
-    w = (i n.sigma (x0, x1))[0]; a in [0, pi/2] (``spectral._folded``) keeps its precision."""
+    """P(m) for m = 0..m_max, as (K, m_max + 1), from one start under each
+    kernel of a (K, 2, 2) stack, BLOCK steps at a time.
+
+    ``size`` is the list size a bare stack is for, if any; a ReducedKernel
+    brings its own, and a different ``size`` is refused.  The SU(2) power
+    k = e^{i lam} (cos a I + i sin a n.sigma) gives P(m) = |cos(m a) x0 +
+    sin(m a) w|^2 for the start (x0, x1) and w = (i n.sigma (x0, x1))[0];
+    a folded into [0, pi/2] (``spectral._folded``) keeps its precision.
+    """
     if m_max < 1:
         raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
+    if isinstance(kernels, ReducedKernel):
+        if size is not None and size != kernels.size:
+            raise InvalidSizeError(f"size {size} given, kernel for size {kernels.size}")
+        size = kernels.size
     angle, nx, ny, nz = _folded(_kernel_stack(kernels))
     x0, x1 = _reduced_input(size, s).tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
@@ -188,7 +197,7 @@ def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
 def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
                       m_max: int) -> EvolutionTrace:
     """P(m) for m = 0..m_max under one kernel: ``probability_traces`` of a batch of one."""
-    return EvolutionTrace.from_probs(probability_traces(k, s, m_max, k.size)[0])
+    return EvolutionTrace.from_probs(probability_traces(k, s, m_max)[0])
 
 
 def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,

@@ -161,8 +161,9 @@ def _folded(m: np.ndarray):
     for the textbook kernel, -1 times a small rotation) has an error of ulp(pi)."""
     _, _, c, s, sin_axis = _dephase(m)
     sign = np.where(c < 0, -1.0, 1.0)[:, None]
-    return _atan2(s, np.abs(c)), *np.divide(sign * sin_axis, s[:, None], where=(s > 0)[:, None],
-                                            out=np.zeros_like(sin_axis)).T
+    axis = np.divide(sign * sin_axis, s[:, None], where=(s > 0)[:, None],
+                     out=np.zeros_like(sin_axis))
+    return _atan2(s, np.abs(c)), *axis.T
 
 
 def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:

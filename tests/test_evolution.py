@@ -291,6 +291,15 @@ class TestProbabilityTraces:
         # Without a list size, any InitialState start is accepted.
         probability_traces(stack, uniform_initial(50), 10)
 
+    def test_reduced_kernel_brings_its_size(self):
+        k = reduced_kernel(1.0, 1.0, 100)
+        with pytest.raises(InvalidSizeError, match="state is for size 50, kernel for size 100"):
+            probability_traces(k, uniform_initial(50), 10)
+        with pytest.raises(InvalidSizeError, match="size 50 given, kernel for size 100"):
+            probability_traces(k, uniform_initial(50), 10, 50)
+        np.testing.assert_array_equal(probability_traces(k, uniform_initial(100), 10, 100),
+                                      probability_traces(k, uniform_initial(100), 10))
+
 
 def reference_probs(k, v, m_max):
     """The numpy loop the scalar engine replaced: one 2x2 product per step."""
