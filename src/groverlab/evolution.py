@@ -202,30 +202,44 @@ def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
 
 def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
                      m_max: int) -> EvolutionTrace:
-    """P(m) in the full N-dimensional space.
+    """P(m) in the full N-dimensional space, through the invariant plane.
 
-    Each step applies the two reflections as rank-1 updates, O(N) per step,
-    so no N x N matrix is ever materialized.  It evolves u_m = v_m /
-    (beta delta)^m, whose marked probability is P(m) as the phases are unit:
-    each reflection divided by its phase is the identity plus a rank-1 term,
-    an in-place update with no temporary per step."""
+    Both factors of K = G2 G1 are a phase times the identity plus a rank-1
+    term, in |x0> and in |k0>, so K is beta delta on span{x0, k0}^perp and
+    P(m) = |<x0|K^m v>|^2 depends only on v's projection onto that plane.
+    With ke = k0[x0] = alpha1 u (|u| = 1) and c the norm of k0 off x0, the
+    plane basis is (u |x0>, f) for f = (k0 off x0) / c; there the kernel is
+    (delta I + (gamma - delta) k k^T) diag(alpha, beta) for k = (alpha1, c),
+    and the start is (conj(u) v[x0], <f|v>).  The trace is that kernel's
+    SU(2) power (``probability_traces``) from the unit start, times the
+    start's squared norm: O(N) once, then O(m_max).  At alpha1 = 0 or c = 0
+    the plane collapses and x0 is an eigenvector: P(m) = |v[x0]|^2.  The
+    rank-1 iteration over the whole vector is the cross-check
+    (``checks.reduced_vs_full``).
+    """
     if m_max < 0:
         raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
     require_full_size(cfg.size, "full-space trace")
-    v = as_vector(x_in).copy()
+    v = as_vector(x_in)
     if v.shape[0] != cfg.size:
         raise InvalidSizeError(f"state has dim {v.shape[0]}, expected {cfg.size}")
     require_unit(np.linalg.norm(v), TOL_EXACT, "norm of the initial state")
-    ph, k0, marked = cfg.phases, cfg.k0, cfg.marked
-    r1, r2 = ph.alpha / ph.beta, ph.gamma / ph.delta - 1
-    buf = np.empty_like(v)
-    probs = np.empty(m_max + 1)
-    probs[0] = abs(v[marked]) ** 2
-    for m in range(1, m_max + 1):
-        v[marked] *= r1
-        v += np.multiply(k0, r2 * np.vdot(k0, v), out=buf)
-        probs[m] = abs(v[marked]) ** 2
-    return EvolutionTrace.from_probs(probs)
+    marked = cfg.marked
+    ke = complex(cfg.k0[marked])
+    k_off = np.delete(cfg.k0, marked)
+    alpha1, c = abs(ke), float(np.linalg.norm(k_off))
+    if m_max > 0 and alpha1 > 0 and c > 0:
+        x0, x1 = ke.conjugate() / alpha1 * v[marked], np.vdot(k_off, np.delete(v, marked)) / c
+        weight = float(np.hypot(abs(x0), abs(x1)))
+        if weight > 0:
+            ph = cfg.phases
+            g = ph.gamma - ph.delta
+            kernel = np.array([[(ph.delta + g * alpha1**2) * ph.alpha, g * alpha1 * c * ph.beta],
+                               [g * alpha1 * c * ph.alpha, (ph.delta + g * c**2) * ph.beta]])
+            probs = probability_traces(kernel, np.array([x0, x1]) / weight, m_max)[0]
+            return EvolutionTrace.from_probs(probs * weight**2)
+    # The plane collapsed, or the start has no part in it (then v[x0] = 0).
+    return EvolutionTrace.from_probs(np.full(m_max + 1, abs(v[marked]) ** 2))
 
 
 def perturbed_peak_estimate(s: InitialState) -> float:

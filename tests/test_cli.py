@@ -315,6 +315,23 @@ class TestTrace:
         diffs = [abs(float(a[1]) - float(b[1])) for a, b in zip(rows_f, rows_u)]
         assert max(diffs) <= 1e-10
 
+    @pytest.mark.parametrize("n,wavenumbers", [
+        (64, range(64)),
+        (4096, np.random.default_rng(4096).integers(0, 4096, 8).tolist())], ids=["64", "4096"])
+    @pytest.mark.parametrize("phases", [[], ["--beta-phase", "0.3", "--delta-phase", "-1.1"]],
+                             ids=["balanced", "unbalanced"])
+    def test_every_momentum_direction_traces_like_uniform(self, capsys, n, wavenumbers, phases):
+        """|<x0|k>| = 1/sqrt(N) for every wavenumber, so each momentum k0
+        gives the uniform trace."""
+        common = ["--n", str(n), "--m-max", "300", *phases]
+        _, uniform = parse_csv(run(capsys, "trace", *common)[1])
+        want = np.array([float(r[1]) for r in uniform])
+        for y0 in wavenumbers:
+            rc, out, _ = run(capsys, "trace", *common, "--k0", f"momentum:{y0}")
+            assert rc == 0
+            got = np.array([float(r[1]) for r in parse_csv(out)[1]])
+            assert np.max(np.abs(got - want)) <= 1e-12, f"momentum:{y0}"
+
     def test_k0_file_single_column(self, tmp_path, capsys):
         n = 4
         path = tmp_path / "k0.txt"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from groverlab import evolution
+from groverlab.checks import _rank1_trace
 from groverlab.errors import (
     InvalidSizeError,
     NormalizationError,
@@ -414,6 +415,84 @@ class TestFullSpaceTrace:
         t = full_space_trace(cfg, np.array([0, 1, 0, 0], dtype=complex), 0)
         assert t.probs.shape == (1,)
         assert t.probs[0] == 0.0
+
+    @staticmethod
+    def _general_cfg(r, n, marked, k0):
+        return FullSpaceConfig(size=n, marked=marked, k0=k0,
+                               phases=GroverPhases(beta=random_phase(r), delta=random_phase(r),
+                                                   alpha=random_phase(r), gamma=random_phase(r)))
+
+    @staticmethod
+    def _unit(v):
+        return v / np.linalg.norm(v)
+
+    def _against_iteration(self, cfg, x_in, m_max, tol=1e-12):
+        fast = full_space_trace(cfg, x_in, m_max).probs
+        assert fast.shape == (m_max + 1,)
+        assert np.max(np.abs(fast - _rank1_trace(cfg, x_in, m_max))) <= tol
+        return fast
+
+    def test_matches_iteration_for_general_phases(self):
+        r = np.random.default_rng(41)
+        n = 64
+        for marked in (0, 17, n - 1):
+            k0 = self._unit(r.normal(size=n) + 1j * r.normal(size=n))
+            x_in = self._unit(r.normal(size=n) + 1j * r.normal(size=n))
+            self._against_iteration(self._general_cfg(r, n, marked, k0), x_in, 400)
+
+    def test_zero_window_matches_iteration(self):
+        r = np.random.default_rng(42)
+        n = 16
+        x_in = self._unit(r.normal(size=n) + 1j * r.normal(size=n))
+        cfg = self._general_cfg(r, n, 3, self._unit(r.normal(size=n) + 0j))
+        probs = self._against_iteration(cfg, x_in, 0, tol=0.0)
+        assert probs[0] == abs(x_in[3]) ** 2
+
+    @pytest.mark.parametrize("overlap", ["zero", "one"])
+    def test_marked_eigenvector_keeps_initial_probability(self, overlap):
+        """alpha1 = 0 (k0 orthogonal to x0) or 1 (k0 a phase times x0): x0 is
+        an eigenvector of the kernel, so P(m) = |v[x0]|^2 for every m."""
+        r = np.random.default_rng(43)
+        n, marked = 32, 5
+        if overlap == "zero":
+            k0 = r.normal(size=n) + 1j * r.normal(size=n)
+            k0[marked] = 0
+        else:
+            k0 = np.zeros(n, dtype=complex)
+            k0[marked] = np.exp(0.9j)
+        cfg = self._general_cfg(r, n, marked, self._unit(k0))
+        x_in = self._unit(r.normal(size=n) + 1j * r.normal(size=n))
+        probs = self._against_iteration(cfg, x_in, 300)
+        assert np.all(probs == abs(x_in[marked]) ** 2)
+
+    def test_start_orthogonal_to_the_plane_never_succeeds(self):
+        r = np.random.default_rng(44)
+        n, marked = 32, 2
+        k0 = self._unit(r.normal(size=n) + 1j * r.normal(size=n))
+        x_in = r.normal(size=n) + 1j * r.normal(size=n)
+        x_in[marked] = 0
+        off = np.arange(n) != marked
+        k_off = k0[off]
+        x_in[off] -= k_off * np.vdot(k_off, x_in[off]) / np.vdot(k_off, k_off)
+        cfg = self._general_cfg(r, n, marked, k0)
+        probs = self._against_iteration(cfg, self._unit(x_in), 300)
+        assert np.max(probs) <= 1e-28
+        e = np.zeros(n, dtype=complex)
+        e[(marked + 1) % n] = 1.0
+        k0 = np.zeros(n, dtype=complex)
+        k0[marked], k0[(marked + 2) % n] = 0.6, 0.8
+        exact = self._general_cfg(r, n, marked, k0)
+        assert np.all(self._against_iteration(exact, e, 300) == 0.0)
+
+    def test_overlap_next_to_one(self):
+        r = np.random.default_rng(45)
+        n, marked = 64, 9
+        alpha1 = 1 - 1e-12
+        rest = self._unit(r.normal(size=n - 1) + 1j * r.normal(size=n - 1))
+        k0 = np.insert(rest * np.sqrt((1 - alpha1) * (1 + alpha1)), marked,
+                       alpha1 * np.exp(-2.1j))
+        x_in = self._unit(r.normal(size=n) + 1j * r.normal(size=n))
+        self._against_iteration(self._general_cfg(r, n, marked, k0), x_in, 2000)
 
     def test_momentum_direction_stays_physical(self):
         from groverlab.algebra import dft_matrix

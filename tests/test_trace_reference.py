@@ -1,4 +1,5 @@
-"""Reduced probability traces against an independent 50-digit reference.
+"""Reduced and full-space probability traces against an independent
+50-digit reference.
 
 The reference kernel is G2 G1 from ``test_spectral_reference.reflections``
 (alpha1 in place of 1/sqrt(N) for a general-superposition kernel).  The
@@ -9,7 +10,8 @@ start from the same float phase angles and start coefficients.
 The gate is |dP| <= 1e-12 at N = 1e6 and 1e9 for m <= 1e6, and at N = 1e3
 for m <= 1e4.  Beyond that it is 1e-12 + 1e-15 m a, for the kernel's folded
 rotation angle a: the float kernel fixes a only to relative rounding, and
-m a multiplies that error by m.
+m a multiplies that error by m.  Full-space traces are held to the same
+gates; see the comment above ``FULL_PHASES``.
 """
 
 import math
@@ -19,8 +21,11 @@ import pytest
 from mpmath import mp, mpc, mpf
 from test_spectral_reference import reflections
 
-from groverlab.evolution import InitialState, probability_trace, uniform_initial
-from groverlab.kernel import GroverPhases, extended_reduced_kernel, reduced_kernel
+from groverlab.algebra import momentum_state
+from groverlab.evolution import (InitialState, full_space_trace, probability_trace,
+                                 uniform_initial)
+from groverlab.kernel import (FullSpaceConfig, GroverPhases, extended_reduced_kernel,
+                              reduced_kernel)
 
 FLAT_TOL = 1e-12
 ANGLE_TOL = 1e-15
@@ -40,20 +45,26 @@ def reference(bp, dp, start, steps, n=None, alpha1=None):
     with mp.workdps(50):
         g1, g2 = reflections(mp.expj(mpf(bp)), mp.expj(mpf(dp)), n, alpha1)
         k = g2 * g1
-        k = [[k[i, j] for j in range(2)] for i in range(2)]
-        lam = mp.arg(k[0][0] * k[1][1] - k[0][1] * k[1][0]) / 2
-        angle = mp.acos(abs(mp.re((k[0][0] + k[1][1]) * mp.expj(-lam))) / 2)
-        squares = [k]
-        while 2 ** len(squares) <= max(steps):
-            squares.append(_matmul(squares[-1], squares[-1]))
-        v, at, probs = [mpc(start[0]), mpc(start[1])], 0, []
-        for m in steps:
-            for bit, sq in enumerate(squares):
-                if (m - at) >> bit & 1:
-                    v = [sq[0][0] * v[0] + sq[0][1] * v[1], sq[1][0] * v[0] + sq[1][1] * v[1]]
-            at = m
-            probs.append(float(abs(v[0]) ** 2))
-        return np.array(probs), float(angle)
+        return power(k, start, steps)
+
+
+def power(k, start, steps):
+    """``reference`` for the 2x2 mpmath kernel k, from the plane coordinates
+    ``start`` (of any norm); call inside mp.workdps(50)."""
+    k = [[k[i, j] for j in range(2)] for i in range(2)]
+    lam = mp.arg(k[0][0] * k[1][1] - k[0][1] * k[1][0]) / 2
+    angle = mp.acos(abs(mp.re((k[0][0] + k[1][1]) * mp.expj(-lam))) / 2)
+    squares = [k]
+    while 2 ** len(squares) <= max(steps):
+        squares.append(_matmul(squares[-1], squares[-1]))
+    v, at, probs = [mpc(start[0]), mpc(start[1])], 0, []
+    for m in steps:
+        for bit, sq in enumerate(squares):
+            if (m - at) >> bit & 1:
+                v = [sq[0][0] * v[0] + sq[0][1] * v[1], sq[1][0] * v[0] + sq[1][1] * v[1]]
+        at = m
+        probs.append(float(abs(v[0]) ** 2))
+    return np.array(probs), float(angle)
 
 
 def _steps(m_max):
@@ -111,3 +122,116 @@ def test_peak_step_is_a_reference_peak(bp, dp, n):
     trace, start = _reduced(bp, dp, n, uniform_initial(n), m_max)
     want, _ = reference(bp, dp, start, range(m_max + 1), n=n)
     assert want[trace.peak_step] >= want.max() - FLAT_TOL
+
+
+# Full-space traces.  Both sides take the same float angles (all four phases),
+# k0 and start.  The whole-vector reference applies G1 = beta + (alpha -
+# beta)|x0><x0| and G2 = delta + (gamma - delta)|k><k| at 50 digits to every
+# entry, so it checks the reduction to the invariant plane, not only the
+# engine; k is k0 over its 50-digit norm, the reflection about k0's direction.
+# The plane reference builds that reduction at 50 digits instead, so it can
+# reach m = 1e6 at N = 4096.  The gates are those of reduced traces: 1e-12
+# for the few hundred whole-vector steps, 1e-12 + 1e-15 m a against the plane.
+
+FULL_PHASES = [(0.0, 0.0, math.pi, math.pi), (2.5, 2.5, math.pi, math.pi),
+               (*UNBALANCED[0], math.pi, math.pi),
+               *[tuple(p) for p in np.random.default_rng(11).uniform(-math.pi, math.pi,
+                                                                     (2, 4)).tolist()]]
+
+
+def _full_config(n, marked, k0, angles):
+    return FullSpaceConfig(n, marked, k0, GroverPhases.from_angles(*angles))
+
+
+def _mp_phases(angles):
+    return [mp.expj(mpf(t)) for t in angles]
+
+
+def _mp_vdot(a, b):
+    """<a|b> of two float vectors, at the working precision."""
+    dot = lambda x, y: mp.fdot(np.concatenate(x).tolist(), np.concatenate(y).tolist())
+    return mpc(dot([a.real, a.imag], [b.real, b.imag]), dot([a.real, -a.imag], [b.imag, b.real]))
+
+
+def whole_vector_reference(n, marked, k0, angles, start, m_max):
+    """P(m) for m = 0..m_max by applying G2 G1 to the whole N-vector m times.
+    It evolves v_m / (beta delta)^m, which has the same P(m)."""
+    with mp.workdps(50):
+        beta, delta, alpha, gamma = _mp_phases(angles)
+        norm = mp.sqrt(_mp_vdot(k0, k0).real)
+        k = [mpc(z) / norm for z in k0.tolist()]
+        kc = [z.conjugate() for z in k]
+        v = [mpc(z) for z in start.tolist()]
+        probs = [float(abs(v[marked]) ** 2)]
+        for _ in range(m_max):
+            v[marked] *= alpha / beta
+            proj = (gamma / delta - 1) * mp.fdot(kc, v)
+            v = [z + proj * kz for z, kz in zip(v, k)]
+            probs.append(float(abs(v[marked]) ** 2))
+        return np.array(probs)
+
+
+def plane_coordinates(marked, k0, start):
+    """k = (alpha1, c) and the start's plane coordinates (conj(u) v[x0],
+    <f|v>), at 50 digits."""
+    with mp.workdps(50):
+        k_off, v_off = np.delete(k0, marked), np.delete(start, marked)
+        ke, off2 = mpc(k0[marked]), _mp_vdot(k_off, k_off).real
+        norm = mp.sqrt(abs(ke) ** 2 + off2)
+        return ((abs(ke) / norm, mp.sqrt(off2) / norm),
+                (ke.conjugate() / abs(ke) * mpc(start[marked]),
+                 _mp_vdot(k_off, v_off) / mp.sqrt(off2)))
+
+
+def plane_reference(k, coords, angles, steps):
+    """``power`` of the plane kernel (delta I + (gamma - delta) k k^T)
+    diag(alpha, beta) from the plane coordinates, at 50 digits."""
+    with mp.workdps(50):
+        beta, delta, alpha, gamma = _mp_phases(angles)
+        (a, c), g = k, gamma - delta
+        kernel = mp.matrix([[(delta + g * a * a) * alpha, g * a * c * beta],
+                            [g * a * c * alpha, (delta + g * c * c) * beta]])
+        return power(kernel, coords, steps)
+
+
+def _random_unit(r, n):
+    v = r.normal(size=n) + 1j * r.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _embedded(state, marked):
+    v = np.full(state.size, state.b / math.sqrt(state.size), dtype=complex)
+    v[marked] = state.a / math.sqrt(state.size)
+    return v
+
+
+@pytest.mark.parametrize("n,m_max", [(16, 600), (64, 200)])
+@pytest.mark.parametrize("start", ["k0", 1.0, 3.0, 0.3 + 0.4j])
+def test_full_space_against_whole_vector(n, m_max, start):
+    r = np.random.default_rng(n)
+    marked = int(r.integers(n))
+    k0 = _random_unit(r, n)
+    x_in = k0 if start == "k0" else _embedded(InitialState.complete(start, n), marked)
+    angles = tuple(r.uniform(-math.pi, math.pi, 4).tolist())
+    trace = full_space_trace(_full_config(n, marked, k0, angles), x_in, m_max)
+    want = whole_vector_reference(n, marked, k0, angles, x_in, m_max)
+    err = np.abs(trace.probs - want)
+    assert err.max() <= FLAT_TOL, f"worst |dP| {err.max():.3e} at m = {int(np.argmax(err))}"
+
+
+@pytest.mark.parametrize("k0_kind", ["random", "momentum:7", "uniform"])
+def test_full_space_against_plane(k0_kind):
+    n, m_max = 4096, 10**6
+    r = np.random.default_rng(7)
+    k0 = {"random": lambda: _random_unit(r, n), "momentum:7": lambda: momentum_state(7, n),
+          "uniform": lambda: momentum_state(0, n)}[k0_kind]()
+    marked = int(r.integers(n)) if k0_kind == "random" else 0
+    steps = _steps(m_max)
+    k, coords = plane_coordinates(marked, k0, k0)
+    for angles in FULL_PHASES:
+        trace = full_space_trace(_full_config(n, marked, k0, angles), k0, m_max)
+        want, angle = plane_reference(k, coords, angles, steps)
+        err = np.abs(trace.probs[steps] - want)
+        bad = np.nonzero(err > FLAT_TOL + ANGLE_TOL * angle * np.array(steps))[0]
+        assert not bad.size, (f"phases {angles}: {bad.size} of {len(steps)} steps off, worst "
+                              f"|dP| {err.max():.3e} at m = {steps[int(np.argmax(err))]}")
