@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import itertools
 import math
 import re
 import sys
@@ -35,17 +36,16 @@ from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
     BLOCK,
-    EvolutionTrace,
     InitialState,
-    full_space_trace,
-    probability_trace,
+    TraceSummary,
+    invariant_plane,
+    probability_blocks,
     probability_traces,
     uniform_initial,
 )
 from .kernel import (
     FullSpaceConfig,
     GroverPhases,
-    ReducedKernel,
     extended_reduced_kernels,
     reduced_kernels,
     require_full_size,
@@ -62,9 +62,9 @@ from .spectral import (
 __all__ = ["ExperimentConfig", "main"]
 
 MAX_GRID_POINTS = 10**6
-# Longest trace (--m-max): a trace holds its probabilities, 8 bytes per step,
-# and formats and writes its CSV body BLOCK = 2^14 rows at a time, which adds
-# a few MB of text and temporaries whatever the length.
+# Longest trace (--m-max).  A trace evaluates, summarizes, formats and writes
+# BLOCK = 2^14 rows at a time, so its memory does not grow with the length:
+# this bounds the run time and the CSV's size (about 280 MB at 10^7).
 MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
 MAX_N = 2**63 - 1
@@ -224,23 +224,26 @@ def _grid(command: str, text: Optional[str], least: int,
     return p, q
 
 
-def _write_csv(cfg: ExperimentConfig, header: str, chunks: Iterable[str],
-               summary: Optional[str] = None) -> None:
-    """Write the header line, then the body chunk by chunk, to --out or stdout.
+def _write_csv(cfg: ExperimentConfig, header: str, chunks: Iterable[bytes],
+               summary: Optional[TraceSummary] = None) -> None:
+    """Write the header line, then the body's bytes chunk by chunk, to --out
+    or stdout; then the summary line, to stderr after a body on stdout.
 
-    The body is never joined, so a lazy iterable is formatted as it is written.
+    The body is never joined, so a lazy iterable is formatted as it is
+    written, and the summary is read after it.
     """
-    if cfg.out in (None, "-"):
-        sys.stdout.write(header + "\n")
-        sys.stdout.writelines(chunks)
-        if summary:
-            print(summary, file=sys.stderr)
-    else:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(header + "\n")
-            fh.writelines(chunks)
-        if summary:
-            print(summary)
+    body = itertools.chain([header.encode() + b"\n"], chunks)
+    to_file = cfg.out not in (None, "-")
+    if to_file:
+        with open(cfg.out, "wb") as fh:
+            fh.writelines(body)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # the text layer's bytes go first
+        sys.stdout.buffer.writelines(body)
+    else:  # a text stream with no byte layer, such as io.StringIO
+        sys.stdout.writelines(chunk.decode() for chunk in body)
+    if summary:
+        print(_summary_line(summary), file=sys.stdout if to_file else sys.stderr)
 
 
 def _initial_state(cfg: ExperimentConfig) -> InitialState:
@@ -287,14 +290,7 @@ def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
     raise UsageError(f"--k0 must be uniform, momentum:<y0> or file:<path>, got {selector!r}")
 
 
-def _embed_reduced(s: InitialState, marked: int) -> np.ndarray:
-    """Lift reduced coefficients to the full basis (uniform over unmarked)."""
-    v = np.full(s.size, s.b / math.sqrt(s.size), dtype=complex)
-    v[marked] = s.a / math.sqrt(s.size)
-    return v
-
-
-def _summary_line(trace: EvolutionTrace) -> str:
+def _summary_line(trace: TraceSummary) -> str:
     thr = "none" if trace.threshold_step is None else str(trace.threshold_step)
     return (f"peak_prob={fmt(trace.peak_prob)} peak_step={trace.peak_step} "
             f"maxima_count={trace.maxima_count} threshold_step={thr}")
@@ -318,6 +314,25 @@ def _reduced_problem(cfg: ExperimentConfig, beta: np.ndarray, delta: np.ndarray)
     return extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
 
 
+def _trace_problem(cfg: ExperimentConfig):
+    """``_reduced_problem`` for the trace, and the weight of its probabilities:
+    1, or for a --k0 other than uniform, the ``invariant_plane`` of the full
+    space (marked element 0) from k0 or from the --a/--b start."""
+    if cfg.alpha1 is not None or cfg.k0 == "uniform":
+        beta, delta = unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase])
+        return (*_reduced_problem(cfg, beta, delta), 1.0)
+    # Refused before the N-entry k0 vector is built or read.
+    require_full_size(cfg.n, "full-space trace")
+    x_in = vec = _k0_vector(cfg)
+    if cfg.a is not None or cfg.b is not None:
+        s = _initial_state(cfg)
+        x_in = np.full(cfg.n, s.b / math.sqrt(cfg.n), dtype=complex)
+        x_in[0] = s.a / math.sqrt(cfg.n)
+    phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
+    kernel, start, weight = invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
+    return kernel, None, start, weight
+
+
 def _blocks(size: int, *columns: np.ndarray):
     """The columns cut into slices of at most ``size`` rows."""
     for lo in range(0, len(columns[0]), size):
@@ -327,27 +342,13 @@ def _blocks(size: int, *columns: np.ndarray):
 TRACE_ROW = "%d,%.17g\n"
 
 
-def _trace_rows(probs: np.ndarray):
-    """The trace body, formatted BLOCK rows at a time as it is written."""
-    for lo in range(0, len(probs), BLOCK):
-        block = probs[lo:lo + BLOCK]
-        yield rows(TRACE_ROW, [np.arange(lo, lo + len(block)), block])
-
-
 def cmd_trace(cfg: ExperimentConfig) -> int:
-    if cfg.alpha1 is None and cfg.k0 != "uniform":
-        # Refused before the N-entry k0 vector is built or read.
-        require_full_size(cfg.n, "full-space trace")
-        vec = _k0_vector(cfg)
-        phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
-        fcfg = FullSpaceConfig(cfg.n, 0, vec, phases)
-        x_in = vec if cfg.a is None and cfg.b is None else _embed_reduced(_initial_state(cfg), 0)
-        trace = full_space_trace(fcfg, x_in, cfg.m_max)
-    else:
-        kernels, size, start = _reduced_problem(
-            cfg, unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase]))
-        trace = probability_trace(ReducedKernel(kernels[0], size), start, cfg.m_max)
-    _write_csv(cfg, "m,prob", _trace_rows(trace.probs), _summary_line(trace))
+    kernel, size, start, weight = _trace_problem(cfg)
+    blocks = probability_blocks(kernel, start, cfg.m_max, size)
+    # One block in memory at a time: evaluated, summarized, formatted, written.
+    summary = TraceSummary()
+    probs = (block[0] * weight for block in blocks)
+    _write_csv(cfg, "m,prob", (rows(TRACE_ROW, [summary.add(p), p]) for p in probs), summary)
     return 0
 
 

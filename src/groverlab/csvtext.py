@@ -22,6 +22,7 @@ those bytes are Python's by construction (and widen the cells if need be).
 from __future__ import annotations
 
 import functools
+import io
 import re
 from typing import Callable, NamedTuple, Sequence
 
@@ -304,8 +305,8 @@ def _g_cells(column) -> _Cells:
 _CELLS = {"d": _d_cells, ".17g": _g_cells, ".0f": _f_cells}
 
 
-def rows(template: str, columns: Sequence) -> str:
-    """``"".join(template % row for row in zip(*columns))``, NaN cells empty.
+def rows(template: str, columns: Sequence) -> bytes:
+    """``"".join(template % row for row in zip(*columns)).encode()``, NaN cells empty.
 
     ``template`` is literal text around ``%d``, ``%.17g`` and ``%.0f``
     conversions, one per column; the columns are equal-length arrays or
@@ -317,11 +318,15 @@ def rows(template: str, columns: Sequence) -> str:
         raise ValueError(f"template {template!r} takes {len(conversions)} columns, "
                          f"got {len(columns)}")
     step = max(1, _STEP_CELLS // len(conversions))
-    return "".join(_rows_step(literals, conversions, [c[lo:lo + step] for c in columns])
-                   for lo in range(0, len(columns[0]), step))
+    # One growing buffer, handed out without a copy: a join would hold the
+    # steps' bytes and the joined bytes at once.
+    out = io.BytesIO()
+    for lo in range(0, len(columns[0]), step):
+        out.write(_rows_step(literals, conversions, [c[lo:lo + step] for c in columns]))
+    return out.getvalue()
 
 
-def _rows_step(literals: tuple, conversions: tuple, columns: list) -> str:
+def _rows_step(literals: tuple, conversions: tuple, columns: list) -> bytes:
     """One step of rows: every literal and cell written into one byte matrix."""
     cells = [_CELLS[conversion](column) for conversion, column in zip(conversions, columns)]
     text = np.zeros((len(columns[0]), sum(map(len, literals)) + sum(c.width for c in cells)),
@@ -335,4 +340,6 @@ def _rows_step(literals: tuple, conversions: tuple, columns: list) -> str:
             cell.write(text[:, at:at + cell.width])
             at += cell.width
     del cells  # frees the arrays the writers hold before the copies below
-    return text.tobytes().translate(None, b"\0").decode()
+    raw = text.tobytes()
+    del text  # and the matrix before the compacted copy
+    return raw.translate(None, b"\0")

@@ -7,36 +7,37 @@ the kernel, which makes no spectral assumptions, is the cross-check.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .algebra import TOL_EXACT, _cmul, _complex, as_vector, require_unit
-from .errors import (
-    InvalidSizeError,
-    NormalizationError,
-    PeakedInitialStateWarning,
-)
+from .errors import InvalidSizeError, NormalizationError, PeakedInitialStateWarning
 from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
 from .spectral import SpectralData, _folded, _kernel_stack
 
 __all__ = [
     "InitialState",
     "EvolutionTrace",
+    "TraceSummary",
     "uniform_initial",
     "amplitude_iterative",
     "amplitude_closed_form",
+    "probability_blocks",
     "probability_trace",
     "probability_traces",
+    "invariant_plane",
     "full_space_trace",
     "perturbed_peak_estimate",
 ]
 
-# Steps or rows per block: probability_traces fills its probabilities, and the
-# CLI builds and formats its rows, this many at a time.  A block of trace
-# rows, its text and the formatter's byte matrix take a few MB.
+# Steps or rows per block: probability_blocks evaluates its probabilities,
+# and the CLI builds, summarizes, formats and writes its rows, this many at a
+# time.  A block of trace rows, its text and the formatter's byte matrix take
+# a few MB, and a trace keeps nothing else that grows with its length.
 BLOCK = 2**14
 
 
@@ -73,14 +74,44 @@ class InitialState:
                          self.b * np.sqrt((self.size - 1) / self.size)])
 
 
+class TraceSummary:
+    """Summary statistics of P(m), folded over consecutive blocks of it.
+
+    ``peak_step`` is the first argmax (a NaN counts as the peak, as in
+    ``np.argmax``).  ``maxima_count`` counts strict interior local maxima
+    (P(m) above both neighbors; endpoints excluded): the last two samples
+    carry across a block boundary.  ``threshold_step`` is the first m with
+    P(m) > 1/2, or None if the trace never crosses (or has a NaN peak).
+    """
+
+    def __init__(self):
+        self.steps = 0
+        self.peak_prob, self.peak_step, self.maxima_count = -math.inf, 0, 0
+        self.threshold_step: Optional[int] = None
+        self._above: Optional[int] = None
+        self._tail = np.empty(0)
+
+    def add(self, block: np.ndarray) -> np.ndarray:
+        """Fold in the next, nonempty block of probabilities; return its steps m."""
+        first = self.steps
+        peak = int(np.argmax(block))
+        if not (math.isnan(self.peak_prob) or block[peak] <= self.peak_prob):
+            self.peak_prob, self.peak_step = float(block[peak]), first + peak
+        seen = np.concatenate((self._tail, block))
+        mid = seen[1:-1]
+        self.maxima_count += int(np.count_nonzero((mid > seen[:-2]) & (mid > seen[2:])))
+        self._tail = seen[-2:]
+        if self._above is None and block[peak] > 0.5:
+            self._above = first + int(np.argmax(block > 0.5))
+        self.threshold_step = self._above if self.peak_prob > 0.5 else None
+        self.steps += len(block)
+        return np.arange(first, self.steps)
+
+
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Success probabilities P(m) for m = 0..m_max plus summary statistics.
-
-    ``maxima_count`` counts strict interior local maxima (P(m) above both
-    neighbors; endpoints excluded).  ``threshold_step`` is the first m with
-    P(m) > 1/2, or None if the trace never crosses.
-    """
+    """Success probabilities P(m) for m = 0..m_max plus their ``TraceSummary``
+    statistics."""
 
     probs: np.ndarray
     peak_prob: float
@@ -90,16 +121,11 @@ class EvolutionTrace:
 
     @classmethod
     def from_probs(cls, probs: np.ndarray) -> "EvolutionTrace":
+        """The trace with the ``TraceSummary`` of ``probs`` as one block."""
         probs = np.asarray(probs, dtype=float)
-        peak = int(np.argmax(probs))
-        interior = (probs[1:-1] > probs[:-2]) & (probs[1:-1] > probs[2:])
-        return cls(
-            probs=probs,
-            peak_prob=float(probs[peak]),
-            peak_step=peak,
-            maxima_count=int(np.count_nonzero(interior)),
-            threshold_step=int(np.argmax(probs > 0.5)) if probs[peak] > 0.5 else None,
-        )
+        s = TraceSummary()
+        s.add(probs)
+        return cls(probs, s.peak_prob, s.peak_step, s.maxima_count, s.threshold_step)
 
 
 def uniform_initial(n: int) -> InitialState:
@@ -165,20 +191,21 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
     return complex(phase1 * (a0 + (np.exp(1j * m * spec.signed_gap) - 1) * t))
 
 
-def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
+def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
                        s: Union[InitialState, np.ndarray], m_max: int,
-                       size: Optional[int] = None) -> np.ndarray:
-    """P(m) for m = 0..m_max, as (K, m_max + 1), from one start under each
-    kernel of a (K, 2, 2) stack, BLOCK steps at a time.
+                       size: Optional[int] = None) -> Iterator[np.ndarray]:
+    """P(m) for m = 0..m_max from one start under each kernel of a (K, 2, 2)
+    stack, in (K, <= BLOCK) blocks of steps, each evaluated when asked for;
+    the kernels and the start are checked and folded at the call.
 
     ``size`` is the list size a bare stack is for, if any; a ReducedKernel
     brings its own, and a different ``size`` is refused.  The SU(2) power
     k = e^{i lam} (cos a I + i sin a n.sigma) gives P(m) = |cos(m a) x0 +
-    sin(m a) w|^2 for the start (x0, x1) and w = (i n.sigma (x0, x1))[0];
-    a folded into [0, pi/2] (``spectral._folded``) keeps its precision.
+    sin(m a) w|^2 for the start (x0, x1) and w = (i n.sigma (x0, x1))[0]; a
+    folded into [0, pi/2] (``spectral._folded``) keeps its precision.
     """
-    if m_max < 1:
-        raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
+    if m_max < 0:
+        raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
     if isinstance(kernels, ReducedKernel):
         if size is not None and size != kernels.size:
             raise InvalidSizeError(f"size {size} given, kernel for size {kernels.size}")
@@ -186,11 +213,26 @@ def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
     angle, nx, ny, nz = _folded(_kernel_stack(kernels))
     x0, x1 = _reduced_input(size, s).tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
-    probs = np.empty((len(angle), m_max + 1))
-    for lo in range(0, m_max + 1, BLOCK):
-        t = angle[:, None] * np.arange(lo, min(lo + BLOCK, m_max + 1))
-        amp = np.cos(t) * x0 + np.sin(t) * w[:, None]
-        probs[:, lo:lo + t.shape[1]] = amp.real ** 2 + amp.imag ** 2
+
+    def blocks():
+        for lo in range(0, m_max + 1, BLOCK):
+            t = angle[:, None] * np.arange(lo, min(lo + BLOCK, m_max + 1))
+            amp = np.cos(t) * x0 + np.sin(t) * w[:, None]
+            yield amp.real ** 2 + amp.imag ** 2
+    return blocks()
+
+
+def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
+                       s: Union[InitialState, np.ndarray], m_max: int,
+                       size: Optional[int] = None) -> np.ndarray:
+    """P(m) for m = 0..m_max, as (K, m_max + 1), filled from ``probability_blocks``."""
+    if m_max < 1:
+        raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
+    blocks = probability_blocks(kernels, s, m_max, size)  # checks the kernels
+    k = 1 if isinstance(kernels, ReducedKernel) else np.size(kernels) // 4
+    probs = np.empty((k, m_max + 1))
+    for lo, block in zip(range(0, m_max + 1, BLOCK), blocks):
+        probs[:, lo:lo + block.shape[1]] = block
     return probs
 
 
@@ -200,9 +242,10 @@ def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
     return EvolutionTrace.from_probs(probability_traces(k, s, m_max)[0])
 
 
-def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
-                     m_max: int) -> EvolutionTrace:
-    """P(m) in the full N-dimensional space, through the invariant plane.
+def invariant_plane(cfg: FullSpaceConfig,
+                    x_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(kernel, unit start, weight): the full-space P(m) is the weight times
+    the 2x2 kernel's trace from the start.
 
     Both factors of K = G2 G1 are a phase times the identity plus a rank-1
     term, in |x0> and in |k0>, so K is beta delta on span{x0, k0}^perp and
@@ -210,15 +253,10 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     With ke = k0[x0] = alpha1 u (|u| = 1) and c the norm of k0 off x0, the
     plane basis is (u |x0>, f) for f = (k0 off x0) / c; there the kernel is
     (delta I + (gamma - delta) k k^T) diag(alpha, beta) for k = (alpha1, c),
-    and the start is (conj(u) v[x0], <f|v>).  The trace is that kernel's
-    SU(2) power (``probability_traces``) from the unit start, times the
-    start's squared norm: O(N) once, then O(m_max).  At alpha1 = 0 or c = 0
-    the plane collapses and x0 is an eigenvector: P(m) = |v[x0]|^2.  The
-    rank-1 iteration over the whole vector is the cross-check
-    (``checks.reduced_vs_full``).
+    and the start is (conj(u) v[x0], <f|v>); the weight is its squared norm.
+    At alpha1 = 0 or c = 0 the plane collapses and x0 is an eigenvector:
+    the identity from (1, 0) with weight |v[x0]|^2 gives that P(m) exactly.
     """
-    if m_max < 0:
-        raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
     require_full_size(cfg.size, "full-space trace")
     v = as_vector(x_in)
     if v.shape[0] != cfg.size:
@@ -228,7 +266,7 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     ke = complex(cfg.k0[marked])
     k_off = np.delete(cfg.k0, marked)
     alpha1, c = abs(ke), float(np.linalg.norm(k_off))
-    if m_max > 0 and alpha1 > 0 and c > 0:
+    if alpha1 > 0 and c > 0:
         x0, x1 = ke.conjugate() / alpha1 * v[marked], np.vdot(k_off, np.delete(v, marked)) / c
         weight = float(np.hypot(abs(x0), abs(x1)))
         if weight > 0:
@@ -236,10 +274,21 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
             g = ph.gamma - ph.delta
             kernel = np.array([[(ph.delta + g * alpha1**2) * ph.alpha, g * alpha1 * c * ph.beta],
                                [g * alpha1 * c * ph.alpha, (ph.delta + g * c**2) * ph.beta]])
-            probs = probability_traces(kernel, np.array([x0, x1]) / weight, m_max)[0]
-            return EvolutionTrace.from_probs(probs * weight**2)
+            return kernel, np.array([x0, x1]) / weight, weight**2
     # The plane collapsed, or the start has no part in it (then v[x0] = 0).
-    return EvolutionTrace.from_probs(np.full(m_max + 1, abs(v[marked]) ** 2))
+    return np.eye(2), np.array([1.0, 0.0]), abs(v[marked]) ** 2
+
+
+def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
+                     m_max: int) -> EvolutionTrace:
+    """P(m) in the full N-dimensional space through ``invariant_plane``: O(N)
+    once, then O(m_max).  The rank-1 iteration over the whole vector is the
+    cross-check (``checks.reduced_vs_full``)."""
+    kernel, start, weight = invariant_plane(cfg, x_in)
+    if m_max == 0:  # P(0) = |v[x0]|^2 exactly, as in the collapsed plane
+        return EvolutionTrace.from_probs([abs(as_vector(x_in)[cfg.marked]) ** 2])
+    probs = np.concatenate(tuple(probability_blocks(kernel, start, m_max)), axis=1)
+    return EvolutionTrace.from_probs(probs[0] * weight)
 
 
 def perturbed_peak_estimate(s: InitialState) -> float:

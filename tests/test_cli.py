@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverlab
-from groverlab import cli
+from groverlab import cli, evolution
 from groverlab.cli import ExperimentConfig, fmt, wrap_angle
 from groverlab.evolution import probability_trace, uniform_initial
 from groverlab.kernel import GroverPhases, ReducedKernel, reduced_kernel, unit_phases
@@ -247,17 +247,19 @@ class TestTrace:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_memory_per_step(self):
-        """A trace holds its float64 probabilities and one block of text, so
-        its peak RSS grows by at most 24 bytes per step (about 8 measured)."""
+        """A trace keeps one block of probabilities and text at a time, so its
+        peak RSS does not grow with its length: at 2e6 steps it is within
+        2 MB of the peak at 2e5 steps (under 0.1 MB measured; 14 MB when the
+        trace held its probabilities)."""
         peaks = {}
-        for steps in (200000, 1000000):
+        for steps in (200000, 2000000):
             proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(steps)],
                                   capture_output=True, text=True, timeout=120,
                                   env={**os.environ, "PYTHONPATH": _PACKAGE_PATH})
             assert proc.returncode == 0, proc.stderr
             peaks[steps] = int(proc.stdout.split()[-1])  # after the summary line
-        growth = (peaks[1000000] - peaks[200000]) * 1024 / 800000
-        assert growth <= 24, f"{growth:.1f} bytes per step"
+        growth = (peaks[2000000] - peaks[200000]) / 1024
+        assert growth <= 2, f"peak RSS grew by {growth:.1f} MB"
 
     @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
     def test_blocks_reuse_their_memory(self, tmp_path):
@@ -278,6 +280,39 @@ class TestTrace:
                               "--m-max", "1000000", "--out", str(tmp_path / "trace.csv"))
                  - minor_faults("-c", "import groverlab.cli"))
         assert extra < 10000, f"{extra} minor page faults beyond the import"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1000", "--beta-phase", "0.3"],
+        ["--alpha1", "0.3"],
+        ["--n", "64", "--k0", "momentum:3"],
+        ["--n", "64", "--k0", "momentum:3", "--a", "1.5", "--delta-phase", "1"],
+    ], ids=["reduced", "alpha1", "k0", "k0-a"])
+    def test_blocks_of_seven_give_the_same_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        """Evaluated, summarized and written in blocks of 7 steps, the CSV,
+        the summary and the exit code are those of blocks of BLOCK."""
+        argv = ["trace", "--m-max", "98", *argv]  # 99 rows: a last block of one
+        path = tmp_path / "t.csv"
+        whole = run(capsys, *argv), run(capsys, *argv, "--out", str(path)), path.read_bytes()
+        monkeypatch.setattr(evolution, "BLOCK", 7)
+        assert (run(capsys, *argv), run(capsys, *argv, "--out", str(path)),
+                path.read_bytes()) == whole
+        assert whole[0][2] == whole[1][1] != ""  # the summary: stderr, or stdout with --out
+
+    @pytest.mark.parametrize("argv", [
+        ["--k0", "file:{bad}"],
+        ["--k0", "file:{short}"],
+        ["--k0", "momentum:3", "--a", "1", "--b", "0.2"],
+        ["--a", "1", "--b", "0.2"],
+    ], ids=["unparsable-k0", "short-k0", "k0-a-b", "a-b"])
+    def test_refused_trace_writes_no_file(self, tmp_path, capsys, argv):
+        (tmp_path / "bad.txt").write_text("not numbers\n")
+        np.savetxt(tmp_path / "short.txt", np.full(3, 1 / math.sqrt(3)))
+        path = tmp_path / "t.csv"
+        argv = [a.format(bad=tmp_path / "bad.txt", short=tmp_path / "short.txt") for a in argv]
+        rc, out, err = run(capsys, "trace", "--n", "4", "--m-max", "5", *argv, "--out", str(path))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ")
+        assert not path.exists()
 
     def test_partial_initial_state_flags(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "1000", "--m-max", "2",
@@ -695,6 +730,7 @@ class TestBlocks:
         assert rc == 0
         for block in (1, 7, 20):
             monkeypatch.setattr(cli, "BLOCK", block)
+            monkeypatch.setattr(evolution, "BLOCK", block)  # the trace's and sweep's engine
             assert run(capsys, *argv) == (0, whole, err)
 
 
@@ -791,7 +827,7 @@ class TestExitCodes:
     def test_m_max_limit(self, capsys, monkeypatch, argv):
         def unreachable(*args):
             raise AssertionError("trace started above the step limit")
-        monkeypatch.setattr(cli, "probability_trace", unreachable)
+        monkeypatch.setattr(cli, "probability_blocks", unreachable)
         monkeypatch.setattr(cli, "probability_traces", unreachable)
         rc, out, err = run(capsys, *argv, "--m-max", str(cli.MAX_STEPS + 1))
         assert rc == 1

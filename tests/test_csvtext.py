@@ -1,6 +1,7 @@
 """csvtext.rows against Python's % formatting: every byte must agree."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,18 +10,16 @@ from hypothesis import strategies as st
 
 from groverlab import cli, csvtext
 from groverlab.csvtext import rows
-from groverlab.evolution import probability_trace, uniform_initial
-from groverlab.kernel import GroverPhases, reduced_kernel
 
 FLOATS = ("%.17g", "%.0f")
 TEMPLATES = [cli.TRACE_ROW, cli.SWEEP_ROW, cli.SPECTRUM_ROW, cli.MANIFOLD_ROW, cli.ASYMPTOTICS_ROW]
 
 
 def python_rows(template, columns):
-    """The reference: one % call per row; a NaN cell is empty, and no other
-    cell can contain "nan"."""
+    """The reference: one % call per row, encoded; a NaN cell is empty, and
+    no other cell can contain "nan"."""
     cells = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    return "".join(template % row for row in cells).replace("nan", "")
+    return "".join(template % row for row in cells).replace("nan", "").encode()
 
 
 @pytest.fixture
@@ -38,7 +37,7 @@ def python_cells(monkeypatch):
 def assert_same(template, columns):
     got, want = rows(template, columns), python_rows(template, columns)
     if got != want:
-        lines = zip(got.split("\n"), want.split("\n"), zip(*columns))
+        lines = zip(got.split(b"\n"), want.split(b"\n"), zip(*columns))
         row = next((g, w, r) for g, w, r in lines if g != w)
         pytest.fail(f"{template!r}: {row[0]!r} != {row[1]!r} for {row[2]!r}")
 
@@ -179,16 +178,13 @@ def test_python_fallback_gives_the_same_bytes(monkeypatch, python_cells, templat
     assert sum(python_cells) == 200 * len(columns) - nan_cells
 
 
-def test_long_trace_rarely_falls_back(python_cells):
+def test_long_trace_rarely_falls_back(python_cells, capsys):
     """Fewer than 0.1% of the cells of `trace --n 1000000 --m-max 1000000`
     go to Python's %: the fast path, not the fallback, carries the trace."""
     n = 10**6
-    phases = GroverPhases.from_angles(0.0, 0.0)
-    probs = probability_trace(reduced_kernel(phases.beta, phases.delta, n),
-                              uniform_initial(n), n).probs
-    for chunk in cli._trace_rows(probs):
-        pass
-    assert sum(python_cells) < 1e-3 * len(probs)
+    assert cli.main(["trace", "--n", str(n), "--m-max", str(n), "--out", os.devnull]) == 0
+    capsys.readouterr()
+    assert sum(python_cells) < 1e-3 * (n + 1)
 
 
 def test_rejects_other_conversions_and_column_counts():
@@ -198,4 +194,4 @@ def test_rejects_other_conversions_and_column_counts():
         rows("%d,%d\n", [[1]])
     with pytest.raises(ValueError):
         rows("m\n", [])
-    assert rows("%d\n", [np.array([], dtype=np.int64)]) == ""
+    assert rows("%d\n", [np.array([], dtype=np.int64)]) == b""

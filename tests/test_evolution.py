@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,6 +16,7 @@ from groverlab.errors import (
 from groverlab.evolution import (
     EvolutionTrace,
     InitialState,
+    TraceSummary,
     _iterate,
     amplitude_closed_form,
     amplitude_iterative,
@@ -90,6 +91,48 @@ class TestEvolutionTrace:
         t = EvolutionTrace.from_probs([0.0, 0.6, 0.6, 0.0])
         assert t.maxima_count == 0
         assert t.threshold_step == 1
+
+
+def numpy_summary(probs):
+    """The summary statistics of a whole trace in plain numpy: the first
+    argmax, strict interior maxima, and the first P > 1/2 if the peak is."""
+    peak = int(np.argmax(probs))
+    interior = (probs[1:-1] > probs[:-2]) & (probs[1:-1] > probs[2:])
+    return (float(probs[peak]), peak, int(np.count_nonzero(interior)),
+            int(np.argmax(probs > 0.5)) if probs[peak] > 0.5 else None)
+
+
+@st.composite
+def cut_traces(draw):
+    """Probabilities from a few values (ties, plateaus, NaN) or any in [0, 1],
+    and the block boundaries to cut them at."""
+    values = st.sampled_from([0.0, 0.2, 0.5, 0.6, 0.9, 1.0, np.nan]) | st.floats(0, 1)
+    probs = np.array(draw(st.lists(values, min_size=1, max_size=40)))
+    cut = draw(st.lists(st.booleans(), min_size=len(probs) - 1, max_size=len(probs) - 1))
+    return probs, [m for m in range(1, len(probs)) if cut[m - 1]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_traces())
+@example((np.array([0.1, 0.9, 0.9, 0.3, 0.9, 0.2]), [2, 4]))  # tied peaks, a plateau cut
+@example((np.array([0.1, 0.3, 0.9, 0.4, 0.2]), [2]))  # a maximum first in its block
+@example((np.array([0.1, 0.3, 0.9, 0.4, 0.2]), [3]))  # a maximum last in its block
+@example((np.array([0.1, 0.6, 0.3, 0.7]), [3]))  # a one-sample last block
+@example((np.array([0.7, 0.2, np.nan, 0.9, 0.1]), [1, 3]))  # NaN after a crossing
+@example((np.array([0.2, np.nan, 0.9, 0.1]), [2]))  # NaN before it
+def test_summary_folds_over_any_block_cut(drawn):
+    """Folded block by block, at any boundaries, the summary is the whole
+    trace's, and that is plain numpy's."""
+    probs, cuts = drawn
+    whole = EvolutionTrace.from_probs(probs)
+    folded = TraceSummary()
+    for block in np.split(probs, cuts):
+        folded.add(block)
+    assert folded.steps == len(probs)
+    want = numpy_summary(probs)
+    for t in (whole, folded):
+        np.testing.assert_equal((t.peak_prob, t.peak_step, t.maxima_count, t.threshold_step),
+                                want)
 
 
 class TestAmplitudeIterative:
