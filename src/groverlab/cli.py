@@ -18,7 +18,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,16 @@ from .spectral import (
 
 __all__ = ["ExperimentConfig", "main"]
 
+# Most points of a --grid.  The grid commands build, format and write
+# GRID_BLOCK points at a time, so this bounds the run time and the CSV's size
+# (about 240 MB for a 10^6-point spectrum), not memory.
 MAX_GRID_POINTS = 10**6
+# Grid points per block in spectrum, manifold, sweep and asymptotics: a block's
+# coordinates are generated, and its rows computed, formatted and written,
+# before the next.  A grid row holds a few dozen temporaries, so the block is
+# a quarter of the trace's BLOCK: a 20001-point spectrum peaks at 37 MB (42 MB
+# at 8192 points), and 2048 points take about 15% more time per point.
+GRID_BLOCK = 4096
 # Longest trace (--m-max).  A trace evaluates, summarizes, formats and writes
 # BLOCK = 2^14 rows at a time, so its memory does not grow with the length:
 # this bounds the run time and the CSV's size (about 280 MB at 10^7).
@@ -296,22 +305,23 @@ def _summary_line(trace: TraceSummary) -> str:
             f"maxima_count={trace.maxima_count} threshold_step={thr}")
 
 
-def _reduced_problem(cfg: ExperimentConfig, beta: np.ndarray, delta: np.ndarray):
-    """Reduced kernels for the unit phases beta, delta, the list size they
-    stand for, and the start they evolve from.
+def _reduced_problem(cfg: ExperimentConfig):
+    """The builder of the reduced kernels for arrays of unit phases (beta,
+    delta), the list size they stand for, and the start they evolve from.
 
     ``--alpha1`` (refused with --a, --b or --k0) switches every kernel to
     the general-superposition form, which has no list size, and the start to
     (alpha1, sqrt(1 - alpha1^2)); otherwise the kernels have size ``--n``
-    and the start is --a/--b.
+    and the start is --a/--b.  Every refusal is made here, before a kernel
+    is built.
     """
     if cfg.alpha1 is None:
-        return reduced_kernels(beta, delta, cfg.n), cfg.n, _initial_state(cfg)
+        return lambda beta, delta: reduced_kernels(beta, delta, cfg.n), cfg.n, _initial_state(cfg)
     if cfg.a is not None or cfg.b is not None or cfg.k0 != "uniform":
         raise UsageError("--alpha1 fixes the kernel and the start; "
                          "it cannot be combined with --a, --b or --k0")
     start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
-    return extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
+    return lambda beta, delta: extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
 
 
 def _trace_problem(cfg: ExperimentConfig):
@@ -319,8 +329,9 @@ def _trace_problem(cfg: ExperimentConfig):
     1, or for a --k0 other than uniform, the ``invariant_plane`` of the full
     space (marked element 0) from k0 or from the --a/--b start."""
     if cfg.alpha1 is not None or cfg.k0 == "uniform":
+        kernels_of, size, start = _reduced_problem(cfg)
         beta, delta = unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase])
-        return (*_reduced_problem(cfg, beta, delta), 1.0)
+        return kernels_of(beta, delta), size, start, 1.0
     # Refused before the N-entry k0 vector is built or read.
     require_full_size(cfg.n, "full-space trace")
     x_in = vec = _k0_vector(cfg)
@@ -333,10 +344,15 @@ def _trace_problem(cfg: ExperimentConfig):
     return kernel, None, start, weight
 
 
-def _blocks(size: int, *columns: np.ndarray):
-    """The columns cut into slices of at most ``size`` rows."""
-    for lo in range(0, len(columns[0]), size):
-        yield [c[lo:lo + size] for c in columns]
+def _spans(count: int) -> Iterator[Tuple[int, int]]:
+    """Ranges [lo, hi) of at most GRID_BLOCK grid points that cover ``count``."""
+    return ((lo, min(lo + GRID_BLOCK, count)) for lo in range(0, count, GRID_BLOCK))
+
+
+def _torus(p: int, q: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The p x q grid in row-major blocks: each point's row and column index."""
+    for lo, hi in _spans(p * q):
+        yield np.divmod(np.arange(lo, hi), q)
 
 
 TRACE_ROW = "%d,%.17g\n"
@@ -357,36 +373,50 @@ SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%d,%.0f\n"
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     p, q = _grid("sweep", cfg.grid, 2)
-    beta_grid = np.repeat(wrap_angle(cfg.beta_phase + TAU * np.arange(p) / p), q)
-    delta_grid = np.tile(wrap_angle(cfg.delta_phase + TAU * np.arange(q) / q), p)
-    chunks = []
-    for bp, dp in _blocks(BLOCK, beta_grid, delta_grid):
-        beta, delta = unit_phases(bp), unit_phases(dp)
-        kernels, size, start = _reduced_problem(cfg, beta, delta)
-        # Engine calls of about BLOCK probabilities: one trace each once m_max >= BLOCK.
-        traces = (probability_traces(k, start, cfg.m_max, size)
-                  for (k,) in _blocks(max(1, BLOCK // (cfg.m_max + 1)), kernels))
-        peaks = [(t.max(axis=1), t.argmax(axis=1)) for t in traces]
-        g_abs = _abs(beta - delta)
-        chunks.append(rows(SWEEP_ROW, [
-            bp, dp, g_abs, *map(np.concatenate, zip(*peaks)),
-            np.where(g_abs <= TOL_EXACT, asymptotic_steps(
-                _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]))
-    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", chunks)
+    kernels_of, size, start = _reduced_problem(cfg)
+
+    def body():
+        for i, j in _torus(p, q):
+            bp = wrap_angle(cfg.beta_phase + TAU * i / p)
+            dp = wrap_angle(cfg.delta_phase + TAU * j / q)
+            beta, delta = unit_phases(bp), unit_phases(dp)
+            kernels = kernels_of(beta, delta)
+            # Engine calls of about BLOCK probabilities: one trace each once m_max >= BLOCK.
+            per_call = max(1, BLOCK // (cfg.m_max + 1))
+            traces = (probability_traces(kernels[lo:lo + per_call], start, cfg.m_max, size)
+                      for lo in range(0, len(kernels), per_call))
+            peaks = [(t.max(axis=1), t.argmax(axis=1)) for t in traces]
+            g_abs = _abs(beta - delta)
+            yield rows(SWEEP_ROW, [
+                bp, dp, g_abs, *map(np.concatenate, zip(*peaks)),
+                np.where(g_abs <= TOL_EXACT, asymptotic_steps(
+                    _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)])
+
+    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", body())
     return 0
 
 
-def _phase_columns(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Phase angles (beta, delta) for spectrum/asymptotics: one config point,
-    or the diagonal sweep linspace(-pi, pi, p)."""
+def _diagonal(p: int, lo: int, hi: int) -> np.ndarray:
+    """np.linspace(-pi, pi, p)[lo:hi], bit for bit, without the other points:
+    numpy computes -pi + i * (2 pi / (p - 1)) and sets the last point to pi."""
+    t = np.arange(lo, hi, dtype=float) * (TAU / (p - 1)) - math.pi
+    if hi == p:
+        t[-1] = math.pi
+    return t
+
+
+def _phase_blocks(cfg: ExperimentConfig) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+    """Blocks of phase angles (beta, delta) for spectrum/asymptotics: one
+    config point, or the diagonal sweep linspace(-pi, pi, p).  A bad --grid
+    is refused when this is called, not when the blocks are drawn."""
     if cfg.grid is None:
-        return np.array([cfg.beta_phase]), np.array([cfg.delta_phase])
+        return [(np.array([cfg.beta_phase]), np.array([cfg.delta_phase]))]
     p, _ = _grid(cfg.command, cfg.grid, 2, one_dim=True)
     for name in ("beta_phase", "delta_phase"):
         if getattr(cfg, name):
             raise UsageError(f"{cfg.command} --grid sweeps the diagonal; drop {_flag(name)}")
-    t = np.linspace(-math.pi, math.pi, p)
-    return t, t
+    diagonal = (_diagonal(p, lo, hi) for lo, hi in _spans(p))
+    return ((t, t) for t in diagonal)
 
 
 # beta_phase .. diag_gap_im, m_exact, m_asymptotic, m_stability, degenerate.
@@ -394,27 +424,30 @@ SPECTRUM_ROW = "%.17g," * 11 + "%.0f,%.0f,%.17g,%d\n"
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    chunks = []
-    for bp, dp in _blocks(BLOCK, *_phase_columns(cfg)):
-        beta, delta = unit_phases(bp), unit_phases(dp)
-        kernels, size, _ = _reduced_problem(cfg, beta, delta)
-        spec = eigensystems(kernels, size)
-        diagonal = _abs(beta - delta) <= TOL_EXACT
-        phi = _atan2(delta.imag, delta.real)
-        stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
-        no_size = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
-        diag_gap = no_size if size is None else spec.diag_gap
-        chunks.append(rows(SPECTRUM_ROW, [
-            wrap_angle(bp), wrap_angle(dp),
-            spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
-            spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
-            np.floor(math.pi / np.where(spec.degenerate, np.nan, spec.phase_gap)),
-            np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
-            np.where(stable, stability_expansion(phi, cfg.n), np.nan),
-            spec.degenerate]))
+    blocks = _phase_blocks(cfg)
+    kernels_of, size, _ = _reduced_problem(cfg)
+
+    def body():
+        for bp, dp in blocks:
+            beta, delta = unit_phases(bp), unit_phases(dp)
+            spec = eigensystems(kernels_of(beta, delta), size)
+            diagonal = _abs(beta - delta) <= TOL_EXACT
+            phi = _atan2(delta.imag, delta.real)
+            stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
+            no_size = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
+            diag_gap = no_size if size is None else spec.diag_gap
+            yield rows(SPECTRUM_ROW, [
+                wrap_angle(bp), wrap_angle(dp),
+                spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
+                spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
+                np.floor(math.pi / np.where(spec.degenerate, np.nan, spec.phase_gap)),
+                np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
+                np.where(stable, stability_expansion(phi, cfg.n), np.nan),
+                spec.degenerate])
+
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
-                    "m_exact,m_asymptotic,m_stability,degenerate", chunks)
+                    "m_exact,m_asymptotic,m_stability,degenerate", body())
     return 0
 
 
@@ -422,13 +455,17 @@ ASYMPTOTICS_ROW = "%.17g,%d,%.17g,%.17g,%.0f\n"
 
 
 def cmd_asymptotics(cfg: ExperimentConfig) -> int:
-    chunks = []
-    for (phi,) in _blocks(BLOCK, wrap_angle(_phase_columns(cfg)[1])):
-        gap = asymptotic_gaps(_complex(np.cos(phi), np.sin(phi)), cfg.n)
-        chunks.append(rows(ASYMPTOTICS_ROW, [
-            phi, np.full(len(phi), cfg.n), np.full(len(phi), cfg.alpha1 or math.nan), gap,
-            np.where(np.isnan(gap), np.nan, asymptotic_steps(phi, cfg.n, cfg.alpha1))]))
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", chunks)
+    blocks = _phase_blocks(cfg)
+
+    def body():
+        for _, dp in blocks:
+            phi = wrap_angle(dp)
+            gap = asymptotic_gaps(_complex(np.cos(phi), np.sin(phi)), cfg.n)
+            yield rows(ASYMPTOTICS_ROW, [
+                phi, np.full(len(phi), cfg.n), np.full(len(phi), cfg.alpha1 or math.nan), gap,
+                np.where(np.isnan(gap), np.nan, asymptotic_steps(phi, cfg.n, cfg.alpha1))])
+
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", body())
     return 0
 
 
@@ -438,18 +475,20 @@ MANIFOLD_ROW = "%.17g," * 7 + "%d,%d\n"
 
 def cmd_manifold(cfg: ExperimentConfig) -> int:
     p, q = _grid("manifold", cfg.grid or "50x50", 1)
-    # Anchor both grids at pi/2 so the original kernel is always on-grid.
-    grid1 = [(math.pi / 2 + TAU * i / p) % TAU for i in range(p)]
-    grid2 = [(math.pi / 2 + TAU * j / q) % TAU for j in range(q)]
-    chunks = []
-    for t1, t2 in _blocks(BLOCK, np.repeat(grid1, q), np.tile(grid2, p)):
-        aa = kernel_manifold_points(t1, t2, cfg.n)
-        grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
-        equal = np.abs(wrap_angle(t1 - t2)) <= 1e-9
-        chunks.append(rows(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
-                                          grover, equal]))
+
+    def body():
+        for i, j in _torus(p, q):
+            # Anchor both grids at pi/2 so the original kernel is always on-grid.
+            t1 = (math.pi / 2 + TAU * i / p) % TAU
+            t2 = (math.pi / 2 + TAU * j / q) % TAU
+            aa = kernel_manifold_points(t1, t2, cfg.n)
+            grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
+            equal = np.abs(wrap_angle(t1 - t2)) <= 1e-9
+            yield rows(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
+                                      grover, equal])
+
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
-                    "global_phase,grover_point,equal_angles", chunks)
+                    "global_phase,grover_point,equal_angles", body())
     return 0
 
 

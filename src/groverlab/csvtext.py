@@ -318,6 +318,8 @@ def rows(template: str, columns: Sequence) -> bytes:
         raise ValueError(f"template {template!r} takes {len(conversions)} columns, "
                          f"got {len(columns)}")
     step = max(1, _STEP_CELLS // len(conversions))
+    if 0 < len(columns[0]) <= step:  # one step: its bytes as they are, not copied
+        return _rows_step(literals, conversions, list(columns))
     # One growing buffer, handed out without a copy: a join would hold the
     # steps' bytes and the joined bytes at once.
     out = io.BytesIO()
