@@ -5,15 +5,14 @@ a CSV-emitting command-line runner."""
 from .algebra import (
     TOL_EXACT,
     TOL_PIPELINE,
-    adjoint,
     dft_matrix,
-    is_unitary,
     outer,
 )
 from .errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
     GroverLabError,
+    IndexRangeError,
     InvalidSizeError,
     NormalizationError,
     PeakedInitialStateWarning,

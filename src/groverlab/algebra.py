@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSizeError, NormalizationError, ShapeError
+from .errors import IndexRangeError, InvalidSizeError, NormalizationError, ShapeError
 
 __all__ = [
     "TOL_EXACT",
@@ -21,8 +21,6 @@ __all__ = [
     "unitarity_residual",
     "momentum_state",
     "dft_matrix",
-    "is_unitary",
-    "adjoint",
     "outer",
     "as_vector",
     "as_matrix",
@@ -125,7 +123,7 @@ def momentum_state(y0, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidSizeError(f"size must be >= 1, got {n}")
     if not np.all((0 <= y0) & (y0 < n)):
-        raise IndexError(f"wavenumber {y0} outside [0, {n})")
+        raise IndexRangeError(f"wavenumber {y0} outside [0, {n})")
     return np.exp(2j * np.pi * np.arange(n) * y0 / n) / np.sqrt(n)
 
 
@@ -138,21 +136,6 @@ def dft_matrix(n: int) -> np.ndarray:
     transform is the adjoint.
     """
     return momentum_state(np.arange(n)[:, None], n)
-
-
-def is_unitary(m, tol: float = TOL_EXACT) -> bool:
-    """True iff ``m`` is square and max|M^dagger M - I| <= tol."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"unitarity test needs a square matrix, got {a.shape}")
-    if not tol > 0:
-        raise ShapeError("tolerance must be positive")
-    return unitarity_residual(a) <= tol
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def outer(u, v) -> np.ndarray:

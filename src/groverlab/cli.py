@@ -35,12 +35,10 @@ from .algebra import (
 from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
-    BLOCK,
     InitialState,
     TraceSummary,
     invariant_plane,
     probability_blocks,
-    probability_traces,
     uniform_initial,
 )
 from .kernel import (
@@ -380,15 +378,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             bp = wrap_angle(cfg.beta_phase + TAU * i / p)
             dp = wrap_angle(cfg.delta_phase + TAU * j / q)
             beta, delta = unit_phases(bp), unit_phases(dp)
-            kernels = kernels_of(beta, delta)
-            # Engine calls of about BLOCK probabilities: one trace each once m_max >= BLOCK.
-            per_call = max(1, BLOCK // (cfg.m_max + 1))
-            traces = (probability_traces(kernels[lo:lo + per_call], start, cfg.m_max, size)
-                      for lo in range(0, len(kernels), per_call))
-            peaks = [(t.max(axis=1), t.argmax(axis=1)) for t in traces]
+            # Each row's first maximum, folded over the stack's blocks of steps.
+            peak_prob, peak_step, m = np.full(len(bp), -math.inf), np.zeros(len(bp), int), 0
+            for block in probability_blocks(kernels_of(beta, delta), start, cfg.m_max, size):
+                top = block.argmax(axis=1)
+                prob = block[np.arange(len(block)), top]
+                better = prob > peak_prob
+                peak_prob[better], peak_step[better] = prob[better], m + top[better]
+                m += block.shape[1]
             g_abs = _abs(beta - delta)
             yield rows(SWEEP_ROW, [
-                bp, dp, g_abs, *map(np.concatenate, zip(*peaks)),
+                bp, dp, g_abs, peak_prob, peak_step,
                 np.where(g_abs <= TOL_EXACT, asymptotic_steps(
                     _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)])
 
@@ -590,7 +590,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = parse_config(argv)
         return DISPATCH[cfg.command](cfg)
-    except (UsageError, GroverLabError, IndexError) as exc:
+    except (UsageError, GroverLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -2,12 +2,12 @@
 
 ``rows(template, columns)`` formats equal-length columns through a row
 template of literal text and the three conversions the CSV writer uses:
-``%d``, ``%.17g`` and ``%.0f``.  Each step of rows is one byte matrix, one
-row per CSV row, 0 meaning "no byte", in which every literal and conversion
-owns a range of columns: a conversion works out its cells' width, then
-writes them there as words, most of them looked up in small tables and
-masked.  ``bytes.translate`` drops the zeros once per step.  A NaN float
-cell is empty.
+``%d``, ``%.17g`` and ``%.0f``.  One call is one byte matrix, one row per
+CSV row, 0 meaning "no byte", in which every literal and conversion owns a
+range of columns: a conversion works out its cells' width, then writes them
+there as words, most of them looked up in small tables and masked.
+``bytes.translate`` drops the zeros once per call.  A NaN float cell is
+empty.
 
 A ``%.17g`` cell scales |x| by 10^(16 - e), e = floor(log10 |x|), in
 double-double arithmetic: a Dekker two-product of |x| with the double
@@ -22,7 +22,6 @@ those bytes are Python's by construction (and widen the cells if need be).
 from __future__ import annotations
 
 import functools
-import io
 import re
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,9 +40,6 @@ _INT_KINDS = "biu"
 # A %.17g remainder this close to one half may be a tie the double-double
 # product cannot resolve.
 _TIE = 1e-9
-# Cells per formatting step: a cell takes at most 56 bytes of the step's
-# matrix (unless Python's text is longer), so the matrix takes a few MB.
-_STEP_CELLS = 2**16
 
 _CONVERSION = re.compile(r"%(d|\.17g|\.0f)")
 _POWERS = 300  # the power table holds 10^k for |k| <= _POWERS
@@ -141,7 +137,7 @@ def _tables() -> _Tables:
     return tables
 
 
-class _Cells(NamedTuple):  # one conversion's cells in a step
+class _Cells(NamedTuple):  # one conversion's cells in a call
     width: int  # bytes per row
     write: Callable[[np.ndarray], None]  # fills an (n, width) byte matrix with them
 
@@ -310,26 +306,16 @@ def rows(template: str, columns: Sequence) -> bytes:
 
     ``template`` is literal text around ``%d``, ``%.17g`` and ``%.0f``
     conversions, one per column; the columns are equal-length arrays or
-    lists.  They are formatted ``_STEP_CELLS`` cells at a time, so the byte
-    matrix takes a few MB however many and however wide the rows are.
+    lists.  A cell takes up to 56 bytes of the one byte matrix (more where
+    Python's text is longer), so the caller bounds the memory by the rows it
+    passes: every CLI block is at most 2^16 cells, a few MB of matrix.
     """
     literals, conversions = _parse(template)
     if len(columns) != len(conversions):
         raise ValueError(f"template {template!r} takes {len(conversions)} columns, "
                          f"got {len(columns)}")
-    step = max(1, _STEP_CELLS // len(conversions))
-    if 0 < len(columns[0]) <= step:  # one step: its bytes as they are, not copied
-        return _rows_step(literals, conversions, list(columns))
-    # One growing buffer, handed out without a copy: a join would hold the
-    # steps' bytes and the joined bytes at once.
-    out = io.BytesIO()
-    for lo in range(0, len(columns[0]), step):
-        out.write(_rows_step(literals, conversions, [c[lo:lo + step] for c in columns]))
-    return out.getvalue()
-
-
-def _rows_step(literals: tuple, conversions: tuple, columns: list) -> bytes:
-    """One step of rows: every literal and cell written into one byte matrix."""
+    if len(columns[0]) == 0:
+        return b""
     cells = [_CELLS[conversion](column) for conversion, column in zip(conversions, columns)]
     text = np.zeros((len(columns[0]), sum(map(len, literals)) + sum(c.width for c in cells)),
                     np.uint8)

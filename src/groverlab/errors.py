@@ -13,6 +13,10 @@ class InvalidSizeError(GroverLabError):
     """A list size or grid size is outside its documented range."""
 
 
+class IndexRangeError(GroverLabError, IndexError):
+    """An index (a marked element, a wavenumber) lies outside [0, size)."""
+
+
 class NormalizationError(GroverLabError):
     """A vector or phase that must be unit-norm is not."""
 

@@ -28,16 +28,15 @@ __all__ = [
     "amplitude_closed_form",
     "probability_blocks",
     "probability_trace",
-    "probability_traces",
     "invariant_plane",
     "full_space_trace",
     "perturbed_peak_estimate",
 ]
 
-# Steps or rows per block: probability_blocks evaluates its probabilities,
-# and the CLI builds, summarizes, formats and writes its rows, this many at a
-# time.  A block of trace rows, its text and the formatter's byte matrix take
-# a few MB, and a trace keeps nothing else that grows with its length.
+# Probabilities per block: probability_blocks evaluates BLOCK // K steps of K
+# kernels at a time, and the CLI writes a trace BLOCK rows at a time.  A block,
+# its text and the formatter's byte matrix take a few MB, and neither a trace
+# nor a sweep keeps anything else that grows with its length.
 BLOCK = 2**14
 
 
@@ -108,24 +107,14 @@ class TraceSummary:
         return np.arange(first, self.steps)
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """Success probabilities P(m) for m = 0..m_max plus their ``TraceSummary``
-    statistics."""
+class EvolutionTrace(TraceSummary):
+    """Success probabilities P(m) for m = 0..m_max, ``probs``, with their
+    ``TraceSummary`` statistics folded as one block."""
 
-    probs: np.ndarray
-    peak_prob: float
-    peak_step: int
-    maxima_count: int
-    threshold_step: Optional[int]
-
-    @classmethod
-    def from_probs(cls, probs: np.ndarray) -> "EvolutionTrace":
-        """The trace with the ``TraceSummary`` of ``probs`` as one block."""
-        probs = np.asarray(probs, dtype=float)
-        s = TraceSummary()
-        s.add(probs)
-        return cls(probs, s.peak_prob, s.peak_step, s.maxima_count, s.threshold_step)
+    def __init__(self, probs):
+        super().__init__()
+        self.probs = np.asarray(probs, dtype=float)
+        self.add(self.probs)
 
 
 def uniform_initial(n: int) -> InitialState:
@@ -195,8 +184,8 @@ def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
                        s: Union[InitialState, np.ndarray], m_max: int,
                        size: Optional[int] = None) -> Iterator[np.ndarray]:
     """P(m) for m = 0..m_max from one start under each kernel of a (K, 2, 2)
-    stack, in (K, <= BLOCK) blocks of steps, each evaluated when asked for;
-    the kernels and the start are checked and folded at the call.
+    stack, in (K, max(1, BLOCK // K)) blocks of steps (the last may be short),
+    each evaluated when asked for; the kernels and start are checked at the call.
 
     ``size`` is the list size a bare stack is for, if any; a ReducedKernel
     brings its own, and a different ``size`` is refused.  The SU(2) power
@@ -213,33 +202,22 @@ def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
     angle, nx, ny, nz = _folded(_kernel_stack(kernels))
     x0, x1 = _reduced_input(size, s).tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
+    steps = max(1, BLOCK // max(1, len(angle)))
 
     def blocks():
-        for lo in range(0, m_max + 1, BLOCK):
-            t = angle[:, None] * np.arange(lo, min(lo + BLOCK, m_max + 1))
+        for lo in range(0, m_max + 1, steps):
+            t = angle[:, None] * np.arange(lo, min(lo + steps, m_max + 1))
             amp = np.cos(t) * x0 + np.sin(t) * w[:, None]
             yield amp.real ** 2 + amp.imag ** 2
     return blocks()
 
 
-def probability_traces(kernels: Union[ReducedKernel, np.ndarray],
-                       s: Union[InitialState, np.ndarray], m_max: int,
-                       size: Optional[int] = None) -> np.ndarray:
-    """P(m) for m = 0..m_max, as (K, m_max + 1), filled from ``probability_blocks``."""
-    if m_max < 1:
-        raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
-    blocks = probability_blocks(kernels, s, m_max, size)  # checks the kernels
-    k = 1 if isinstance(kernels, ReducedKernel) else np.size(kernels) // 4
-    probs = np.empty((k, m_max + 1))
-    for lo, block in zip(range(0, m_max + 1, BLOCK), blocks):
-        probs[:, lo:lo + block.shape[1]] = block
-    return probs
-
-
 def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
                       m_max: int) -> EvolutionTrace:
-    """P(m) for m = 0..m_max under one kernel: ``probability_traces`` of a batch of one."""
-    return EvolutionTrace.from_probs(probability_traces(k, s, m_max)[0])
+    """P(m) for m = 0..m_max under one kernel, joined from ``probability_blocks``."""
+    if m_max < 1:
+        raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
+    return EvolutionTrace(np.concatenate(tuple(probability_blocks(k, s, m_max)), axis=1)[0])
 
 
 def invariant_plane(cfg: FullSpaceConfig,
@@ -286,9 +264,9 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     cross-check (``checks.reduced_vs_full``)."""
     kernel, start, weight = invariant_plane(cfg, x_in)
     if m_max == 0:  # P(0) = |v[x0]|^2 exactly, as in the collapsed plane
-        return EvolutionTrace.from_probs([abs(as_vector(x_in)[cfg.marked]) ** 2])
+        return EvolutionTrace([abs(as_vector(x_in)[cfg.marked]) ** 2])
     probs = np.concatenate(tuple(probability_blocks(kernel, start, m_max)), axis=1)
-    return EvolutionTrace.from_probs(probs[0] * weight)
+    return EvolutionTrace(probs[0] * weight)
 
 
 def perturbed_peak_estimate(s: InitialState) -> float:

@@ -21,6 +21,7 @@ from .algebra import (TOL_EXACT, _abs, _cmul, _complex, as_matrix, as_vector, df
                       momentum_state, outer, require_unit, require_unitary)
 from .errors import (
     DegenerateSubspaceError,
+    IndexRangeError,
     InvalidSizeError,
     ResourceLimitError,
 )
@@ -70,10 +71,6 @@ def _unit_phases(z, name: str) -> np.ndarray:
     return _complex(z.real / r, z.imag / r)
 
 
-def _unit_phase(z: complex, name: str) -> complex:
-    return complex(_unit_phases(z, name))
-
-
 def unit_phases(angles) -> np.ndarray:
     """e^{it} for every angle t, with the bits GroverPhases.from_angles gives beta and delta."""
     t = np.asarray(angles, dtype=float)
@@ -97,7 +94,7 @@ class GroverPhases:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _unit_phase(getattr(self, name), name))
+            object.__setattr__(self, name, complex(_unit_phases(getattr(self, name), name)))
 
     @classmethod
     def from_angles(cls, beta_phase: float, delta_phase: float,
@@ -150,7 +147,7 @@ class FullSpaceConfig:
         if self.size < 2:
             raise InvalidSizeError(f"list size must be >= 2, got {self.size}")
         if not 0 <= self.marked < self.size:
-            raise IndexError(f"marked index {self.marked} outside [0, {self.size})")
+            raise IndexRangeError(f"marked index {self.marked} outside [0, {self.size})")
         v = as_vector(self.k0).copy()
         if v.shape[0] != self.size:
             raise InvalidSizeError(f"k0 has dim {v.shape[0]}, expected {self.size}")
@@ -163,8 +160,8 @@ def grover_operator(p: np.ndarray, lam1: complex, lam2: complex) -> np.ndarray:
     """lam1 on span{p}, lam2 on its orthocomplement: lam1 p p* + lam2 (1 - p p*)."""
     v = as_vector(p)
     require_unit(np.linalg.norm(v), TOL_EXACT, "norm of the projector direction")
-    lam1 = _unit_phase(lam1, "lam1")
-    lam2 = _unit_phase(lam2, "lam2")
+    lam1 = complex(_unit_phases(lam1, "lam1"))
+    lam2 = complex(_unit_phases(lam2, "lam2"))
     proj = outer(v, v)
     return lam1 * proj + lam2 * (np.eye(v.shape[0]) - proj)
 

@@ -15,6 +15,7 @@ differ in the last bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -29,7 +30,7 @@ from .errors import (
     ShapeError,
     SingularLimitError,
 )
-from .kernel import ReducedKernel, _unit_phase, _unit_phases, grover_operator
+from .kernel import ReducedKernel, _unit_phases, grover_operator
 
 __all__ = [
     "SpectralData",
@@ -244,8 +245,8 @@ def asymptotic_eigvec(beta: complex, delta: complex, n: int) -> np.ndarray:
     """
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
-    beta = _unit_phase(beta, "beta")
-    delta = _unit_phase(delta, "delta")
+    beta = complex(_unit_phases(beta, "beta"))
+    delta = complex(_unit_phases(delta, "delta"))
     if abs(beta - delta) <= TOL_EXACT:
         return np.array([1j * np.sqrt(delta), 1.0 + 0j]) / np.sqrt(2)
     if abs(1 + delta) <= TOL_EXACT:
@@ -279,11 +280,11 @@ def optimal_steps_exact(s: SpectralData) -> int:
 
 def asymptotic_steps(phi, n: int, alpha1: Optional[float] = None) -> np.ndarray:
     """``optimal_steps_asymptotic`` over an array of angles, as floats that
-    are NaN where |phi| >= pi or the period overflows (as pi / (4 alpha1
-    cos(phi/2)) can for a tiny alpha1); n and alpha1 are not checked."""
+    are NaN where |phi| >= pi or the period is infinite (as pi / (4 alpha1
+    cos(phi/2)) is for a tiny alpha1); n and alpha1 are not checked."""
     phi = np.asarray(phi, dtype=float)
     c = np.cos(phi / 2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         period = (math.pi * math.sqrt(n) / (4 * c) if alpha1 is None
                   else math.pi / (4 * alpha1 * c))
     return np.where((np.abs(phi) < math.pi) & np.isfinite(period), np.floor(period), np.nan)
@@ -365,13 +366,22 @@ def kernel_manifold_points(angle1, angle2, n: int = 10) -> AxisAngle:
     """
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
+    axis1, axis2 = _reflection_axes(n)
+    t1, t2 = (np.reshape(t, -1)[:, None, None]
+              for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
+    r1 = np.cos(t1) * np.eye(2) + 1j * np.sin(t1) * axis1
+    r2 = np.cos(t2) * np.eye(2) + 1j * np.sin(t2) * axis2
+    return su2_decompositions(-(r2 @ r1))
+
+
+@functools.lru_cache(maxsize=16)
+def _reflection_axes(n: int):
+    """The rotation axes a of the size-n kernel's two reflections, made
+    special-unitary with a factor of i each, as a read-only stack of a.sigma."""
     marked = np.array([1.0 + 0j, 0.0])
     u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
     reflections = 1j * np.stack([grover_operator(marked, -1.0, 1.0),
                                  grover_operator(u, -1.0, 1.0)])
-    axis1, axis2 = su2_decompositions(reflections).axis
-    t1, t2 = (np.reshape(t, -1)[:, None, None]
-              for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
-    r1 = np.cos(t1) * np.eye(2) + 1j * np.sin(t1) * _axis_matrix(axis1)
-    r2 = np.cos(t2) * np.eye(2) + 1j * np.sin(t2) * _axis_matrix(axis2)
-    return su2_decompositions(-(r2 @ r1))
+    axes = np.stack([_axis_matrix(axis) for axis in su2_decompositions(reflections).axis])
+    axes.setflags(write=False)
+    return axes

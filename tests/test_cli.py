@@ -509,11 +509,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("extra", [[], ["--a", "2"], ["--b", "0.9"], ["--alpha1", "0.3"]],
                              ids=["n", "a", "b", "alpha1"])
-    @pytest.mark.parametrize("block", [cli.BLOCK, 20], ids=["block", "one-trace-per-call"])
+    @pytest.mark.parametrize("block", [evolution.BLOCK, 20], ids=["block", "one-trace-per-call"])
     def test_peaks_match_single_kernel_traces(self, capsys, monkeypatch, extra, block):
+        """Each row's peak, folded over blocks of steps, is the one-kernel
+        trace's; at 20, 20-kernel blocks of one step each."""
         argv = ["sweep", "--n", "100", "--grid", "7x5", "--m-max", "60",
                 "--beta-phase", "0.3", "--delta-phase", "-2", *extra]
-        monkeypatch.setattr(cli, "BLOCK", block)
+        monkeypatch.setattr(evolution, "BLOCK", block)
         monkeypatch.setattr(cli, "GRID_BLOCK", block)  # 20 does not divide the 35 points
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (0, "")
@@ -525,6 +527,31 @@ class TestSweep:
             kernels = kernels_of(unit_phases([float(r[0])]), unit_phases([float(r[1])]))
             t = probability_trace(ReducedKernel(kernels[0], size), start, cfg.m_max)
             assert r[3:5] == [fmt(t.peak_prob), str(t.peak_step)]
+
+    def test_ties_keep_the_first_step(self, capsys, monkeypatch):
+        """At (pi, pi) the kernel is a phase times the identity, so P(m) is
+        1/N at every step: the peak is step 0 however the steps are cut."""
+        argv = ["sweep", "--n", "100", "--m-max", "30", "--beta-phase", fmt(math.pi),
+                "--delta-phase", fmt(math.pi), "--grid", "2x2"]
+        kernels_of, size, start = cli._reduced_problem(cli.parse_config(argv))
+        kernel = kernels_of(unit_phases([math.pi]), unit_phases([math.pi]))[0]
+        flat = probability_trace(ReducedKernel(kernel, size), start, 30).probs
+        assert np.all(flat == flat[0])
+        for block in (evolution.BLOCK, 1, 5):
+            monkeypatch.setattr(evolution, "BLOCK", block)
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0
+            assert parse_csv(out)[1][0][3:5] == [fmt(flat[0]), "0"]
+
+    def test_memory_per_step(self):
+        """A sweep folds each row's peak over blocks of steps, so its peak RSS
+        does not grow with --m-max: at 2e6 steps it is within 2 MB of the
+        peak at 2e5 steps (about 28 MB more when every kernel's whole trace
+        was held)."""
+        peaks = [peak_rss_kib("sweep", "--n", "1000", "--grid", "2x2", "--m-max", str(steps))
+                 for steps in (200000, 2000000)]
+        growth = (peaks[1] - peaks[0]) / 1024
+        assert growth <= 2, f"peak RSS grew by {growth:.1f} MB"
 
     def test_requires_grid(self, capsys):
         rc, out, err = run(capsys, "sweep", "--n", "100")
@@ -759,7 +786,6 @@ class TestBlocks:
         assert rc == 0
         for block in (1, 7, 20):
             monkeypatch.setattr(cli, "GRID_BLOCK", block)  # the four grid commands
-            monkeypatch.setattr(cli, "BLOCK", block)
             monkeypatch.setattr(evolution, "BLOCK", block)  # the trace's and sweep's engine
             assert run(capsys, *argv) == (0, whole, err)
 
@@ -877,6 +903,34 @@ class TestExitCodes:
                            "--k0", "momentum:1")
         assert rc == 1
 
+    def test_out_of_range_index_refused(self, capsys):
+        rc, out, err = run(capsys, "trace", "--n", "64", "--k0", "momentum:64")
+        assert (rc, out, err) == (1, "", "error: wavenumber 64 outside [0, 64)\n")
+
+    def test_internal_index_error_is_not_a_refusal(self, monkeypatch):
+        """An IndexError from inside a command is a defect, not a refusal: it
+        propagates instead of becoming an "error:" line with exit 1."""
+        def broken(cfg):
+            return np.arange(3)[5]
+        monkeypatch.setitem(cli.DISPATCH, "trace", broken)
+        with pytest.raises(IndexError, match="out of bounds"):
+            cli.main(["trace"])
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--grid", "3"],
+        ["asymptotics", "--grid", "3"],
+        ["sweep", "--grid", "2x2", "--m-max", "2", "--beta-phase", fmt(math.pi),
+         "--delta-phase", fmt(math.pi)],
+    ], ids=lambda argv: argv[0])
+    def test_underflowing_period_gives_empty_cells(self, capsys, argv):
+        """At phi = +-pi, 4 alpha1 cos(phi/2) underflows to 0 for a tiny
+        alpha1: the step count is empty, with no divide-by-zero warning."""
+        rc, out, err = run(capsys, *argv, "--n", "2", "--alpha1", "1e-320")
+        assert (rc, err) == (0, "")
+        header, rows = parse_csv(out)
+        column = header.index("m_asymptotic" if argv[0] != "sweep" else "pred_M")
+        assert [r[column] for r in rows] == [""] * len(rows)
+
     @pytest.mark.parametrize("argv", [
         ["trace", "--n", "1000000000000000000000"],
         ["spectrum", "--n", "1000000000000000000000"],
@@ -912,7 +966,6 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("trace started above the step limit")
         monkeypatch.setattr(cli, "probability_blocks", unreachable)
-        monkeypatch.setattr(cli, "probability_traces", unreachable)
         rc, out, err = run(capsys, *argv, "--m-max", str(cli.MAX_STEPS + 1))
         assert rc == 1
         assert out == ""

@@ -155,13 +155,17 @@ def test_cli_templates(template):
 
 
 @pytest.mark.parametrize("step", [1, 7, pytest.param(None, id="default")])
-def test_step_size_changes_no_byte(monkeypatch, step):
-    """Rows are formatted a few cells at a time; the cut changes nothing."""
-    if step is not None:
-        monkeypatch.setattr(csvtext, "_STEP_CELLS", step)
+def test_step_size_changes_no_byte(step):
+    """Rows formatted a block of ``step`` rows at a time, as the CLI streams
+    them, join to the bytes of one call (``None``: one call)."""
     rng = np.random.default_rng(step or 0)
     for template in TEMPLATES + [WIDE_ROW]:
-        assert_same(template, template_columns(template, rng, 50))
+        columns = template_columns(template, rng, 50)
+        cut = step or 50
+        got = b"".join(rows(template, [c[lo:lo + cut] for c in columns])
+                       for lo in range(0, 50, cut))
+        assert got == rows(template, columns)
+        assert_same(template, columns)
 
 
 @pytest.mark.parametrize("template", TEMPLATES + [WIDE_ROW],

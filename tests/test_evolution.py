@@ -22,8 +22,8 @@ from groverlab.evolution import (
     amplitude_iterative,
     full_space_trace,
     perturbed_peak_estimate,
+    probability_blocks,
     probability_trace,
-    probability_traces,
     uniform_initial,
 )
 from groverlab.kernel import (
@@ -76,19 +76,19 @@ class TestInitialState:
 
 class TestEvolutionTrace:
     def test_strict_interior_maxima(self):
-        t = EvolutionTrace.from_probs([0.0, 1.0, 0.0, 1.0, 0.0])
+        t = EvolutionTrace([0.0, 1.0, 0.0, 1.0, 0.0])
         assert t.maxima_count == 2
         assert t.peak_step == 1
         assert t.threshold_step == 1
 
     def test_monotone_has_no_interior_maxima(self):
-        t = EvolutionTrace.from_probs([0.0, 0.2, 0.4])
+        t = EvolutionTrace([0.0, 0.2, 0.4])
         assert t.maxima_count == 0
         assert t.peak_step == 2
         assert t.threshold_step is None
 
     def test_plateau_is_not_strict(self):
-        t = EvolutionTrace.from_probs([0.0, 0.6, 0.6, 0.0])
+        t = EvolutionTrace([0.0, 0.6, 0.6, 0.0])
         assert t.maxima_count == 0
         assert t.threshold_step == 1
 
@@ -124,7 +124,7 @@ def test_summary_folds_over_any_block_cut(drawn):
     """Folded block by block, at any boundaries, the summary is the whole
     trace's, and that is plain numpy's."""
     probs, cuts = drawn
-    whole = EvolutionTrace.from_probs(probs)
+    whole = EvolutionTrace(probs)
     folded = TraceSummary()
     for block in np.split(probs, cuts):
         folded.add(block)
@@ -283,6 +283,11 @@ SWEEP_BETA = np.repeat(0.3 + 2 * np.pi * np.arange(6) / 6, 5)
 SWEEP_DELTA = np.tile(-2 + 2 * np.pi * np.arange(5) / 5, 6)
 
 
+def joined(kernels, s, m_max, size=None):
+    """``probability_blocks`` joined into one (K, m_max + 1) array."""
+    return np.concatenate(tuple(probability_blocks(kernels, s, m_max, size)), axis=1)
+
+
 class TestProbabilityTraces:
     """The stacked engine against one kernel at a time, bit for bit."""
 
@@ -299,9 +304,10 @@ class TestProbabilityTraces:
         m_max = 60
         singles = [probability_trace(ReducedKernel(k, n), start, m_max) for k in stack]
         x_in = start.reduced_vector() if isinstance(start, InitialState) else start
-        # A block boundary inside every row: rows of 61 steps, blocks of 7.
+        # A block boundary inside every row: rows of 61 steps, blocks of one
+        # step for the 30 kernels (7 // 30 rounds up to one).
         monkeypatch.setattr(evolution, "BLOCK", 7)
-        probs = probability_traces(stack, start, m_max, n)
+        probs = joined(stack, start, m_max, n)
         assert probs.shape == (len(stack), m_max + 1)
         for row, single, k in zip(probs, singles, stack):
             assert np.array_equal(row, single.probs)
@@ -313,36 +319,48 @@ class TestProbabilityTraces:
         bad = good.copy()
         bad[1, 0, 0] *= 1.01
         with pytest.raises(NormalizationError, match="matrix 1 is not unitary"):
-            probability_traces(bad, start, 10, 100)
+            joined(bad, start, 10, 100)
         bad[1, 0, 0] = np.nan
         with pytest.raises(ShapeError):
-            probability_traces(bad, start, 10, 100)
+            joined(bad, start, 10, 100)
         with pytest.raises(InvalidSizeError):
-            probability_traces(np.eye(3)[None], start, 10)
+            joined(np.eye(3)[None], start, 10)
         with pytest.raises(ShapeError):
-            probability_traces(np.ones((2, 2, 2, 2)), start, 10)
+            joined(np.ones((2, 2, 2, 2)), start, 10)
 
     def test_start_checked(self):
         stack = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
         with pytest.raises(InvalidSizeError, match="state is for size 50, kernel for size 100"):
-            probability_traces(stack, uniform_initial(50), 10, 100)
+            joined(stack, uniform_initial(50), 10, 100)
         with pytest.raises(NormalizationError):
-            probability_traces(stack, np.array([0.5, 0.5]), 10, 100)
+            joined(stack, np.array([0.5, 0.5]), 10, 100)
         with pytest.raises(InvalidSizeError):
-            probability_traces(stack, np.array([1.0, 0.0, 0.0]), 10, 100)
+            joined(stack, np.array([1.0, 0.0, 0.0]), 10, 100)
         with pytest.raises(InvalidSizeError):
-            probability_traces(stack, uniform_initial(100), 0, 100)
+            probability_blocks(stack, uniform_initial(100), -1, 100)
         # Without a list size, any InitialState start is accepted.
-        probability_traces(stack, uniform_initial(50), 10)
+        joined(stack, uniform_initial(50), 10)
 
     def test_reduced_kernel_brings_its_size(self):
         k = reduced_kernel(1.0, 1.0, 100)
         with pytest.raises(InvalidSizeError, match="state is for size 50, kernel for size 100"):
-            probability_traces(k, uniform_initial(50), 10)
+            joined(k, uniform_initial(50), 10)
         with pytest.raises(InvalidSizeError, match="size 50 given, kernel for size 100"):
-            probability_traces(k, uniform_initial(50), 10, 50)
-        np.testing.assert_array_equal(probability_traces(k, uniform_initial(100), 10, 100),
-                                      probability_traces(k, uniform_initial(100), 10))
+            joined(k, uniform_initial(50), 10, 50)
+        np.testing.assert_array_equal(joined(k, uniform_initial(100), 10, 100),
+                                      joined(k, uniform_initial(100), 10))
+
+    @pytest.mark.parametrize("kernels", [0, 1, 3, 7, 30])
+    def test_blocks_hold_block_over_k_steps(self, monkeypatch, kernels):
+        """A block of K kernels holds BLOCK // K steps (at least one), the
+        last block the rest; an empty stack gives empty blocks."""
+        monkeypatch.setattr(evolution, "BLOCK", 7)
+        phases = unit_phases(np.linspace(-3, 3, kernels))
+        blocks = list(probability_blocks(reduced_kernels(phases, phases, 100),
+                                         uniform_initial(100), 20, 100))
+        steps = max(1, 7 // max(1, kernels))
+        assert [b.shape for b in blocks] == [(kernels, min(steps, 21 - lo))
+                                             for lo in range(0, 21, steps)]
 
 
 def reference_probs(k, v, m_max):

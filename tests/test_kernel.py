@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from groverlab.algebra import dft_matrix, is_unitary, outer
+from groverlab.algebra import dft_matrix, outer, unitarity_residual
 from groverlab.errors import (
     DegenerateSubspaceError,
     InvalidSizeError,
@@ -118,7 +118,7 @@ class TestReducedKernel:
         for _ in range(50):
             k = reduced_kernel(random_phase(rng), random_phase(rng),
                                int(rng.integers(2, 10**6)))
-            assert is_unitary(k.matrix, 1e-12)
+            assert unitarity_residual(k.matrix) <= 1e-12
 
     def test_rejects_undersized_list(self):
         with pytest.raises(InvalidSizeError):
@@ -160,7 +160,7 @@ class TestExtendedKernel:
             b, d = random_phase(rng), random_phase(rng)
             a1 = rng.uniform(0.05, 0.95)
             k = extended_reduced_kernel(b, d, a1)
-            assert is_unitary(k.matrix, 1e-12)
+            assert unitarity_residual(k.matrix) <= 1e-12
             assert abs(np.linalg.det(k.matrix) - b * d) <= 1e-12
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
@@ -287,7 +287,7 @@ class TestFullKernel:
         k0 = dft_matrix(n)[:, 5]
         cfg = FullSpaceConfig(size=n, marked=0, k0=k0,
                               phases=GroverPhases(beta=1j, delta=np.exp(0.7j)))
-        assert is_unitary(full_kernel(cfg), 1e-12)
+        assert unitarity_residual(full_kernel(cfg)) <= 1e-12
 
     def test_momentum_conjugation_identity(self):
         # conjugating the coordinate-basis second factor into momentum space
@@ -338,4 +338,4 @@ class TestDftConjugate:
 @given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.integers(2, 10**6))
 def test_reduced_kernel_always_unitary(bp, dp, n):
     k = reduced_kernel(np.exp(1j * bp), np.exp(1j * dp), n)
-    assert is_unitary(k.matrix, 1e-12)
+    assert unitarity_residual(k.matrix) <= 1e-12

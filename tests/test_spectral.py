@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from groverlab.algebra import _complex, is_unitary
+from groverlab import spectral
+from groverlab.algebra import _complex, unitarity_residual
 from groverlab.errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
@@ -514,7 +515,7 @@ class TestManifold:
         assert aa.angle.shape == (35,) and aa.axis.shape == (35, 3)
         for i in range(35):
             pt = point(aa, i)
-            assert is_unitary(reconstruct(pt), 1e-12)
+            assert unitarity_residual(reconstruct(pt)) <= 1e-12
             if pt.axis is not None:
                 assert np.linalg.norm(pt.axis) == pytest.approx(1.0, abs=1e-12)
 
@@ -525,6 +526,20 @@ class TestManifold:
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidSizeError):
             kernel_manifold_points([0.0], [0.0], n=1)
+
+    def test_reflections_built_once_per_size(self, monkeypatch):
+        """The two reflections are built and split once per n, not once per
+        call, and the axes kept for n are read-only."""
+        built, build = [], spectral.grover_operator
+        monkeypatch.setattr(spectral, "grover_operator", lambda *a: built.append(a) or build(*a))
+        spectral._reflection_axes.cache_clear()
+        first = kernel_manifold_points([0.1, 2.0], [0.3, -1.0], n=37)
+        again = kernel_manifold_points([0.1, 2.0], [0.3, -1.0], n=37)
+        spectral._reflection_axes.cache_clear()  # drop the entry built under the patch
+        assert len(built) == 2
+        assert (first.angle.tobytes(), first.axis.tobytes()) == (again.angle.tobytes(),
+                                                                 again.axis.tobytes())
+        assert not any(axis.flags.writeable for axis in spectral._reflection_axes(37))
 
 
 @settings(max_examples=40, deadline=None)
