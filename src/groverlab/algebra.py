@@ -61,6 +61,16 @@ def require_unit(x: float, tol: float, what: str, error=NormalizationError) -> N
         raise error(f"{what} is {x}; expected 1 within {tol:g}")
 
 
+def _require_list_size(n: int) -> None:
+    """Raise InvalidSizeError unless n >= 2: the search plane needs the
+    marked element and at least one other.
+
+    The one test behind every list-size check.
+    """
+    if n < 2:
+        raise InvalidSizeError(f"list size must be >= 2, got {n}")
+
+
 def unitarity_residual(a: np.ndarray):
     """max|M^dagger M - I| of a square array already coerced by as_matrix,
     or one such residual per matrix of a stack of shape (K, n, n); a 2x2
@@ -93,6 +103,11 @@ def _complex(re, im) -> np.ndarray:
     z = np.empty(np.broadcast(re, im).shape, dtype=complex)
     z.real, z.imag = re, im
     return z
+
+
+def _expi(t) -> np.ndarray:
+    """e^{it}, elementwise, as cmath.exp(1j * t) computes it."""
+    return _complex(np.cos(t), np.sin(t))
 
 
 def _abs(z: np.ndarray) -> np.ndarray:

@@ -17,18 +17,17 @@ import itertools
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import checks
 from .algebra import (
     TOL_EXACT,
     TOL_PIPELINE,
     _abs,
     _atan2,
-    _complex,
     momentum_state,
     require_unit,
 )
@@ -202,11 +201,6 @@ def wrap_angle(t) -> np.ndarray:
     return np.where(w > math.pi, w - TAU, np.where(w <= -math.pi, w + TAU, w))
 
 
-def fmt(x: float) -> str:
-    """17 significant digits: round-trip exact for doubles."""
-    return f"{x:.17g}"
-
-
 def _grid(command: str, text: Optional[str], least: int,
           one_dim: bool = False) -> Tuple[int, int]:
     """--grid <p> or <p>x<q> as (p, q), q = 1 for <p>, or a refusal named by
@@ -280,7 +274,10 @@ def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
     if selector.startswith("file:"):
         path = selector.split(":", 1)[1]
         try:
-            rows = np.loadtxt(path, dtype=float, ndmin=2)
+            with warnings.catch_warnings():
+                # An empty file is refused below, as a short one is.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(path, dtype=float, ndmin=2)
         except ValueError as exc:
             raise UsageError(f"cannot parse k0 file {path!r}: {exc}")
         if rows.shape[1] == 1:
@@ -299,7 +296,7 @@ def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
 
 def _summary_line(trace: TraceSummary) -> str:
     thr = "none" if trace.threshold_step is None else str(trace.threshold_step)
-    return (f"peak_prob={fmt(trace.peak_prob)} peak_step={trace.peak_step} "
+    return (f"peak_prob={trace.peak_prob:.17g} peak_step={trace.peak_step} "
             f"maxima_count={trace.maxima_count} threshold_step={thr}")
 
 
@@ -460,7 +457,7 @@ def cmd_asymptotics(cfg: ExperimentConfig) -> int:
     def body():
         for _, dp in blocks:
             phi = wrap_angle(dp)
-            gap = asymptotic_gaps(_complex(np.cos(phi), np.sin(phi)), cfg.n)
+            gap = asymptotic_gaps(unit_phases(phi), cfg.n)
             yield rows(ASYMPTOTICS_ROW, [
                 phi, np.full(len(phi), cfg.n), np.full(len(phi), cfg.alpha1 or math.nan), gap,
                 np.where(np.isnan(gap), np.nan, asymptotic_steps(phi, cfg.n, cfg.alpha1))])
@@ -493,6 +490,8 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
+    from . import checks  # only verify runs the suites: the other commands skip compiling them
+
     rng = np.random.default_rng(cfg.seed)
     small = (2, 4, 8, 16, 64)
     suites = [

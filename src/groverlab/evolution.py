@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .algebra import TOL_EXACT, _cmul, _complex, as_vector, require_unit
+from .algebra import TOL_EXACT, _cmul, _complex, _require_list_size, as_vector, require_unit
 from .errors import InvalidSizeError, NormalizationError, PeakedInitialStateWarning
 from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
 from .spectral import SpectralData, _folded, _kernel_stack
@@ -53,8 +53,7 @@ class InitialState:
     size: int
 
     def __post_init__(self):
-        if self.size < 2:
-            raise InvalidSizeError(f"list size must be >= 2, got {self.size}")
+        _require_list_size(self.size)
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         norm = (abs(self.a) ** 2 + abs(self.b) ** 2 * (self.size - 1)) / self.size
@@ -177,7 +176,8 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
     x_in = s.reduced_vector()
     t = spec.eigvec2[0] * np.vdot(spec.eigvec2, x_in)
     phase1 = np.exp(1j * m * spec.eigphase1)
-    return complex(phase1 * (a0 + (np.exp(1j * m * spec.signed_gap) - 1) * t))
+    # w2 - w1 is not wrapped: a 2 pi shift of it is invisible at integer m.
+    return complex(phase1 * (a0 + (np.exp(1j * m * (spec.eigphase2 - spec.eigphase1)) - 1) * t))
 
 
 def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],

@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (TOL_EXACT, _abs, _cmul, _complex, as_matrix, as_vector, dft_matrix,
-                      momentum_state, outer, require_unit, require_unitary)
+from .algebra import (TOL_EXACT, _abs, _cmul, _complex, _expi, _require_list_size, as_matrix,
+                      as_vector, dft_matrix, momentum_state, outer, require_unit,
+                      require_unitary)
 from .errors import (
     DegenerateSubspaceError,
     IndexRangeError,
@@ -73,8 +74,7 @@ def _unit_phases(z, name: str) -> np.ndarray:
 
 def unit_phases(angles) -> np.ndarray:
     """e^{it} for every angle t, with the bits GroverPhases.from_angles gives beta and delta."""
-    t = np.asarray(angles, dtype=float)
-    return _unit_phases(_complex(np.cos(t), np.sin(t)), "phase")
+    return _unit_phases(_expi(angles), "phase")
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,9 @@ class GroverPhases:
     def from_angles(cls, beta_phase: float, delta_phase: float,
                     alpha_phase: float = np.pi, gamma_phase: float = np.pi) -> "GroverPhases":
         """Build from phase angles in radians (angle t maps to e^{it})."""
-        e = lambda t: complex(np.cos(t), np.sin(t))
-        return cls(beta=e(beta_phase), delta=e(delta_phase),
-                   alpha=e(alpha_phase), gamma=e(gamma_phase))
+        beta, delta, alpha, gamma = _expi([beta_phase, delta_phase,
+                                           alpha_phase, gamma_phase]).tolist()
+        return cls(beta=beta, delta=delta, alpha=alpha, gamma=gamma)
 
     @property
     def phi(self) -> float:
@@ -144,8 +144,7 @@ class FullSpaceConfig:
     phases: GroverPhases = field(default_factory=lambda: GroverPhases(1.0, 1.0))
 
     def __post_init__(self):
-        if self.size < 2:
-            raise InvalidSizeError(f"list size must be >= 2, got {self.size}")
+        _require_list_size(self.size)
         if not 0 <= self.marked < self.size:
             raise IndexRangeError(f"marked index {self.marked} outside [0, {self.size})")
         v = as_vector(self.k0).copy()
@@ -185,8 +184,7 @@ def reduced_kernels(beta, delta, n: int) -> np.ndarray:
     unitarity at once.  Complex products are taken part by part, so every
     block has the bits of this formula in Python complex arithmetic.
     """
-    if n < 2:
-        raise InvalidSizeError(f"list size must be >= 2, got {n}")
+    _require_list_size(n)
     beta, delta = _unit_phases(beta, "beta"), _unit_phases(delta, "delta")
     s = np.sqrt(n - 1)
     m = _stack(1 + delta * (1 - n), _cmul(-beta, 1 + delta) * s,

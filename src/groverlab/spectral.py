@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _complex, require_unitary
+from .algebra import (TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _expi, _require_list_size,
+                      require_unitary)
 from .errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
@@ -46,7 +47,6 @@ __all__ = [
     "stability_expansion",
     "su2_decompose",
     "su2_decompositions",
-    "reconstruct",
     "kernel_manifold_points",
 ]
 
@@ -86,15 +86,6 @@ class SpectralData:
     diag_gap: Optional[complex]
     degenerate: bool
 
-    @property
-    def signed_gap(self) -> float:
-        """eigphase2 - eigphase1, unwrapped.
-
-        At integer step counts a 2*pi shift of this value is invisible,
-        so the closed-form amplitude may use it directly.
-        """
-        return self.eigphase2 - self.eigphase1
-
 
 @dataclass(frozen=True)
 class AxisAngle:
@@ -132,11 +123,6 @@ def _single(k: Union[ReducedKernel, np.ndarray]) -> Union[ReducedKernel, np.ndar
     if not isinstance(k, ReducedKernel) and np.ndim(k) != 2:
         raise ShapeError(f"expected a 2x2 matrix, got shape {np.shape(k)}")
     return k
-
-
-def _expi(t: np.ndarray) -> np.ndarray:
-    """e^{it}, as cmath.exp(1j * t) computes it."""
-    return _complex(np.cos(t), np.sin(t))
 
 
 def _dephase(m: np.ndarray):
@@ -243,8 +229,7 @@ def asymptotic_eigvec(beta: complex, delta: complex, n: int) -> np.ndarray:
     sqrt(n): the direction is ((beta - delta) sqrt(n)/(1 + delta), 1),
     normalized, which is singular at delta = -1.
     """
-    if n < 2:
-        raise InvalidSizeError(f"list size must be >= 2, got {n}")
+    _require_list_size(n)
     beta = complex(_unit_phases(beta, "beta"))
     delta = complex(_unit_phases(delta, "delta"))
     if abs(beta - delta) <= TOL_EXACT:
@@ -263,8 +248,7 @@ def asymptotic_gaps(delta, n: int) -> np.ndarray:
 
 def delta_omega_asymptotic(delta: complex, n: int) -> float:
     """Leading-order phase gap 4 Re(sqrt(delta)) / sqrt(n) in the balanced regime."""
-    if n < 2:
-        raise InvalidSizeError(f"list size must be >= 2, got {n}")
+    _require_list_size(n)
     gap = float(asymptotic_gaps(delta, n))
     if math.isnan(gap):
         raise DivergentPeriodError("phase gap vanishes at the far end of the family")
@@ -297,9 +281,9 @@ def optimal_steps_asymptotic(phi: float, n: int, alpha1: Optional[float] = None)
     given, the general-superposition form floor(pi / (4 alpha1 cos(phi/2)))
     is used instead; alpha1 = 1/sqrt(n) reproduces the standard value.
     """
-    if alpha1 is None and n < 2:
-        raise InvalidSizeError(f"list size must be >= 2, got {n}")
-    if alpha1 is not None and not 0.0 < alpha1 < 1.0:
+    if alpha1 is None:
+        _require_list_size(n)
+    elif not 0.0 < alpha1 < 1.0:
         raise DegenerateSubspaceError(
             f"overlap must lie strictly between 0 and 1, got {alpha1}")
     steps = float(asymptotic_steps(phi, n, alpha1))
@@ -315,11 +299,6 @@ def stability_expansion(dphi: float, n: int) -> float:
     returned unfloored.  Elementwise when dphi is an array.
     """
     return (math.pi / 4) * (1 + 0.125 * dphi * dphi) * math.sqrt(n)
-
-
-def _axis_matrix(axis) -> np.ndarray:
-    nx, ny, nz = axis
-    return np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
 
 
 def su2_decompositions(kernels: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
@@ -344,14 +323,6 @@ def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
     return AxisAngle(global_phase=float(b.global_phase[0]), angle=float(b.angle[0]), axis=axis)
 
 
-def reconstruct(aa: AxisAngle) -> np.ndarray:
-    """Matrix of an axis-angle decomposition (inverse of su2_decompose)."""
-    rot = math.cos(aa.angle) * np.eye(2)
-    if aa.axis is not None:
-        rot = rot + 1j * math.sin(aa.angle) * _axis_matrix(aa.axis)
-    return np.exp(1j * aa.global_phase) * rot
-
-
 def kernel_manifold_points(angle1, angle2, n: int = 10) -> AxisAngle:
     """Sample the two-angle family of kernels built from the textbook factors.
 
@@ -364,8 +335,7 @@ def kernel_manifold_points(angle1, angle2, n: int = 10) -> AxisAngle:
     the decompositions come back as ``su2_decompositions`` columns, one per
     point in row-major order.
     """
-    if n < 2:
-        raise InvalidSizeError(f"list size must be >= 2, got {n}")
+    _require_list_size(n)
     axis1, axis2 = _reflection_axes(n)
     t1, t2 = (np.reshape(t, -1)[:, None, None]
               for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
@@ -382,6 +352,7 @@ def _reflection_axes(n: int):
     u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
     reflections = 1j * np.stack([grover_operator(marked, -1.0, 1.0),
                                  grover_operator(u, -1.0, 1.0)])
-    axes = np.stack([_axis_matrix(axis) for axis in su2_decompositions(reflections).axis])
+    axes = np.stack([np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+                     for nx, ny, nz in su2_decompositions(reflections).axis])
     axes.setflags(write=False)
     return axes

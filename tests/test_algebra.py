@@ -14,6 +14,10 @@ from groverlab.algebra import (
     unitarity_residual,
 )
 from groverlab.errors import InvalidSizeError, NormalizationError, ShapeError
+from groverlab.evolution import InitialState
+from groverlab.kernel import FullSpaceConfig, reduced_kernels
+from groverlab.spectral import (asymptotic_eigvec, delta_omega_asymptotic,
+                                kernel_manifold_points, optimal_steps_asymptotic)
 
 rng = np.random.default_rng(42)
 
@@ -126,3 +130,19 @@ def test_outer_with_unit_vector_is_idempotent(dim, seed):
     v = v / np.linalg.norm(v)
     p = outer(v, v)
     assert np.max(np.abs(p @ p - p)) <= 1e-12
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: InitialState(1.0, 1.0, 1),
+    lambda: FullSpaceConfig(1, 0, [1.0]),
+    lambda: reduced_kernels([1.0], [1.0], 1),
+    lambda: asymptotic_eigvec(1.0, 1.0, 1),
+    lambda: delta_omega_asymptotic(1.0, 1),
+    lambda: kernel_manifold_points([0.0], [0.0], 1),
+    lambda: optimal_steps_asymptotic(0.0, 1),
+], ids=["InitialState", "FullSpaceConfig", "reduced_kernels", "asymptotic_eigvec",
+        "delta_omega_asymptotic", "kernel_manifold_points", "optimal_steps_asymptotic"])
+def test_every_list_size_refusal_has_one_message(refuse):
+    with pytest.raises(InvalidSizeError) as exc:
+        refuse()
+    assert str(exc.value) == "list size must be >= 2, got 1"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import groverlab
 from groverlab import cli, evolution
-from groverlab.cli import ExperimentConfig, fmt, wrap_angle
+from groverlab.cli import ExperimentConfig, wrap_angle
 from groverlab.evolution import probability_trace, uniform_initial
 from groverlab.kernel import GroverPhases, ReducedKernel, reduced_kernel, unit_phases
 from groverlab.spectral import stability_expansion
@@ -26,6 +26,11 @@ def run(capsys, *args):
     rc = cli.main(list(args))
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def fmt(x: float) -> str:
+    """A float cell as the CLI prints it: 17 significant digits."""
+    return f"{x:.17g}"
 
 
 def parse_csv(text):
@@ -447,6 +452,16 @@ class TestTrace:
         np.savetxt(unnorm, np.full(4, 1.0))
         rc, *_ = run(capsys, "trace", "--n", "4", "--k0", f"file:{unnorm}")
         assert rc == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
+    def test_empty_k0_file_refused_like_a_short_one(self, tmp_path, capsys, text):
+        """numpy's "input contained no data" warning does not leak: the file
+        is refused for its row count, with nothing else on stderr."""
+        path = tmp_path / "k0.txt"
+        path.write_text(text)
+        assert run(capsys, "trace", "--n", "2", "--k0", f"file:{path}") == (
+            1, "", "error: k0 file has 0 amplitudes, expected 2\n")
 
     def test_bad_k0_scheme(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "4", "--k0", "quantum")
@@ -871,6 +886,16 @@ class TestVerify:
             assert rc == 1
             assert out == ""
             assert "--tolerance" in err
+
+    def test_only_verify_imports_the_checks(self):
+        """Importing the CLI leaves groverlab.checks unloaded: the commands
+        that never run the suites do not pay for compiling them."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, groverlab.cli; print(sorted(sys.modules))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": _PACKAGE_PATH})
+        assert proc.returncode == 0, proc.stderr
+        assert "groverlab.cli" in proc.stdout and "groverlab.checks" not in proc.stdout
 
     def test_config_tolerance_refused_like_the_flag(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"

@@ -31,7 +31,6 @@ from groverlab.spectral import (
     kernel_manifold_points,
     optimal_steps_asymptotic,
     optimal_steps_exact,
-    reconstruct,
     stability_expansion,
     su2_decompose,
     su2_decompositions,
@@ -51,6 +50,16 @@ def random_spec(r, n_max=10**6):
     return reduced_kernel(b, d, n), b, d, n
 
 
+def reconstruct(aa):
+    """Matrix of an axis-angle decomposition (inverse of su2_decompose)."""
+    rot = math.cos(aa.angle) * np.eye(2)
+    if aa.axis is not None:
+        nx, ny, nz = aa.axis
+        axis = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+        rot = rot + 1j * math.sin(aa.angle) * axis
+    return np.exp(1j * aa.global_phase) * rot
+
+
 class TestEigensystem:
     def test_size_two_standard(self):
         s = eigensystem(reduced_kernel(1.0, 1.0, 2))
@@ -59,7 +68,7 @@ class TestEigensystem:
         assert s.eigphase1 == pytest.approx(-np.pi / 2)
         assert s.eigphase2 == pytest.approx(np.pi / 2)
         assert s.phase_gap == pytest.approx(np.pi)
-        assert s.signed_gap == pytest.approx(np.pi)
+        assert s.eigphase2 - s.eigphase1 == pytest.approx(np.pi)
         assert_allclose(s.eigvec2, np.array([1j, 1]) / np.sqrt(2), atol=1e-14)
         assert_allclose(s.eigvec1, np.array([-1j, 1]) / np.sqrt(2), atol=1e-14)
         assert not s.degenerate

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from reference import reflections
 
 from groverlab.kernel import GroverPhases, reduced_kernel
 from groverlab.spectral import eigensystem, kernel_manifold_points, optimal_steps_exact
@@ -28,19 +29,6 @@ GAP_RTOL = 1e-12
 # seeded unbalanced (beta_phase, delta_phase) pairs.
 BALANCED = [(t, t) for t in np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 41).tolist()]
 UNBALANCED = [tuple(p) for p in np.random.default_rng(4).uniform(-math.pi, math.pi, (40, 2)).tolist()]
-
-
-def reflections(beta, delta, n, alpha1=None):
-    """G1 and G2 as mpmath matrices; call inside mp.workdps(50).  With
-    ``alpha1`` the superposition is |u> = (alpha1, sqrt(1 - alpha1^2)) and n
-    is not used."""
-    alpha = gamma = mpc(-1)
-    u = ((1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n)) if alpha1 is None
-         else (mpf(alpha1), mp.sqrt(1 - mpf(alpha1) ** 2)))
-    g1 = mp.matrix([[alpha, 0], [0, beta]])
-    g2 = mp.matrix([[delta * (i == j) + (gamma - delta) * u[i] * u[j] for j in range(2)]
-                    for i in range(2)])
-    return g1, g2
 
 
 def reference(beta_phase, delta_phase, n):

@@ -1,7 +1,7 @@
 """Reduced and full-space probability traces against an independent
 50-digit reference.
 
-The reference kernel is G2 G1 from ``test_spectral_reference.reflections``
+The reference kernel is G2 G1 from ``reference.reflections``
 (alpha1 in place of 1/sqrt(N) for a general-superposition kernel).  The
 start is carried from one sampled m to the next by the kernel's repeated
 squares at 50 digits, and P(m) is the squared marked amplitude.  Both sides
@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
-from test_spectral_reference import reflections
+from reference import power, reflections
 
 from groverlab.algebra import momentum_state
 from groverlab.evolution import (InitialState, full_space_trace, probability_trace,
@@ -35,10 +35,6 @@ UNBALANCED = [tuple(p) for p in np.random.default_rng(9).uniform(-math.pi, math.
 PHASES = [(0.0, 0.0), (0.7, 0.7), (2.5, 2.5), *UNBALANCED]
 
 
-def _matmul(p, q):
-    return [[p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2)] for i in range(2)]
-
-
 def reference(bp, dp, start, steps, n=None, alpha1=None):
     """P(m) for every m of the ascending ``steps``, each reached from the one
     before, and the folded rotation angle of the kernel."""
@@ -46,25 +42,6 @@ def reference(bp, dp, start, steps, n=None, alpha1=None):
         g1, g2 = reflections(mp.expj(mpf(bp)), mp.expj(mpf(dp)), n, alpha1)
         k = g2 * g1
         return power(k, start, steps)
-
-
-def power(k, start, steps):
-    """``reference`` for the 2x2 mpmath kernel k, from the plane coordinates
-    ``start`` (of any norm); call inside mp.workdps(50)."""
-    k = [[k[i, j] for j in range(2)] for i in range(2)]
-    lam = mp.arg(k[0][0] * k[1][1] - k[0][1] * k[1][0]) / 2
-    angle = mp.acos(abs(mp.re((k[0][0] + k[1][1]) * mp.expj(-lam))) / 2)
-    squares = [k]
-    while 2 ** len(squares) <= max(steps):
-        squares.append(_matmul(squares[-1], squares[-1]))
-    v, at, probs = [mpc(start[0]), mpc(start[1])], 0, []
-    for m in steps:
-        for bit, sq in enumerate(squares):
-            if (m - at) >> bit & 1:
-                v = [sq[0][0] * v[0] + sq[0][1] * v[1], sq[1][0] * v[0] + sq[1][1] * v[1]]
-        at = m
-        probs.append(float(abs(v[0]) ** 2))
-    return np.array(probs), float(angle)
 
 
 def _steps(m_max):
