@@ -273,6 +273,8 @@ def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
         return momentum_state(y0, cfg.n)
     if selector.startswith("file:"):
         path = selector.split(":", 1)[1]
+        if not path:
+            raise UsageError("--k0 file: needs a path")
         try:
             with warnings.catch_warnings():
                 # An empty file is refused below, as a short one is.

@@ -2,10 +2,10 @@
 
 ``rows(template, columns)`` formats equal-length columns through a row
 template of literal text and the three conversions the CSV writer uses:
-``%d``, ``%.17g`` and ``%.0f``.  One call is one byte matrix, one row per
-CSV row, 0 meaning "no byte", in which every literal and conversion owns a
-range of columns: a conversion works out its cells' width, then writes them
-there as words, most of them looked up in small tables and masked.
+``%d``, ``%.17g`` and ``%.0f``.  Each conversion returns its cells as a byte
+matrix, one row per CSV row, 0 meaning "no byte": it works out their width,
+then writes them as words, most of them looked up in small tables and
+masked.  ``rows`` joins the literals and the cell matrices side by side, and
 ``bytes.translate`` drops the zeros once per call.  A NaN float cell is
 empty.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,11 +137,6 @@ def _tables() -> _Tables:
     return tables
 
 
-class _Cells(NamedTuple):  # one conversion's cells in a call
-    width: int  # bytes per row
-    write: Callable[[np.ndarray], None]  # fills an (n, width) byte matrix with them
-
-
 def _python_cells(conversion: str, values: np.ndarray) -> np.ndarray:
     """Python's ``conversion % v`` for each value, as zero-padded uint8 rows."""
     texts = [(conversion % v).encode("ascii") for v in values.tolist()]
@@ -150,23 +145,22 @@ def _python_cells(conversion: str, values: np.ndarray) -> np.ndarray:
                          np.uint8).reshape(len(texts), width)
 
 
-def _patched(cells: _Cells, values: np.ndarray, bad: np.ndarray, conversion: str) -> _Cells:
-    """``cells`` with the rows ``bad`` replaced: a NaN in a float conversion
-    by no bytes, anything else by Python's bytes (widening the cells if
-    they need it)."""
+def _patched(cells: np.ndarray, values: np.ndarray, bad: np.ndarray,
+             conversion: str) -> np.ndarray:
+    """``cells`` with the rows ``bad`` replaced: a NaN by no bytes, anything
+    else by Python's bytes (widening the cells if they need it)."""
     if bad.size == 0:
         return cells
-    python_rows = bad if conversion == "%d" else bad[~np.isnan(values[bad])]
+    python_rows = bad[~np.isnan(values[bad])]
     text = _python_cells(conversion, values[python_rows])
+    if text.shape[1] > cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+    cells[bad] = 0
+    cells[python_rows, :text.shape[1]] = text
+    return cells
 
-    def write(out: np.ndarray) -> None:
-        cells.write(out[:, :cells.width])
-        out[bad] = 0
-        out[python_rows, :text.shape[1]] = text
-    return _Cells(max(cells.width, text.shape[1]), write)
 
-
-def _integer_cells(u: np.ndarray, negative: np.ndarray) -> _Cells:
+def _integer_cells(u: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """Sign and decimal digits of the uint64 magnitudes ``u``, without
     leading zeros: a sign word if any is negative, then one word per four
     digits."""
@@ -179,25 +173,23 @@ def _integer_cells(u: np.ndarray, negative: np.ndarray) -> _Cells:
         u = q
     parts.append(u.view(np.int64))
     signed = int(negative.any())  # a sign word only where some value needs it
-
-    def write(out: np.ndarray) -> None:
-        words = out.view(np.uint32)
-        if signed:
-            words[:, 0] = np.where(negative, _words([b"-"], 4)[0], 0)
-        # A group keeps all four digits once a group to its left is nonzero.
-        seen = np.zeros(len(u), bool)
-        for g, part in enumerate(reversed(parts)):
-            keep = np.where(seen, np.uint32(0xFFFFFFFF), t.significant[int(g == groups - 1)][part])
-            np.bitwise_and(t.quads[part], keep, out=words[:, signed + g])
-            seen |= part != 0
-    return _Cells(4 * (signed + groups), write)
+    words = np.empty((len(u), signed + groups), np.uint32)
+    if signed:
+        words[:, 0] = np.where(negative, _words([b"-"], 4)[0], 0)
+    # A group keeps all four digits once a group to its left is nonzero.
+    seen = np.zeros(len(u), bool)
+    for g, part in enumerate(reversed(parts)):
+        keep = np.where(seen, np.uint32(0xFFFFFFFF), t.significant[int(g == groups - 1)][part])
+        np.bitwise_and(t.quads[part], keep, out=words[:, signed + g])
+        seen |= part != 0
+    return words.view(np.uint8)
 
 
-def _d_cells(column) -> _Cells:
+def _d_cells(column) -> np.ndarray:
     """``%d`` over the int64 and uint64 ranges; bools print 0/1."""
     values = np.asarray(column)
     if values.dtype.kind not in _INT_KINDS:
-        return _patched(_Cells(0, lambda out: None), values, np.arange(len(values)), "%d")
+        return _python_cells("%d", values)
     if values.dtype.kind == "u":
         return _integer_cells(values.astype(np.uint64), np.zeros(len(values), bool))
     signed = values.astype(np.int64)
@@ -207,7 +199,7 @@ def _d_cells(column) -> _Cells:
     return _integer_cells(np.where(negative, np.negative(u), u), negative)
 
 
-def _f_cells(column) -> _Cells:
+def _f_cells(column) -> np.ndarray:
     """``%.0f``: np.rint rounds half to even, as C and Python do."""
     values = np.asarray(column, dtype=np.float64)
     magnitude = np.abs(values)
@@ -228,7 +220,7 @@ def _scaled(a: np.ndarray, e: np.ndarray):
     return p, (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
 
 
-def _g_cells(column) -> _Cells:
+def _g_cells(column) -> np.ndarray:
     """``%.17g``: 17 significant digits, trailing zeros stripped, fixed
     notation for -4 <= e < 17 and d.ddde+XX otherwise."""
     t = _tables()
@@ -283,18 +275,17 @@ def _g_cells(column) -> _Cells:
     point_after_first = (point == 0) & (significant > 1)
     lead = ((np.signbit(values) * 5 + np.maximum(-point, 0)) * 2 + point_after_first) * 10
 
-    def write(out: np.ndarray) -> None:
-        words = out.view(np.uint64)
-        words[:, 0] = t.lead[lead + first - zero]
-        for k in range(integer):
-            np.bitwise_and(digits[:, k], t.integer[k][ints], out=words[:, 1 + k])
-        if integer:
-            words[:, fraction - 1] = t.point[frac_key]
-        for k in (0, 1):
-            np.bitwise_and(digits[:, k], t.fraction[k][frac_key], out=words[:, fraction + k])
-        if exponent:
-            words[:, fraction + 2] = t.exponent[np.where(fixed, 0, e + _EXPONENTS + 1)]
-    return _patched(_Cells(8 * (fraction + 2 + exponent), write), values,
+    words = np.empty((n, fraction + 2 + exponent), np.uint64)
+    words[:, 0] = t.lead[lead + first - zero]
+    for k in range(integer):
+        np.bitwise_and(digits[:, k], t.integer[k][ints], out=words[:, 1 + k])
+    if integer:
+        words[:, fraction - 1] = t.point[frac_key]
+    for k in (0, 1):
+        np.bitwise_and(digits[:, k], t.fraction[k][frac_key], out=words[:, fraction + k])
+    if exponent:
+        words[:, fraction + 2] = t.exponent[np.where(fixed, 0, e + _EXPONENTS + 1)]
+    return _patched(words.view(np.uint8), values,
                     np.flatnonzero(~(fast | zero) | (np.abs(frac - 0.5) < _TIE)), "%.17g")
 
 
@@ -306,7 +297,9 @@ def rows(template: str, columns: Sequence) -> bytes:
 
     ``template`` is literal text around ``%d``, ``%.17g`` and ``%.0f``
     conversions, one per column; the columns are equal-length arrays or
-    lists.  A cell takes up to 56 bytes of the one byte matrix (more where
+    lists.  Each conversion returns its cells as a byte matrix, and the
+    literals and those matrices are joined side by side into one, whose
+    zeros are dropped.  A cell takes up to 56 bytes of it (more where
     Python's text is longer), so the caller bounds the memory by the rows it
     passes: every CLI block is at most 2^16 cells, a few MB of matrix.
     """
@@ -314,20 +307,15 @@ def rows(template: str, columns: Sequence) -> bytes:
     if len(columns) != len(conversions):
         raise ValueError(f"template {template!r} takes {len(conversions)} columns, "
                          f"got {len(columns)}")
-    if len(columns[0]) == 0:
+    n = len(columns[0])
+    if n == 0:
         return b""
-    cells = [_CELLS[conversion](column) for conversion, column in zip(conversions, columns)]
-    text = np.zeros((len(columns[0]), sum(map(len, literals)) + sum(c.width for c in cells)),
-                    np.uint8)
-    at = 0
-    for literal, cell in zip(literals, cells + [None]):
-        if literal:
-            text[:, at:at + len(literal)] = np.frombuffer(literal, np.uint8)
-            at += len(literal)
-        if cell:
-            cell.write(text[:, at:at + cell.width])
-            at += cell.width
-    del cells  # frees the arrays the writers hold before the copies below
+    parts = [None] * (2 * len(literals) - 1)  # in template order
+    parts[::2] = (np.frombuffer(literal * n, np.uint8).reshape(n, len(literal))
+                  for literal in literals)
+    parts[1::2] = (_CELLS[conversion](column) for conversion, column in zip(conversions, columns))
+    text = np.concatenate(parts, axis=1)
+    del parts  # frees the cell matrices before the copies below
     raw = text.tobytes()
     del text  # and the matrix before the compacted copy
     return raw.translate(None, b"\0")

@@ -452,6 +452,21 @@ class TestTrace:
         np.savetxt(unnorm, np.full(4, 1.0))
         rc, *_ = run(capsys, "trace", "--n", "4", "--k0", f"file:{unnorm}")
         assert rc == 1
+        wide = tmp_path / "wide.txt"
+        np.savetxt(wide, np.full((4, 3), 0.5))
+        assert run(capsys, "trace", "--n", "4", "--k0", f"file:{wide}") == (
+            1, "", "error: k0 file must have 1 or 2 columns, got 3\n")
+
+    def test_k0_file_without_path_is_a_usage_error(self, tmp_path, capsys):
+        """An empty path is a malformed flag, as `momentum:` is, not an I/O
+        error: refused before the file is read or --out is opened."""
+        config = tmp_path / "c.cfg"
+        config.write_text("k0=file:\n")
+        out = tmp_path / "out.csv"
+        for args in (["--k0", "file:"], ["--config", str(config)]):
+            assert run(capsys, "trace", "--n", "4", *args, "--out", str(out)) == (
+                1, "", "error: --k0 file: needs a path\n")
+            assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])

@@ -174,6 +174,11 @@ class TestAmplitudeClosedForm:
         assert amplitude_closed_form(s, start, 0) == pytest.approx(
             1 / np.sqrt(50), abs=1e-14)
 
+    def test_negative_steps_refused(self):
+        s = eigensystem(reduced_kernel(1j, np.exp(0.4j), 50))
+        with pytest.raises(InvalidSizeError, match="step count must be >= 0, got -1"):
+            amplitude_closed_form(s, uniform_initial(50), -1)
+
     def test_textbook_peak_probability(self):
         spec = eigensystem(reduced_kernel(1, 1, 1000))
         amp = amplitude_closed_form(spec, uniform_initial(1000), 24)
