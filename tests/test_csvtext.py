@@ -64,6 +64,26 @@ def dyadic_ties():
     return np.array(out)
 
 
+def digit_groups():
+    """Doubles whose 17 significant digits show each of the 16 zero/nonzero
+    patterns of the four groups of four after the first digit, in fixed and
+    exponent notation, with all-zero tails and a value just below a power of
+    ten.  The formatter splits the groups off one by one, and random bit
+    patterns show a 0000 group about once in 10^4 draws."""
+    values = [1.0, 0.5, 1e16, 9.9999999999999995e-5]
+    # Nonzero groups with and without trailing zeros.
+    for nonzero in (("1000", "0200", "0030", "4710"), ("7999", "0001", "9997", "0002")):
+        for pattern in range(16):
+            groups = "".join("0000" if pattern >> k & 1 else nonzero[k] for k in range(4))
+            values.append(float("1" + groups))  # an even integer below 2^54: exact
+            values += [float(f"{first}.{groups}e{exp}") for first in (1, 9)
+                       for exp in (-300, -5, -4, -1, 0, 7, 16, 17, 300)]
+    shown = {tuple(("%.16e" % v)[2 + 4 * k:6 + 4 * k] != "0000" for k in range(4))
+             for v in values}
+    assert len(shown) == 16
+    return np.array(values)
+
+
 SPECIALS = np.array([
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
     2.2250738585072009e-308, 2.2250738585072014e-308,
@@ -79,10 +99,10 @@ INTEGERS = [0, 1, -1, 9, 10, -10, 9999, 10000, 99999999, 10**16 - 1, 10**16,
 
 @pytest.mark.parametrize("conversion", FLOATS)
 @pytest.mark.parametrize("values", [
-    power_neighbours(), dyadic_ties(), SPECIALS,
+    power_neighbours(), dyadic_ties(), SPECIALS, digit_groups(),
     np.random.default_rng(1).random(20000),
     np.exp(np.random.default_rng(2).uniform(math.log(1e-320), math.log(1e308), 20000)),
-], ids=["powers", "ties", "specials", "uniform", "log-uniform"])
+], ids=["powers", "ties", "specials", "groups", "uniform", "log-uniform"])
 def test_float_sets(conversion, values):
     assert_same(conversion + "\n", [values])
     assert_same(conversion + "\n", [-values])

@@ -355,6 +355,25 @@ class TestProbabilityTraces:
         np.testing.assert_array_equal(joined(k, uniform_initial(100), 10, 100),
                                       joined(k, uniform_initial(100), 10))
 
+    @pytest.mark.parametrize("kernels", [1, 3, 4096])
+    def test_real_parts_equal_complex_expression(self, kernels):
+        """The engine's real-arithmetic P(m) has the bits of the complex
+        |cos(m a) x0 + sin(m a) w|^2, for random unitary stacks and complex
+        unit starts, over windows that cross a block boundary."""
+        r = np.random.default_rng(kernels)
+        z = r.normal(size=(kernels, 2, 2)) + 1j * r.normal(size=(kernels, 2, 2))
+        stack = np.linalg.qr(z)[0]
+        start = r.normal(size=2) + 1j * r.normal(size=2)
+        start /= np.linalg.norm(start)
+        x0, x1 = start.tolist()
+        angle, nx, ny, nz = _folded(stack)
+        w = np.array([1j * (c * x0 + complex(a, -b) * x1) for a, b, c in zip(nx, ny, nz)])
+        steps = evolution.BLOCK // kernels
+        for m_max in (steps, 2 * steps + 1):  # the first step of a block, and a short last block
+            t = angle[:, None] * np.arange(m_max + 1)
+            amp = np.cos(t) * x0 + np.sin(t) * w[:, None]
+            assert np.array_equal(joined(stack, start, m_max), amp.real ** 2 + amp.imag ** 2)
+
     @pytest.mark.parametrize("kernels", [0, 1, 3, 7, 30])
     def test_blocks_hold_block_over_k_steps(self, monkeypatch, kernels):
         """A block of K kernels holds BLOCK // K steps (at least one), the
