@@ -66,9 +66,9 @@ MAX_GRID_POINTS = 10**6
 # Grid points per block in spectrum, manifold, sweep and asymptotics: a block's
 # coordinates are generated, and its rows computed, formatted and written,
 # before the next.  A grid row holds a few dozen temporaries, so the block is
-# a quarter of the trace's BLOCK: a 20001-point spectrum peaks at 37 MB (42 MB
-# at 8192 points), and 2048 points take about 15% more time per point.
-GRID_BLOCK = 4096
+# an eighth of the trace's BLOCK: a 20001-point spectrum peaks at 34 MB (38 MB
+# at 4096 points; 33 MB at 1024, which take about 20% more time per point).
+GRID_BLOCK = 2048
 # Longest trace (--m-max).  A trace evaluates, summarizes, formats and writes
 # BLOCK = 2^14 rows at a time, so its memory does not grow with the length:
 # this bounds the run time and the CSV's size (about 280 MB at 10^7).
@@ -361,7 +361,7 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     blocks = probability_blocks(kernel, start, cfg.m_max, size)
     # One block in memory at a time: evaluated, summarized, formatted, written.
     summary = TraceSummary()
-    probs = (block[0] * weight for block in blocks)
+    probs = (np.multiply(block[0], weight, out=block[0]) for block in blocks)
     _write_csv(cfg, "m,prob", (rows(TRACE_ROW, [summary.add(p), p]) for p in probs), summary)
     return 0
 

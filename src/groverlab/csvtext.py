@@ -65,10 +65,14 @@ class _Tables(NamedTuple):
     significant: np.ndarray
     powers: np.ndarray  # rows hi, lo, hi_hi, hi_lo for 10^k, k = -300..300
     lead: np.ndarray  # sign, "0." and zeros, the first digit and a point after it
+    # The %.17g layout by key = 18 * code + the trailing zero digits of the 17,
+    # code = e + 5 in fixed notation (-4 <= e < 17), else 0.
+    layout: np.ndarray  # 18 * code by e + _EXPONENTS
+    lead_key: np.ndarray  # the lead word's index less the sign and the first digit
     integer: np.ndarray  # two words of masks of the 16 digits after the first
     fraction: np.ndarray  # the same for the fraction part
     point: np.ndarray  # "." after the integer digits after the first, or nothing
-    exponent: np.ndarray  # "e+XX" for e = -330..330, after an empty word
+    exponent: np.ndarray  # "e+XX" by e + _EXPONENTS, empty in fixed notation
 
 
 def _words(text: Sequence[bytes], width: int = 8) -> np.ndarray:
@@ -87,9 +91,7 @@ def _tables() -> _Tables:
 
     The %.17g layout is up to seven words: the lead word, the integer
     digits after the first (two words) and the point after them, the
-    fraction digits (two words) and the exponent.  ``q`` below is the
-    number of integer digits after the first, or 17 when e < 0 and there
-    are none.
+    fraction digits (two words) and the exponent.
     """
     n = np.arange(10000)
     quads = np.ascontiguousarray(n[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48,
@@ -118,20 +120,19 @@ def _tables() -> _Tables:
     lead = _words([b"-"[:sign] + (b"0." + b"0" * (z - 1) if z else b"") + str(d).encode()
                    + b"."[:dot] for sign in (0, 1) for z in range(5) for dot in (0, 1)
                    for d in range(10)])
+    e = np.arange(-_EXPONENTS, _EXPONENTS + 1)
+    code, zeros_17 = np.divmod(np.arange(22 * 18), 18)
+    point = np.where(code > 0, code - 5, 0)  # integer digits after the first, or -zeros
+    ints, digits = np.maximum(point, 0)[:, None], 17 - zeros_17  # digits: significant
     j = np.arange(1, 17)
-    q = np.arange(18)[:, None]
-    ints = np.where(q == 17, 0, q)
-    digits = np.arange(18)[None, :, None]  # significant digits, by q * 18 + digits
-    keep_int = (j <= ints) & (q < 17)
-    keep_frac = (j > ints[:, :, None]) & (j < digits)
-    integer = (keep_int * np.uint8(255)).view(np.uint64)
-    fraction = (keep_frac * np.uint8(255)).reshape(-1, 16).view(np.uint64)
-    point = np.where(((digits[..., 0] > ints + 1) & (q > 0) & (q < 17)).ravel(),
-                     _words([b"."])[0], 0)
-    exponent = _words([b""] + [b"e" + format(e, "+03d").encode()
-                               for e in range(-_EXPONENTS, _EXPONENTS + 1)])
+    integer = ((j <= ints) * np.uint8(255)).view(np.uint64)
+    fraction = (((j > ints) & (j < digits[:, None])) * np.uint8(255)).view(np.uint64)
     tables = _Tables(quads, zeros, significant, np.stack([hi, lo, hh, hi - hh]), lead,
-                     integer.T.copy(), fraction.T.copy(), point.astype(np.uint64), exponent)
+                     np.where((e >= -4) & (e < 17), 18 * (e + 5), 0),
+                     (np.maximum(-point, 0) * 2 + ((point == 0) & (digits > 1))) * 10,
+                     integer.T.copy(), fraction.T.copy(),
+                     np.where((point > 0) & (digits > point + 1), _words([b"."])[0], 0),
+                     _words([b"" if -4 <= x < 17 else b"e%+03d" % x for x in e.tolist()]))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -190,6 +191,8 @@ def _d_cells(column) -> np.ndarray:
     values = np.asarray(column)
     if values.dtype.kind not in _INT_KINDS:
         return _python_cells("%d", values)
+    if values.dtype.kind == "b":  # one digit each
+        return (values + np.uint8(48))[:, None]
     if values.dtype.kind == "u":
         return _integer_cells(values.astype(np.uint64), np.zeros(len(values), bool))
     signed = values.astype(np.int64)
@@ -236,14 +239,14 @@ def _g_cells(column) -> np.ndarray:
     values = np.asarray(column, dtype=np.float64)
     n = len(values)
     a = np.abs(values)
-    fast = (a >= _G_RANGE[0]) & (a <= _G_RANGE[1])
-    zero = a == 0  # formatted as 1 with the digit 1 replaced by 0
-    a[~fast] = 1.0
+    zero = a == 0  # formatted as 2 with the digit 2 replaced by 0
+    slow = ~((a >= _G_RANGE[0]) & (a <= _G_RANGE[1]))
+    a[slow] = 2.0  # not a power of ten: these rows take no edge path below
     e = np.floor(np.log10(a)).astype(np.int64)
     p, r = _scaled(a, e)
     # log10 may put e one off near a power of ten: then p + r lies outside
     # [1e16, 1e17), and e moves by one.
-    edge = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    edge = ((p <= 1e16) | (p >= 1e17)).nonzero()[0]
     if edge.size:
         pe, re_ = p[edge], r[edge]
         up = (pe > 1e17) | ((pe == 1e17) & (re_ >= 0))
@@ -253,54 +256,54 @@ def _g_cells(column) -> np.ndarray:
     whole = np.floor(r)
     r -= whole  # the fraction
     d = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)
-    bad = np.flatnonzero(~(fast | zero) | (np.abs(r - 0.5) < _TIE))
+    bad = ((slow ^ zero) | (np.abs(r - 0.5) < _TIE)).nonzero()[0]
     del a, p, r, whole  # each block's arrays go as soon as they are used up
-    carry = np.flatnonzero(d == 10**17)
-    d[carry] = 10**16
-    e[carry] += 1
+    carry = (d == 10**17).nonzero()[0]
+    if carry.size:
+        d[carry] = 10**16
+        e[carry] += 1
 
-    # The first digit, then the sixteen after it as four groups of four, each
-    # split off as a contiguous array (a strided divmod takes four times as long).
-    groups = []
-    for unit in (10**16, 10**12, 10**8, 10**4):
-        groups.append(d // unit)
-        d -= groups[-1] * unit
-    first, groups = groups[0], groups[1:] + [d]
-    digits = np.stack([t.quads[g] for g in groups], axis=1).view(np.uint64)  # two words
+    # The first digit, then the sixteen after it as rows g1..g4 of four: two
+    # halves of eight, each split in the same floor-divide (contiguous rows;
+    # a strided divmod takes four times as long).
+    first = d // 10**16
+    d -= first * 10**16
+    g = np.empty((4, n), np.int64)
+    np.floor_divide(d, 10**8, out=g[1])
+    np.subtract(d, g[1] * 10**8, out=g[3])
+    np.floor_divide(g[1::2], 10**4, out=g[::2])
+    g[1::2] -= g[::2] * 10**4
+    digits = t.quads.take(g.T, out=np.empty((n, 4), np.uint32), mode="clip").view(np.uint64)
     # Trailing zero digits: those of the last nonzero group, and four for
-    # each 0000 after it.
-    zeros, nonzero = [t.zeros[g] for g in groups], [g != 0 for g in groups]
-    del groups, d
-    upper = np.where(nonzero[1], zeros[1], 4 + zeros[0])
-    lower = np.where(nonzero[3], zeros[3], 4 + zeros[2])
-    significant = 17 - np.where(nonzero[2] | nonzero[3], lower, 8 + upper)
+    # each 0000 after it (``zeros`` of 0000 is 4).
+    z = t.zeros[g]
+    empty = z == 4
+    zeros = z[3] + empty[3] * (z[2] + empty[2] * (z[1] + empty[1] * z[0]))
+    del d, g, z, empty
 
-    fixed = (e >= -4) & (e < 17)
-    point = np.where(fixed, e, 0)
-    ints = np.where(point < 0, 17, point)
-    frac_key = ints * 18 + significant
+    index = e + _EXPONENTS
+    key = t.layout[index] + zeros
     # Words no row uses are left out: the integer digits after the first
     # and their point below 10, the second word of them below 10^9, the
     # exponent in fixed notation.
-    integer = (int(point.max()) + 7) // 8  # point >= -4
+    integer = (int(key.max()) // 18 + 2) // 8  # (e + 7) // 8 for the largest fixed e
     fraction = 1 + integer + (integer > 0)  # the first fraction word
-    exponent = not fixed.all()
-    point_after_first = (point == 0) & (significant > 1)
-    lead = ((np.signbit(values) * 5 + np.maximum(-point, 0)) * 2 + point_after_first) * 10 + first
-    lead -= zero
-    del point, first
+    exponent = int(key.min()) < 18
+    lead = t.lead_key[key] + first - 2 * zero
+    lead += np.signbit(values) * 100
+    del first
 
     words = np.empty((n, fraction + 2 + exponent), np.uint64)
     words[:, 0] = t.lead[lead]
     del lead
     for k in range(integer):
-        np.bitwise_and(digits[:, k], t.integer[k][ints], out=words[:, 1 + k])
+        np.bitwise_and(digits[:, k], t.integer[k][key], out=words[:, 1 + k])
     if integer:
-        words[:, fraction - 1] = t.point[frac_key]
+        words[:, fraction - 1] = t.point[key]
     for k in (0, 1):
-        np.bitwise_and(digits[:, k], t.fraction[k][frac_key], out=words[:, fraction + k])
+        np.bitwise_and(digits[:, k], t.fraction[k][key], out=words[:, fraction + k])
     if exponent:
-        words[:, fraction + 2] = t.exponent[np.where(fixed, 0, e + _EXPONENTS + 1)]
+        words[:, fraction + 2] = t.exponent[index]
     return _patched(words.view(np.uint8), values, bad, "%.17g")
 
 

@@ -134,8 +134,7 @@ def _dephase(m: np.ndarray):
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     det = _cmul(a, d) - _cmul(b, c)
     lam = _atan2(det.imag, det.real) / 2
-    u = _expi(-lam)
-    a, b, c, d = _cmul(a, u), _cmul(b, u), _cmul(c, u), _cmul(d, u)
+    a, b, c, d = _cmul(np.ascontiguousarray(m.reshape(-1, 4).T), _expi(-lam))  # times e^{-i lam}
     sin_axis = np.stack([(b.imag + c.imag) / 2, (b.real - c.real) / 2, a.imag], axis=-1)
     sin = np.fromiter(map(math.hypot, *sin_axis.T.tolist()), float, len(m))
     return det, lam, (a.real + d.real) / 2, sin, sin_axis
@@ -158,15 +157,16 @@ def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Each is built from whichever column of (m - z I) is better conditioned,
     then rotated so the second component is real positive (first component
-    used as the reference when the second vanishes).
+    used as the reference when the second vanishes).  Components are rows,
+    and each norm is np.linalg.norm's: sqrt of the sum of (x.conj() x).real.
     """
-    c1 = np.stack([m[:, 0, 1], z - m[:, 0, 0]], axis=-1)
-    c2 = np.stack([z - m[:, 1, 1], m[:, 1, 0]], axis=-1)
-    first = np.linalg.norm(c1, axis=-1) >= np.linalg.norm(c2, axis=-1)
-    v = np.where(first[:, None], c1, c2)
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    ref = np.where(np.abs(v[:, 1]) > 1e-14, v[:, 1], v[:, 0])
-    return v * (np.abs(ref) / ref)[:, None]
+    cols = np.stack([m[:, 0, 1], z - m[:, 0, 0], z - m[:, 1, 1], m[:, 1, 0]])  # two columns
+    sq = (cols.conj() * cols).real
+    norms = np.sqrt(sq[0::2] + sq[1::2])
+    first = norms[0] >= norms[1]
+    v = np.where(first, cols[:2], cols[2:]) / np.where(first, norms[0], norms[1])
+    ref = np.where(np.abs(v[1]) > 1e-14, v[1], v[0])
+    return (v * (np.abs(ref) / ref)).T
 
 
 def eigensystems(kernels: Union[ReducedKernel, np.ndarray],
@@ -200,12 +200,14 @@ def eigensystems(kernels: Union[ReducedKernel, np.ndarray],
     swap = live & np.where(dominated, ma > mb, va[:, 0].imag > vb[:, 0].imag)
     za, zb = np.where(swap, zb, za), np.where(swap, za, zb)
     va, vb = np.where(swap[:, None], vb, va), np.where(swap[:, None], va, vb)
+    gap, negative = 2 * angle, np.signbit(c)  # atan2(s, |c|) is atan2(s, c) where c >= +0
+    gap[negative] = 2 * _atan2(s[negative], np.abs(c[negative]))
     return SpectralData(
         det=det, trace=m[:, 0, 0] + m[:, 1, 1], eigval1=za, eigval2=zb,
         eigphase1=_atan2(za.imag, za.real), eigphase2=_atan2(zb.imag, zb.real),
         eigvec1=va, eigvec2=vb, degenerate=degenerate,
         diag_gap=None if size is None else size * (m[:, 0, 0] - m[:, 1, 1]),
-        phase_gap=np.where(degenerate, 0.0, 2 * _atan2(s, np.abs(c))))
+        phase_gap=np.where(degenerate, 0.0, gap))
 
 
 def eigensystem(k: Union[ReducedKernel, np.ndarray]) -> SpectralData:

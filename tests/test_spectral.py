@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from groverlab import spectral
-from groverlab.algebra import _complex, unitarity_residual
+from groverlab.algebra import _atan2, _complex, unitarity_residual
 from groverlab.errors import (
     DegenerateSubspaceError,
     DivergentPeriodError,
@@ -489,6 +489,39 @@ class TestScalarReference:
                 assert np.isnan(aa.axis[k]).all()
             else:
                 assert bits(aa.axis[k]) == bits(np.array(sin_axis) / s)
+
+
+def gap_reference(stack):
+    """phase_gap as 2 atan2(sin(angle), |cos(angle)|) at every kernel, from
+    the parts ``_dephase`` gives, and 0 where the levels are one."""
+    _, _, c, s, _ = spectral._dephase(stack)
+    return np.where(2 * s <= spectral.DEGENERACY_TOL, 0.0, 2 * _atan2(s, np.abs(c)))
+
+
+class TestPhaseGap:
+    """eigensystems reuses its atan2(s, c) for the gap wherever c is not
+    sign-negative, and calls atan2(s, |c|) only on the rest: the same bits."""
+
+    def test_signed_zero_cos_and_degenerate_kernels(self):
+        stack = np.array([
+            [[1j, 0], [0, -1j]],  # cos(angle) = +0.0
+            [[complex(-0.0, 0.0), 0.6 + 0.8j], [0.6 + 0.8j, complex(-0.0, 0.0)]],  # -0.0
+            np.eye(2), -np.eye(2), np.exp(0.3j) * np.eye(2),  # degenerate
+            [[0.6, 0.8j], [0.8j, 0.6]], [[-0.6, 0.8j], [0.8j, -0.6]],  # c > 0, c < 0
+        ], dtype=complex)
+        _, _, c, _, _ = spectral._dephase(stack)
+        assert bits(c[:2]) == bits([0.0, -0.0])
+        batch = eigensystems(stack)
+        assert batch.degenerate.tolist() == [False, False, True, True, True, False, False]
+        assert bits(batch.phase_gap) == bits(gap_reference(stack))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+                    min_size=1, max_size=40), st.integers(2, 10**12))
+    def test_random_kernels(self, angles, n):
+        bp, dp = np.array(angles).T
+        stack = reduced_kernels(unit_phases(bp), unit_phases(dp), n)
+        assert bits(eigensystems(stack, n).phase_gap) == bits(gap_reference(stack))
 
 
 def point(aa, i):
