@@ -130,6 +130,12 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
+def _require_wavenumber(y0, n: int) -> None:
+    """Raise IndexRangeError unless every wavenumber in y0 lies in [0, n)."""
+    if not np.all((0 <= y0) & (y0 < n)):
+        raise IndexRangeError(f"wavenumber {y0} outside [0, {n})")
+
+
 def momentum_state(y0, n: int) -> np.ndarray:
     """Momentum basis state with wavenumber y0: entry x is exp(2*pi*i*x*y0/n)/sqrt(n).
 
@@ -137,8 +143,7 @@ def momentum_state(y0, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidSizeError(f"size must be >= 1, got {n}")
-    if not np.all((0 <= y0) & (y0 < n)):
-        raise IndexRangeError(f"wavenumber {y0} outside [0, {n})")
+    _require_wavenumber(y0, n)
     return np.exp(2j * np.pi * np.arange(n) * y0 / n) / np.sqrt(n)
 
 

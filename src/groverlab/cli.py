@@ -28,7 +28,7 @@ from .algebra import (
     TOL_PIPELINE,
     _abs,
     _atan2,
-    momentum_state,
+    _require_wavenumber,
     require_unit,
 )
 from .csvtext import rows
@@ -264,14 +264,19 @@ def _initial_state(cfg: ExperimentConfig) -> InitialState:
     return InitialState(cfg.a * scale, cfg.b * scale, cfg.n)
 
 
+def _wavenumber(cfg: ExperimentConfig) -> int:
+    """The y0 of --k0 momentum:<y0>, refused unless it is an integer in [0, N)."""
+    try:
+        y0 = int(cfg.k0.split(":", 1)[1])
+    except ValueError:
+        raise UsageError(f"bad momentum index in --k0 {cfg.k0!r}")
+    _require_wavenumber(y0, cfg.n)
+    return y0
+
+
 def _k0_vector(cfg: ExperimentConfig) -> np.ndarray:
+    """The unit k0 read from --k0 file:<path>, which holds its N amplitudes."""
     selector = cfg.k0
-    if selector.startswith("momentum:"):
-        try:
-            y0 = int(selector.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad momentum index in --k0 {selector!r}")
-        return momentum_state(y0, cfg.n)
     if selector.startswith("file:"):
         path = selector.split(":", 1)[1]
         if not path:
@@ -323,23 +328,35 @@ def _reduced_problem(cfg: ExperimentConfig):
 
 
 def _trace_problem(cfg: ExperimentConfig):
-    """``_reduced_problem`` for the trace, and the weight of its probabilities:
-    1, or for a --k0 other than uniform, the ``invariant_plane`` of the full
-    space (marked element 0) from k0 or from the --a/--b start."""
-    if cfg.alpha1 is not None or cfg.k0 == "uniform":
-        kernels_of, size, start = _reduced_problem(cfg)
-        beta, delta = unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase])
-        return kernels_of(beta, delta), size, start, 1.0
-    # Refused before the N-entry k0 vector is built or read.
-    require_full_size(cfg.n, "full-space trace")
-    x_in = vec = _k0_vector(cfg)
-    if cfg.a is not None or cfg.b is not None:
-        s = _initial_state(cfg)
-        x_in = np.full(cfg.n, s.b / math.sqrt(cfg.n), dtype=complex)
-        x_in[0] = s.a / math.sqrt(cfg.n)
-    phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
-    kernel, start, weight = invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
-    return kernel, None, start, weight
+    """``_reduced_problem`` for the trace, and the weight of its probabilities.
+
+    A --k0 other than uniform traces the full space (marked element 0): the
+    weight times a trace in the plane of the marked element and k0.  Every
+    momentum k0 has k0[0] = 1/sqrt(N) and c = sqrt(1 - 1/N) off it, so that
+    plane is the reduced one, at any N, and only an --a/--b start at y0 != 0
+    differs from the reduced start: it projects to (a/sqrt(N), -b/(N c)).
+    A file: k0 is projected by ``invariant_plane``, in O(N).
+    """
+    beta, delta = unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase])
+    if cfg.alpha1 is None and cfg.k0.startswith("momentum:"):
+        if _wavenumber(cfg) and (cfg.a is not None or cfg.b is not None):
+            s = _initial_state(cfg)
+            x0, x1 = s.a / math.sqrt(cfg.n), -s.b / math.sqrt(cfg.n * (cfg.n - 1))
+            norm = math.hypot(abs(x0), abs(x1))
+            return reduced_kernels(beta, delta, cfg.n), cfg.n, np.array([x0, x1]) / norm, norm**2
+    elif cfg.alpha1 is None and cfg.k0 != "uniform":
+        # Refused before the file is read.
+        require_full_size(cfg.n, "full-space trace")
+        x_in = vec = _k0_vector(cfg)
+        if cfg.a is not None or cfg.b is not None:
+            s = _initial_state(cfg)
+            x_in = np.full(cfg.n, s.b / math.sqrt(cfg.n), dtype=complex)
+            x_in[0] = s.a / math.sqrt(cfg.n)
+        phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
+        kernel, start, weight = invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
+        return kernel, None, start, weight
+    kernels_of, size, start = _reduced_problem(cfg)
+    return kernels_of(beta, delta), size, start, 1.0
 
 
 def _spans(count: int) -> Iterator[Tuple[int, int]]:
@@ -437,19 +454,23 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         for bp, dp in blocks:
             beta, delta = unit_phases(bp), unit_phases(dp)
             spec = eigensystems(kernels_of(beta, delta), size)
+            # The printed fields only: the eigenvalues and eigenvectors go
+            # before the rows are formatted.
+            det, trace, gap, degenerate = spec.det, spec.trace, spec.phase_gap, spec.degenerate
+            phases, diag_gap = (spec.eigphase1, spec.eigphase2), spec.diag_gap
+            del spec
             diagonal = _abs(beta - delta) <= TOL_EXACT
             phi = _atan2(delta.imag, delta.real)
             stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
-            no_size = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
-            diag_gap = no_size if size is None else spec.diag_gap
+            if size is None:
+                diag_gap = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
             yield rows(SPECTRUM_ROW, [
-                wrap_angle(bp), wrap_angle(dp),
-                spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
-                spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
-                np.floor(math.pi / np.where(spec.degenerate, np.nan, spec.phase_gap)),
+                wrap_angle(bp), wrap_angle(dp), det.real, det.imag, trace.real, trace.imag,
+                *phases, gap, diag_gap.real, diag_gap.imag,
+                np.floor(math.pi / np.where(degenerate, np.nan, gap)),
                 np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
                 np.where(stable, stability_expansion(phi, cfg.n), np.nan),
-                spec.degenerate])
+                degenerate])
 
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"

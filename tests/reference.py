@@ -44,3 +44,13 @@ def power(k, start, steps):
         at = m
         probs.append(float(abs(v[0]) ** 2))
     return np.array(probs), float(angle)
+
+
+def momentum_plane_start(n, y0, a, b):
+    """The plane coordinates (v[0], <f|v>) of the start v = (a, b, ..., b) /
+    sqrt(n) for the momentum direction k0[x] = e^{2 pi i x y0 / n} / sqrt(n)
+    with the marked element at 0, where f is k0 off 0 over its norm
+    c = sqrt((n - 1)/n): summed over all n entries, not taken from the
+    geometric series; call inside mp.workdps(50)."""
+    tail = sum((mp.expj(-2 * mp.pi * x * y0 / n) for x in range(1, n)), mpc(0))
+    return mpc(a) / mp.sqrt(n), mpc(b) * tail / (n * mp.sqrt(mpf(n - 1) / n))

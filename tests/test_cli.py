@@ -12,20 +12,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groverlab
-from groverlab import cli, evolution
+from groverlab import algebra, cli, evolution
 from groverlab.cli import ExperimentConfig, wrap_angle
 from groverlab.csvtext import rows
 from groverlab.evolution import (
+    InitialState,
     TraceSummary,
+    invariant_plane,
     probability_blocks,
     probability_trace,
     uniform_initial,
 )
-from groverlab.kernel import GroverPhases, ReducedKernel, reduced_kernel, unit_phases
+from groverlab.kernel import (FullSpaceConfig, GroverPhases, ReducedKernel, reduced_kernel,
+                              unit_phases)
 from groverlab.spectral import stability_expansion
 
 
@@ -45,6 +48,15 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+@pytest.fixture
+def no_k0_vector(monkeypatch):
+    """Fail the test if an N-entry k0 vector is read from a file or built."""
+    def unreachable(*args):
+        raise AssertionError("N-entry k0 vector built")
+    monkeypatch.setattr(cli, "_k0_vector", unreachable)
+    monkeypatch.setattr(algebra, "momentum_state", unreachable)
 
 
 def peak_rss_kib(*argv) -> int:
@@ -445,15 +457,38 @@ class TestTrace:
                              ids=["balanced", "unbalanced"])
     def test_every_momentum_direction_traces_like_uniform(self, capsys, n, wavenumbers, phases):
         """|<x0|k>| = 1/sqrt(N) for every wavenumber, so each momentum k0
-        gives the uniform trace."""
+        gives the uniform trace, byte for byte."""
         common = ["--n", str(n), "--m-max", "300", *phases]
-        _, uniform = parse_csv(run(capsys, "trace", *common)[1])
-        want = np.array([float(r[1]) for r in uniform])
+        uniform = run(capsys, "trace", *common)
+        assert uniform[0] == 0
         for y0 in wavenumbers:
-            rc, out, _ = run(capsys, "trace", *common, "--k0", f"momentum:{y0}")
-            assert rc == 0
-            got = np.array([float(r[1]) for r in parse_csv(out)[1]])
-            assert np.max(np.abs(got - want)) <= 1e-12, f"momentum:{y0}"
+            assert run(capsys, "trace", *common, "--k0", f"momentum:{y0}") == uniform, y0
+
+    def test_momentum_plane_matches_invariant_plane(self):
+        """Where both apply (N <= 4096), the closed-form momentum plane is
+        invariant_plane's: the same kernel and weight to rounding, and the
+        same start to the error of invariant_plane's cancelling O(N) sum
+        (2e-11 at N = 3696, y0 = 2323, --a 0)."""
+        r = np.random.default_rng(21)
+        draws = [(3696, 2323, 0.0)] + [
+            (n, int(r.integers(n)), float(r.uniform(-1, 1) * math.sqrt(n)) if i % 2 else None)
+            for i, n in enumerate(r.integers(2, 4097, 200).tolist())]
+        for n, y0, a in draws:
+            bp, dp = r.uniform(-math.pi, math.pi, 2).tolist()
+            cfg = ExperimentConfig(n=n, beta_phase=bp, delta_phase=dp, k0=f"momentum:{y0}", a=a)
+            kernel, _, start, weight = cli._trace_problem(cfg)
+            if isinstance(start, InitialState):
+                start = start.reduced_vector()
+            k0 = x_in = algebra.momentum_state(y0, n)
+            if a is not None:
+                s = cli._initial_state(cfg)
+                x_in = np.full(n, s.b / math.sqrt(n), dtype=complex)
+                x_in[0] = s.a / math.sqrt(n)
+            want = invariant_plane(FullSpaceConfig(n, 0, k0, GroverPhases.from_angles(bp, dp)),
+                                   x_in)
+            assert np.abs(kernel[0] - want[0]).max() <= 1e-14, (n, y0, a)
+            assert np.abs(start - want[1]).max() <= 1e-10, (n, y0, a)
+            assert abs(weight - want[2]) <= 1e-13, (n, y0, a)
 
     def test_k0_file_single_column(self, tmp_path, capsys):
         n = 4
@@ -998,10 +1033,17 @@ class TestExitCodes:
                            "--out", "/nonexistent-dir/x.csv")
         assert rc == 3
 
-    def test_full_space_resource_limit(self, capsys):
-        rc, out, err = run(capsys, "trace", "--n", "5000", "--m-max", "2",
-                           "--k0", "momentum:1")
-        assert rc == 1
+    def test_full_space_resource_limit(self, capsys, monkeypatch, tmp_path):
+        """A k0 file's N amplitudes are its input: above MAX_FULL_SIZE it is
+        refused before it is read."""
+        path = tmp_path / "k0.txt"
+        np.savetxt(path, np.full(5000, 1 / math.sqrt(5000)))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("k0 file read above the size limit")
+        monkeypatch.setattr(np, "loadtxt", unreachable)
+        assert run(capsys, "trace", "--n", "5000", "--m-max", "2", "--k0", f"file:{path}") == (
+            1, "", "error: full-space trace limited to N <= 4096, got 5000\n")
 
     def test_out_of_range_index_refused(self, capsys):
         rc, out, err = run(capsys, "trace", "--n", "64", "--k0", "momentum:64")
@@ -1049,14 +1091,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("k0", ["momentum:0", "file:/nonexistent"])
     @pytest.mark.parametrize("n", [4097, 5000, 2**63 - 1])
-    def test_full_space_refused_before_k0_is_built(self, capsys, monkeypatch, n, k0):
-        def unreachable(cfg):
-            raise AssertionError("k0 vector built before the size check")
-        monkeypatch.setattr(cli, "_k0_vector", unreachable)
-        rc, out, err = run(capsys, "trace", "--n", str(n), "--k0", k0, "--m-max", "2")
-        assert rc == 1
-        assert out == ""
-        assert err == f"error: full-space trace limited to N <= 4096, got {n}\n"
+    def test_full_space_refused_before_k0_is_built(self, capsys, no_k0_vector, n, k0):
+        """Above MAX_FULL_SIZE no k0 vector is built: a file is refused
+        before it is read, and a momentum k0, whose plane is closed-form,
+        traces as the uniform start does."""
+        got = run(capsys, "trace", "--n", str(n), "--k0", k0, "--m-max", "2")
+        if k0.startswith("file:"):
+            assert got == (1, "", f"error: full-space trace limited to N <= 4096, got {n}\n")
+        else:
+            assert got[0] == 0
+            assert got == run(capsys, "trace", "--n", str(n), "--k0", "uniform", "--m-max", "2")
+
+    @pytest.mark.parametrize("n", [5000, 2**63 - 1])
+    @pytest.mark.parametrize("y0", ["-1", "N", "x", ""])
+    def test_momentum_refusals_past_the_full_space_limit(self, capsys, no_k0_vector, n, y0):
+        """A bad wavenumber is refused for itself at any N, with no N-entry
+        vector built."""
+        y0 = str(n) if y0 == "N" else y0
+        want = (f"error: bad momentum index in --k0 'momentum:{y0}'\n" if y0 in ("x", "")
+                else f"error: wavenumber {y0} outside [0, {n})\n")
+        assert run(capsys, "trace", "--n", str(n), "--k0", f"momentum:{y0}") == (1, "", want)
+
+    def test_largest_momentum_at_the_largest_n(self, capsys, no_k0_vector):
+        n = cli.MAX_N
+        assert run(capsys, "trace", "--n", str(n), "--k0", f"momentum:{n - 1}") == run(
+            capsys, "trace", "--n", str(n))
 
     @pytest.mark.parametrize("argv", [
         ["trace"],
@@ -1233,7 +1292,8 @@ FUZZ_VALUES = {
     "n": ["-1", "0", "1", "2", "3", "17", "4097", "1000000000000000000", "10" * 11, "x"],
     "m_max": ["-1", "0", "1", "2", "17", "10000001", "1.5"],
     "grid": ["1", "2", "3", "1x1", "2x3", "3x2", "0x3", "2x2x2", "x", "-2x2", "1200x1200"],
-    "k0": ["uniform", "momentum:1", "momentum:-1", "momentum:x", "file:/nonexistent", "bogus"],
+    "k0": ["uniform", "momentum:0", "momentum:1", "momentum:4096", "momentum:999999999999999999",
+           "momentum:-1", "momentum:x", "file:/nonexistent", "bogus"],
     "seed": ["-1", "0", "7", "x"],
 }
 FUZZ_FLOATS = ["0", "-0.0", "0.5", "1", "1.5", "-2.5", "3.141592653589793",
@@ -1263,6 +1323,10 @@ def argvs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(argvs())
+# Momentum traces past the full-space limit, accepted and refused, every run.
+@example((["trace", "--n=4097", "--k0=momentum:4096"], False))
+@example((["trace", "--n=1000000000000000000", "--k0=momentum:999999999999999999"], False))
+@example((["trace", "--n=4097", "--k0=momentum:999999999999999999"], False))
 def test_cli_fuzz_exits_cleanly(drawn):
     argv, has_unread = drawn
     out, err = io.StringIO(), io.StringIO()

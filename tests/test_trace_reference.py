@@ -19,8 +19,9 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
-from reference import power, reflections
+from reference import momentum_plane_start, power, reflections
 
+from groverlab import cli
 from groverlab.algebra import momentum_state
 from groverlab.evolution import (InitialState, full_space_trace, probability_trace,
                                  uniform_initial)
@@ -212,3 +213,43 @@ def test_full_space_against_plane(k0_kind):
         bad = np.nonzero(err > FLAT_TOL + ANGLE_TOL * angle * np.array(steps))[0]
         assert not bad.size, (f"phases {angles}: {bad.size} of {len(steps)} steps off, worst "
                               f"|dP| {err.max():.3e} at m = {steps[int(np.argmax(err))]}")
+
+
+# Momentum k0 with an --a/--b start at y0 != 0: the CLI takes the plane in
+# closed form, start (a/sqrt(N), -b/(N c)).  The reference sums the start's
+# projection over the whole N-vector at 50 digits and normalizes --a/--b as
+# README states.  N = 3696, y0 = 2323 is where invariant_plane's O(N) sum was
+# 2e-11 off in the start.
+MOMENTUM_STARTS = [(3696, 2323, 0.0, None), (3696, 2323, 1.7, None), (3696, 2323, None, 0.5),
+                   (4096, 1, 1.0, 1.0), (1000, 999, 30.0, None), (2, 1, None, 0.9)]
+
+
+def _normalized(n, a, b):
+    """--a/--b as the start's (a, b), at the working precision."""
+    if b is None:
+        return mpf(a), mp.sqrt((n - mpf(a) ** 2) / (n - 1))
+    if a is None:
+        return mp.sqrt(n - mpf(b) ** 2 * (n - 1)), mpf(b)
+    scale = 1 / mp.sqrt((mpf(a) ** 2 + mpf(b) ** 2 * (n - 1)) / n)
+    return a * scale, b * scale
+
+
+@pytest.mark.parametrize("n,y0,a,b", MOMENTUM_STARTS)
+@pytest.mark.parametrize("bp,dp", [(0.0, 0.0), UNBALANCED[0]])
+def test_momentum_start_against_plane(capsys, n, y0, a, b, bp, dp):
+    m_max = 10**4
+    flags = [f"--{name}={val!r}" for name, val in (("a", a), ("b", b)) if val is not None]
+    assert cli.main(["trace", f"--n={n}", f"--k0=momentum:{y0}", *flags, f"--beta-phase={bp!r}",
+                     f"--delta-phase={dp!r}", f"--m-max={m_max}"]) == 0
+    probs = np.array([float(line.split(",")[1])
+                      for line in capsys.readouterr().out.splitlines()[1:]])
+    with mp.workdps(50):
+        coords = momentum_plane_start(n, y0, *_normalized(n, a, b))
+        cfg = cli.parse_config(["trace", f"--n={n}", f"--k0=momentum:{y0}", *flags])
+        _, _, start, weight = cli._trace_problem(cfg)
+        err = max(abs(mpc(x) * mp.sqrt(weight) - z) for x, z in zip(start.tolist(), coords))
+        assert err <= 1e-15 * mp.sqrt(abs(coords[0]) ** 2 + abs(coords[1]) ** 2)
+    steps = _steps(m_max)
+    want, angle = reference(bp, dp, coords, steps, n=n)
+    err = np.abs(probs[steps] - want)
+    assert err.max() <= FLAT_TOL + ANGLE_TOL * angle * m_max, f"worst |dP| {err.max():.3e}"
