@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import IndexRangeError, InvalidSizeError, NormalizationError, ShapeError
+from .errors import (DegenerateSubspaceError, IndexRangeError, InvalidSizeError,
+                     NormalizationError, ShapeError)
 
 __all__ = [
     "TOL_EXACT",
@@ -69,6 +70,13 @@ def _require_list_size(n: int) -> None:
     """
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
+
+
+def _require_overlap(alpha1: float) -> None:
+    """Raise DegenerateSubspaceError unless 0 < alpha1 < 1: a marked-state
+    overlap of 0 or 1 collapses the search plane."""
+    if not 0.0 < alpha1 < 1.0:
+        raise DegenerateSubspaceError(f"overlap must lie strictly between 0 and 1, got {alpha1}")
 
 
 def unitarity_residual(a: np.ndarray):

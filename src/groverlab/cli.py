@@ -328,14 +328,16 @@ def _reduced_problem(cfg: ExperimentConfig):
 
 
 def _trace_problem(cfg: ExperimentConfig):
-    """``_reduced_problem`` for the trace, and the weight of its probabilities.
+    """The trace's plane, as ``invariant_plane`` gives it: the kernel, the
+    start and the weight of its probabilities.
 
     A --k0 other than uniform traces the full space (marked element 0): the
     weight times a trace in the plane of the marked element and k0.  Every
     momentum k0 has k0[0] = 1/sqrt(N) and c = sqrt(1 - 1/N) off it, so that
     plane is the reduced one, at any N, and only an --a/--b start at y0 != 0
     differs from the reduced start: it projects to (a/sqrt(N), -b/(N c)).
-    A file: k0 is projected by ``invariant_plane``, in O(N).
+    A file: k0 is projected by ``invariant_plane`` itself, in O(N).  Otherwise
+    the plane is ``_reduced_problem``'s, with weight 1.
     """
     beta, delta = unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase])
     if cfg.alpha1 is None and cfg.k0.startswith("momentum:"):
@@ -343,7 +345,7 @@ def _trace_problem(cfg: ExperimentConfig):
             s = _initial_state(cfg)
             x0, x1 = s.a / math.sqrt(cfg.n), -s.b / math.sqrt(cfg.n * (cfg.n - 1))
             norm = math.hypot(abs(x0), abs(x1))
-            return reduced_kernels(beta, delta, cfg.n), cfg.n, np.array([x0, x1]) / norm, norm**2
+            return reduced_kernels(beta, delta, cfg.n), np.array([x0, x1]) / norm, norm**2
     elif cfg.alpha1 is None and cfg.k0 != "uniform":
         # Refused before the file is read.
         require_full_size(cfg.n, "full-space trace")
@@ -353,10 +355,9 @@ def _trace_problem(cfg: ExperimentConfig):
             x_in = np.full(cfg.n, s.b / math.sqrt(cfg.n), dtype=complex)
             x_in[0] = s.a / math.sqrt(cfg.n)
         phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
-        kernel, start, weight = invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
-        return kernel, None, start, weight
-    kernels_of, size, start = _reduced_problem(cfg)
-    return kernels_of(beta, delta), size, start, 1.0
+        return invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
+    kernels_of, _, start = _reduced_problem(cfg)
+    return kernels_of(beta, delta), start, 1.0
 
 
 def _spans(count: int) -> Iterator[Tuple[int, int]]:
@@ -374,8 +375,8 @@ TRACE_ROW = "%d,%.17g\n"
 
 
 def cmd_trace(cfg: ExperimentConfig) -> int:
-    kernel, size, start, weight = _trace_problem(cfg)
-    blocks = probability_blocks(kernel, start, cfg.m_max, size)
+    kernel, start, weight = _trace_problem(cfg)
+    blocks = probability_blocks(kernel, start, cfg.m_max)
     # One block in memory at a time: evaluated, summarized, formatted, written.
     summary = TraceSummary()
     probs = (np.multiply(block[0], weight, out=block[0]) for block in blocks)
@@ -388,7 +389,7 @@ SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%d,%.0f\n"
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     p, q = _grid("sweep", cfg.grid, 2)
-    kernels_of, size, start = _reduced_problem(cfg)
+    kernels_of, _, start = _reduced_problem(cfg)
 
     def body():
         for i, j in _torus(p, q):
@@ -403,7 +404,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             for lo in range(0, len(bp), BLOCK // 16):
                 part, m = slice(lo, lo + BLOCK // 16), 0
                 part_prob, part_step = peak_prob[part], peak_step[part]  # views
-                for block in probability_blocks(kernels[part], start, cfg.m_max, size):
+                for block in probability_blocks(kernels[part], start, cfg.m_max):
                     top = block.argmax(axis=1)
                     prob = block[np.arange(len(block)), top]
                     better = prob > part_prob

@@ -181,24 +181,20 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 
 
 def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
-                       s: Union[InitialState, np.ndarray], m_max: int,
-                       size: Optional[int] = None) -> Iterator[np.ndarray]:
+                       s: Union[InitialState, np.ndarray], m_max: int) -> Iterator[np.ndarray]:
     """P(m) for m = 0..m_max from one start under each kernel of a (K, 2, 2)
     stack, in (K, max(1, BLOCK // K)) blocks of steps (the last may be short),
     each evaluated when asked for; the kernels and start are checked at the call.
 
-    ``size`` is the list size a bare stack is for, if any; a ReducedKernel
-    brings its own, and a different ``size`` is refused.  The SU(2) power
-    k = e^{i lam} (cos a I + i sin a n.sigma) gives P(m) = |cos(m a) x0 +
-    sin(m a) w|^2 for the start (x0, x1) and w = (i n.sigma (x0, x1))[0]; a
-    folded into [0, pi/2] (``spectral._folded``) keeps its precision.
+    A ReducedKernel refuses an InitialState for another list size; a bare
+    stack takes any.  The SU(2) power k = e^{i lam} (cos a I + i sin a n.sigma)
+    gives P(m) = |cos(m a) x0 + sin(m a) w|^2 for the start (x0, x1) and
+    w = (i n.sigma (x0, x1))[0]; a folded into [0, pi/2]
+    (``spectral._folded``) keeps its precision.
     """
     if m_max < 0:
         raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
-    if isinstance(kernels, ReducedKernel):
-        if size is not None and size != kernels.size:
-            raise InvalidSizeError(f"size {size} given, kernel for size {kernels.size}")
-        size = kernels.size
+    size = kernels.size if isinstance(kernels, ReducedKernel) else None
     angle, nx, ny, nz = _folded(_kernel_stack(kernels))
     x0, x1 = _reduced_input(size, s).tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))

@@ -17,15 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (TOL_EXACT, _abs, _cmul, _complex, _expi, _require_list_size, as_matrix,
-                      as_vector, dft_matrix, momentum_state, outer, require_unit,
-                      require_unitary)
-from .errors import (
-    DegenerateSubspaceError,
-    IndexRangeError,
-    InvalidSizeError,
-    ResourceLimitError,
-)
+from .algebra import (TOL_EXACT, _abs, _cmul, _complex, _expi, _require_list_size,
+                      _require_overlap, as_matrix, as_vector, dft_matrix, momentum_state, outer,
+                      require_unit, require_unitary)
+from .errors import IndexRangeError, InvalidSizeError, ResourceLimitError
 
 __all__ = [
     "MAX_FULL_SIZE",
@@ -180,17 +175,17 @@ def reduced_kernels(beta, delta, n: int) -> np.ndarray:
                [(1 + delta) s,       beta (1 + delta - n)]].
 
     beta = delta = -1 gives the identity (the trivial member of the family);
-    beta = delta = 1 is the textbook search kernel.  The stack is checked for
-    unitarity at once.  Complex products are taken part by part, so every
-    block has the bits of this formula in Python complex arithmetic.
+    beta = delta = 1 is the textbook search kernel.  Complex products are
+    taken part by part, so every block has the bits of this formula in Python
+    complex arithmetic.  The stack is checked for unitarity where it is used:
+    by ``ReducedKernel`` for one block, by ``spectral._kernel_stack`` for a
+    stack entering the engine or a decomposition.
     """
     _require_list_size(n)
     beta, delta = _unit_phases(beta, "beta"), _unit_phases(delta, "delta")
     s = np.sqrt(n - 1)
-    m = _stack(1 + delta * (1 - n), _cmul(-beta, 1 + delta) * s,
-               (1 + delta) * s, _cmul(beta, 1 + delta - n)) / n
-    require_unitary(m, TOL_EXACT, "reduced kernel")
-    return m
+    return _stack(1 + delta * (1 - n), _cmul(-beta, 1 + delta) * s,
+                  (1 + delta) * s, _cmul(beta, 1 + delta - n)) / n
 
 
 def extended_reduced_kernel(beta: complex, delta: complex, alpha1: float) -> ReducedKernel:
@@ -209,18 +204,14 @@ def extended_reduced_kernels(beta, delta, alpha1: float) -> np.ndarray:
 
     Setting alpha1 = 1/sqrt(n) recovers reduced_kernel(beta, delta, n)
     entrywise.  alpha1 in {0, 1} collapses the search plane and is rejected.
-    Checked and rounded as ``reduced_kernels``.
+    Rounded, and checked where it is used, as ``reduced_kernels``.
     """
-    if not 0.0 < alpha1 < 1.0:
-        raise DegenerateSubspaceError(
-            f"overlap must lie strictly between 0 and 1, got {alpha1}")
+    _require_overlap(alpha1)
     beta, delta = _unit_phases(beta, "beta"), _unit_phases(delta, "delta")
     big_d = 1 + delta
     c = np.sqrt(1 - alpha1 * alpha1)
-    m = _stack(-delta + big_d * alpha1**2, _cmul(-beta, big_d) * alpha1 * c,
-               big_d * alpha1 * c, _cmul(beta, big_d * alpha1**2 - 1))
-    require_unitary(m, TOL_EXACT, "reduced kernel")
-    return m
+    return _stack(-delta + big_d * alpha1**2, _cmul(-beta, big_d) * alpha1 * c,
+                  big_d * alpha1 * c, _cmul(beta, big_d * alpha1**2 - 1))
 
 
 def _stack(k00, k01, k10, k11) -> np.ndarray:

@@ -23,14 +23,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import (TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _expi, _require_list_size,
-                      require_unitary)
-from .errors import (
-    DegenerateSubspaceError,
-    DivergentPeriodError,
-    InvalidSizeError,
-    ShapeError,
-    SingularLimitError,
-)
+                      _require_overlap, require_unitary)
+from .errors import DivergentPeriodError, InvalidSizeError, ShapeError, SingularLimitError
 from .kernel import ReducedKernel, _unit_phases, grover_operator
 
 __all__ = [
@@ -285,9 +279,8 @@ def optimal_steps_asymptotic(phi: float, n: int, alpha1: Optional[float] = None)
     """
     if alpha1 is None:
         _require_list_size(n)
-    elif not 0.0 < alpha1 < 1.0:
-        raise DegenerateSubspaceError(
-            f"overlap must lie strictly between 0 and 1, got {alpha1}")
+    else:
+        _require_overlap(alpha1)
     steps = float(asymptotic_steps(phi, n, alpha1))
     if math.isnan(steps):
         raise DivergentPeriodError(f"no finite period at phi = {phi}")
@@ -325,7 +318,7 @@ def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
     return AxisAngle(global_phase=float(b.global_phase[0]), angle=float(b.angle[0]), axis=axis)
 
 
-def kernel_manifold_points(angle1, angle2, n: int = 10) -> AxisAngle:
+def kernel_manifold_points(angle1, angle2, n: int) -> AxisAngle:
     """Sample the two-angle family of kernels built from the textbook factors.
 
     The two reflections of the size-n search kernel, made special-unitary

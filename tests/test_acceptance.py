@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from groverlab import checks
-from groverlab.evolution import InitialState, probability_trace, uniform_initial
+from groverlab.evolution import (InitialState, perturbed_peak_estimate, probability_trace,
+                                 uniform_initial)
 from groverlab.kernel import extended_reduced_kernel, reduced_kernel
 from groverlab.spectral import (
     delta_omega_asymptotic,
@@ -155,7 +156,7 @@ def test_criterion_09_initial_condition_stability():
     for _ in range(50):
         a = r.uniform(-2.0, 2.0)
         s = InitialState.complete(a, n)
-        predicted = min(abs(s.b), 1.0)
+        predicted = perturbed_peak_estimate(s)
         phi = r.uniform(-np.pi / 2, np.pi / 2)
         d = complex(np.cos(phi), np.sin(phi))
         t = probability_trace(reduced_kernel(d, d, n), s.reduced_vector(), 200)

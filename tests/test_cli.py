@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -237,6 +238,59 @@ class TestConfigFile:
     def test_missing_config_file_is_io_error(self, capsys):
         rc, out, err = run(capsys, "trace", "--config", "/nonexistent/c.cfg")
         assert rc == 3
+
+
+# sha256 of exit code, stdout, stderr and --out bytes, joined by NULs, for the
+# benchmark's invocations (which write to --out) and README's (to stdout).  A
+# trailing --out writes to a temporary file.  manifold and verify multiply
+# through numpy's matmul, whose last bits follow the BLAS kernel picked for the
+# CPU, so they list every digest that OPENBLAS_CORETYPE = Prescott through
+# SapphireRapids gave on an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).
+GOLDEN = {
+    "trace --n 1000000 --m-max 1000000 --out":
+        "13bf2003112d5e8b5c7626486d021fbb904d7b6ca7be1405310a17dd0115f066",
+    "trace --n 4096 --k0 momentum:0 --m-max 20000 --out":
+        "22431c157b805b5409c9ff220c91e69c4eeaf39d957d4882d543e332d74504fa",
+    "spectrum --n 1000000000 --grid 20001 --out":
+        "881f9e3a5874f8fcfbc1b4d8ffb6ae5ce65ca0d0e0708a06c2e39153ebfab607",
+    "manifold --grid 200x200 --out":
+        "d2566f72326dd1caecf78328fbf9150cc5a25699577c9f09387161020ff80420"
+        " ea78a720727cc41a87e46151f126d1d37d938006e3624ba0eb146fdea1628403",
+    "sweep --n 1000 --grid 64x64 --m-max 300 --out":
+        "e22df5978789af884488bca29a87eb65678fc01db87946a13ada078bdfb8df62",
+    "trace --n 1000 --m-max 1000":
+        "060407350a8e3fea187dad7752a4707788c70173dff594552b955d1bf9732cd1",
+    "spectrum --n 1000 --grid 101":
+        "d301a82726884dce45b67950320dd81ddb0a7e1ddf072628bd2ac9c3cb67908e",
+    "asymptotics --n 100000 --grid 41":
+        "318a83fe1ba0efa78b02c9c257a22b4025f8473b5062fcd5a98b25b52c8d1a91",
+    "manifold --grid 50x50":
+        "b01ffe715ddcc52826c81819c12224e3d8e3490fb382f64dde9ed9dc492cfe13"
+        " af4ea748779d8dc1c883ecb525e2a6901bc9ce8d7a208303a5f00802087df5cc",
+    "verify --seed 7":
+        "42c93576665b863881da281079bba9421462bfe87f89a54a326ca7eb9c777036"
+        " 1223fb95e29e21e442482933963e7be702730907a085532c15a8d486d77ad22f"
+        " a7ec7943d7f5c6e0ebeab00e119fe88da97d40dcf372fa959013bbf127cd7e2c",
+    "verify --tolerance 0":
+        "231373fa54047cf786261b6a9b815f18795776fd6d9ae623bee967d8cc722810"
+        " cd02c193f1d2024b61b8f675eac4e8459005025d322c9eae398490ba4ec6b7bb"
+        " 5a44644efbbc4c0ed9b1a86355608f445da58e83d8e97d55831cf610d6265065"
+        " 445519006c2b1f761b911ed5f763eb0f5f4c36fc8d4c69bc714f1b5952273a1c",
+}
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="digests taken with numpy 2; numpy 1.24's ufunc loops were not run")
+@pytest.mark.parametrize("command", GOLDEN)
+def test_golden_table(command, tmp_path, capsys):
+    argv = command.split()
+    path = tmp_path / "out.csv"
+    if argv[-1] == "--out":
+        argv.append(str(path))
+    rc, out, err = run(capsys, *argv)
+    written = path.read_bytes() if path.exists() else b""
+    digest = hashlib.sha256(b"\0".join([str(rc).encode(), out.encode(), err.encode(), written]))
+    assert digest.hexdigest() in GOLDEN[command].split()
 
 
 class TestTrace:
@@ -476,7 +530,7 @@ class TestTrace:
         for n, y0, a in draws:
             bp, dp = r.uniform(-math.pi, math.pi, 2).tolist()
             cfg = ExperimentConfig(n=n, beta_phase=bp, delta_phase=dp, k0=f"momentum:{y0}", a=a)
-            kernel, _, start, weight = cli._trace_problem(cfg)
+            kernel, start, weight = cli._trace_problem(cfg)
             if isinstance(start, InitialState):
                 start = start.reduced_vector()
             k0 = x_in = algebra.momentum_state(y0, n)
@@ -489,6 +543,27 @@ class TestTrace:
             assert np.abs(kernel[0] - want[0]).max() <= 1e-14, (n, y0, a)
             assert np.abs(start - want[1]).max() <= 1e-10, (n, y0, a)
             assert abs(weight - want[2]) <= 1e-13, (n, y0, a)
+
+    @pytest.mark.parametrize("a", [None, 2.0])
+    def test_file_plane_is_invariant_plane(self, tmp_path, a):
+        """A file: k0's trace problem is invariant_plane's triple, bit for bit."""
+        r = np.random.default_rng(8)
+        k0 = r.normal(size=(64, 2)) @ [1, 1j]
+        k0 /= np.linalg.norm(k0)
+        path = tmp_path / "k0.txt"
+        np.savetxt(path, np.column_stack([k0.real, k0.imag]), fmt="%.17g")
+        cfg = ExperimentConfig(n=64, beta_phase=0.3, delta_phase=-1.1, k0=f"file:{path}", a=a)
+        x_in = k0 = cli._k0_vector(cfg)
+        if a is not None:
+            s = cli._initial_state(cfg)
+            x_in = np.full(64, s.b / math.sqrt(64), dtype=complex)
+            x_in[0] = s.a / math.sqrt(64)
+        phases = GroverPhases.from_angles(0.3, -1.1)
+        want = invariant_plane(FullSpaceConfig(64, 0, k0, phases), x_in)
+        got = cli._trace_problem(cfg)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     def test_k0_file_single_column(self, tmp_path, capsys):
         n = 4
@@ -914,6 +989,29 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak <= budget, f"one block peaked at {peak / 1e6:.2f} MB"
 
+    @pytest.mark.parametrize("argv, stacks", [
+        (["trace", "--n", "1000", "--m-max", "100000"], [1]),
+        (["trace", "--n", "64", "--m-max", "100", "--k0", "momentum:3", "--a", "2"], [1]),
+        (["trace", "--m-max", "100", "--alpha1", "0.2"], [1]),
+        (["spectrum", "--n", "1000", "--grid", "5000"], [2048, 2048, 904]),
+        (["sweep", "--n", "100", "--grid", "64x64", "--m-max", "20"], [1024] * 4),
+        (["manifold", "--grid", "100x50"], [2048, 2048, 904]),
+    ], ids=["trace", "momentum", "alpha1", "spectrum", "sweep", "manifold"])
+    def test_each_kernel_checked_once(self, monkeypatch, argv, stacks):
+        """Each kernel stack is checked for unitarity once, where it enters
+        the engine or a decomposition: a trace, each sweep engine sub-stack,
+        each spectrum and manifold block."""
+        groverlab.spectral._reflection_axes(10)  # the manifold's cached reflections
+        sizes = []
+
+        def counted(m, tol, what):
+            sizes.append(len(np.reshape(m, (-1, 2, 2))))
+            return algebra.require_unitary(m, tol, what)
+        monkeypatch.setattr("groverlab.kernel.require_unitary", counted)
+        monkeypatch.setattr("groverlab.spectral.require_unitary", counted)
+        assert cli.main([*argv, "--out", os.devnull]) == 0
+        assert sizes == stacks
+
     @pytest.mark.parametrize("p", [2, 3, 7, 101, 4097, 10**6])
     def test_diagonal_blocks_are_linspace(self, p):
         """A block of the diagonal has the bits of its slice of linspace(-pi,
@@ -1321,7 +1419,7 @@ def argvs(draw):
     return argv, True
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(argvs())
 # Momentum traces past the full-space limit, accepted and refused, every run.
 @example((["trace", "--n=4097", "--k0=momentum:4096"], False))
@@ -1336,6 +1434,37 @@ def test_cli_fuzz_exits_cleanly(drawn):
     assert "Traceback" not in err.getvalue(), argv
     if has_unread:
         assert (rc, out.getvalue()) == (1, ""), argv
+
+
+# The TARGETS of bench/tracer.py that the library binds: the benchmark's traced
+# run wraps these names, and skips a name no module binds without a word.
+TRACED = {
+    "groverlab.kernel.GroverPhases.from_angles", "groverlab.spectral.grover_operator",
+    "groverlab.spectral.su2_decompose", "groverlab.cli.kernel_manifold_points",
+    "groverlab.cli.stability_expansion", "groverlab.evolution.as_vector",
+    *(f"groverlab.kernel.{name}" for name in ("as_matrix", "as_vector", "outer", "dft_matrix")),
+    "groverlab.cli._write_csv", *(f"groverlab.cli.cmd_{command}" for command in cli.COMMANDS),
+}
+
+
+def test_benchmark_targets_stay_bound():
+    """Every name in TRACED still resolves as the tracer looks it up, and
+    cli.DISPATCH holds the cmd_* functions, which the tracer swaps there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bound = set()
+    for mod_name, attr, *_ in tracer.TARGETS:
+        owner, _, name = attr.rpartition(".")
+        holder = importlib.import_module(mod_name)
+        holder = getattr(holder, owner) if owner else holder
+        if vars(holder).get(name) is not None:
+            bound.add(f"{mod_name}.{attr}")
+    assert len(TRACED) == 17
+    assert TRACED <= bound, sorted(TRACED - bound)
+    for command in cli.COMMANDS:
+        assert cli.DISPATCH[command] is getattr(cli, "cmd_" + command), command
 
 
 # A CLI child, its arguments on the command line, that prints its own peak RSS in KiB.

@@ -288,9 +288,9 @@ SWEEP_BETA = np.repeat(0.3 + 2 * np.pi * np.arange(6) / 6, 5)
 SWEEP_DELTA = np.tile(-2 + 2 * np.pi * np.arange(5) / 5, 6)
 
 
-def joined(kernels, s, m_max, size=None):
+def joined(kernels, s, m_max):
     """``probability_blocks`` joined into one (K, m_max + 1) array."""
-    return np.concatenate(tuple(probability_blocks(kernels, s, m_max, size)), axis=1)
+    return np.concatenate(tuple(probability_blocks(kernels, s, m_max)), axis=1)
 
 
 class TestProbabilityTraces:
@@ -312,7 +312,7 @@ class TestProbabilityTraces:
         # A block boundary inside every row: rows of 61 steps, blocks of one
         # step for the 30 kernels (7 // 30 rounds up to one).
         monkeypatch.setattr(evolution, "BLOCK", 7)
-        probs = joined(stack, start, m_max, n)
+        probs = joined(stack, start, m_max)
         assert probs.shape == (len(stack), m_max + 1)
         for row, single, k in zip(probs, singles, stack):
             assert np.array_equal(row, single.probs)
@@ -324,10 +324,10 @@ class TestProbabilityTraces:
         bad = good.copy()
         bad[1, 0, 0] *= 1.01
         with pytest.raises(NormalizationError, match="matrix 1 is not unitary"):
-            joined(bad, start, 10, 100)
+            joined(bad, start, 10)
         bad[1, 0, 0] = np.nan
         with pytest.raises(ShapeError):
-            joined(bad, start, 10, 100)
+            joined(bad, start, 10)
         with pytest.raises(InvalidSizeError):
             joined(np.eye(3)[None], start, 10)
         with pytest.raises(ShapeError):
@@ -335,25 +335,19 @@ class TestProbabilityTraces:
 
     def test_start_checked(self):
         stack = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
-        with pytest.raises(InvalidSizeError, match="state is for size 50, kernel for size 100"):
-            joined(stack, uniform_initial(50), 10, 100)
         with pytest.raises(NormalizationError):
-            joined(stack, np.array([0.5, 0.5]), 10, 100)
+            joined(stack, np.array([0.5, 0.5]), 10)
         with pytest.raises(InvalidSizeError):
-            joined(stack, np.array([1.0, 0.0, 0.0]), 10, 100)
+            joined(stack, np.array([1.0, 0.0, 0.0]), 10)
         with pytest.raises(InvalidSizeError):
-            probability_blocks(stack, uniform_initial(100), -1, 100)
-        # Without a list size, any InitialState start is accepted.
+            probability_blocks(stack, uniform_initial(100), -1)
+        # A bare stack has no list size, so any InitialState start is accepted.
         joined(stack, uniform_initial(50), 10)
 
     def test_reduced_kernel_brings_its_size(self):
         k = reduced_kernel(1.0, 1.0, 100)
         with pytest.raises(InvalidSizeError, match="state is for size 50, kernel for size 100"):
             joined(k, uniform_initial(50), 10)
-        with pytest.raises(InvalidSizeError, match="size 50 given, kernel for size 100"):
-            joined(k, uniform_initial(50), 10, 50)
-        np.testing.assert_array_equal(joined(k, uniform_initial(100), 10, 100),
-                                      joined(k, uniform_initial(100), 10))
 
     @pytest.mark.parametrize("kernels", [1, 3, 4096])
     def test_real_parts_equal_complex_expression(self, kernels):
@@ -381,7 +375,7 @@ class TestProbabilityTraces:
         monkeypatch.setattr(evolution, "BLOCK", 7)
         phases = unit_phases(np.linspace(-3, 3, kernels))
         blocks = list(probability_blocks(reduced_kernels(phases, phases, 100),
-                                         uniform_initial(100), 20, 100))
+                                         uniform_initial(100), 20))
         steps = max(1, 7 // max(1, kernels))
         assert [b.shape for b in blocks] == [(kernels, min(steps, 21 - lo))
                                              for lo in range(0, 21, steps)]

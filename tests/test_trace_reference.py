@@ -246,7 +246,7 @@ def test_momentum_start_against_plane(capsys, n, y0, a, b, bp, dp):
     with mp.workdps(50):
         coords = momentum_plane_start(n, y0, *_normalized(n, a, b))
         cfg = cli.parse_config(["trace", f"--n={n}", f"--k0=momentum:{y0}", *flags])
-        _, _, start, weight = cli._trace_problem(cfg)
+        _, start, weight = cli._trace_problem(cfg)
         err = max(abs(mpc(x) * mp.sqrt(weight) - z) for x, z in zip(start.tolist(), coords))
         assert err <= 1e-15 * mp.sqrt(abs(coords[0]) ** 2 + abs(coords[1]) ** 2)
     steps = _steps(m_max)
