@@ -34,7 +34,6 @@ from .algebra import (
 from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
-    BLOCK,
     InitialState,
     TraceSummary,
     invariant_plane,
@@ -66,11 +65,14 @@ MAX_GRID_POINTS = 10**6
 # Grid points per block in spectrum, manifold, sweep and asymptotics: a block's
 # coordinates are generated, and its rows computed, formatted and written,
 # before the next.  A grid row holds a few dozen temporaries, so the block is
-# an eighth of the trace's BLOCK: a 20001-point spectrum peaks at 34 MB (38 MB
+# a quarter of the trace's BLOCK: a 20001-point spectrum peaks at 34 MB (38 MB
 # at 4096 points; 33 MB at 1024, which take about 20% more time per point).
 GRID_BLOCK = 2048
+# A sweep folds its peaks over engine blocks of SWEEP_KERNELS kernels by
+# SWEEP_STEPS steps: cos and sin run 1.5x slower per element on 4 steps.
+SWEEP_KERNELS, SWEEP_STEPS = 1024, 16
 # Longest trace (--m-max).  A trace evaluates, summarizes, formats and writes
-# BLOCK = 2^14 rows at a time, so its memory does not grow with the length:
+# BLOCK = 2^13 rows at a time, so its memory does not grow with the length:
 # this bounds the run time and the CSV's size (about 280 MB at 10^7).
 MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
@@ -378,8 +380,10 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     kernel, start, weight = _trace_problem(cfg)
     blocks = probability_blocks(kernel, start, cfg.m_max)
     # One block in memory at a time: evaluated, summarized, formatted, written.
+    # x * 1.0 is x, bit for bit, so the reduced trace's weight multiplies nothing.
     summary = TraceSummary()
-    probs = (np.multiply(block[0], weight, out=block[0]) for block in blocks)
+    probs = (block[0] if weight == 1.0 else np.multiply(block[0], weight, out=block[0])
+             for block in blocks)
     _write_csv(cfg, "m,prob", (rows(TRACE_ROW, [summary.add(p), p]) for p in probs), summary)
     return 0
 
@@ -398,13 +402,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             beta, delta = unit_phases(bp), unit_phases(dp)
             kernels = kernels_of(beta, delta)
             # Each row's first maximum, folded over the stack's blocks of steps.
-            # The engine takes BLOCK // 16 kernels at a time, so 16 steps per
-            # block: cos and sin run 1.5x slower per element on 4 steps.
             peak_prob, peak_step = np.full(len(bp), -math.inf), np.zeros(len(bp), int)
-            for lo in range(0, len(bp), BLOCK // 16):
-                part, m = slice(lo, lo + BLOCK // 16), 0
+            for lo in range(0, len(bp), SWEEP_KERNELS):
+                part, m = slice(lo, lo + SWEEP_KERNELS), 0
                 part_prob, part_step = peak_prob[part], peak_step[part]  # views
-                for block in probability_blocks(kernels[part], start, cfg.m_max):
+                for block in probability_blocks(kernels[part], start, cfg.m_max, SWEEP_STEPS):
                     top = block.argmax(axis=1)
                     prob = block[np.arange(len(block)), top]
                     better = prob > part_prob

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ __all__ = ["rows"]
 # |x| for %.17g: the power-of-ten table and the Dekker split stay normal and
 # finite in this range.
 _G_RANGE = (1e-280, 1e280)
+# That range as the bits of |x|: their offset from its start's, as a uint64,
+# exceeds its width outside it, at 0, inf and NaN too.
+_G_START, _G_END = np.array(_G_RANGE).view(np.uint64)
 # |x| for %.0f: np.rint and the int64 cast are exact below 2^53.
 _F_LIMIT = 2.0**53
 # Array kinds %d formats in numpy: bool, signed and unsigned integers.
@@ -161,28 +164,27 @@ def _patched(cells: np.ndarray, values: np.ndarray, bad: np.ndarray,
     return cells
 
 
-def _integer_cells(u: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """Sign and decimal digits of the uint64 magnitudes ``u``, without
-    leading zeros: a sign word if any is negative, then one word per four
-    digits."""
+def _integer_cells(u: np.ndarray, negative: Optional[np.ndarray] = None) -> np.ndarray:
+    """Decimal digits of the uint64 magnitudes ``u``, without leading zeros,
+    one word per four digits, after a sign word if any of ``negative`` is set."""
     t = _tables()
     groups = max(1, -(-len(str(int(u.max()))) // 4))
-    parts = []  # four-digit groups, right to left
+    parts, rest = [], u  # four-digit groups, right to left
     for _ in range(groups - 1):
-        q = u // np.uint64(10000)
-        parts.append((u - q * np.uint64(10000)).view(np.int64))
-        u = q
-    parts.append(u.view(np.int64))
-    signed = int(negative.any())  # a sign word only where some value needs it
+        q = rest // np.uint64(10000)
+        parts.append(rest - q * np.uint64(10000))
+        rest = q
+    parts.append(rest)
+    signed = negative is not None and bool(negative.any())  # a sign word only if needed
     words = np.empty((len(u), signed + groups), np.uint32)
     if signed:
         words[:, 0] = np.where(negative, _words([b"-"], 4)[0], 0)
-    # A group keeps all four digits once a group to its left is nonzero.
-    seen = np.zeros(len(u), bool)
     for g, part in enumerate(reversed(parts)):
-        keep = np.where(seen, np.uint32(0xFFFFFFFF), t.significant[int(g == groups - 1)][part])
+        part = part.view(np.int64)
+        keep = t.significant[int(g == groups - 1)][part]
+        if g:  # all four digits where a group to the left is nonzero
+            keep = np.where(u >= 10**(4 * (groups - g)), np.uint32(0xFFFFFFFF), keep)
         np.bitwise_and(t.quads[part], keep, out=words[:, signed + g])
-        seen |= part != 0
     return words.view(np.uint8)
 
 
@@ -194,10 +196,12 @@ def _d_cells(column) -> np.ndarray:
     if values.dtype.kind == "b":  # one digit each
         return (values + np.uint8(48))[:, None]
     if values.dtype.kind == "u":
-        return _integer_cells(values.astype(np.uint64), np.zeros(len(values), bool))
-    signed = values.astype(np.int64)
+        return _integer_cells(values.astype(np.uint64, copy=False))
+    signed = values.astype(np.int64, copy=False)
     negative = signed < 0
     u = signed.view(np.uint64)
+    if not negative.any():
+        return _integer_cells(u)
     # Two's complement: -u wraps to the magnitude, 2^63 for the int64 minimum.
     return _integer_cells(np.where(negative, np.negative(u), u), negative)
 
@@ -215,21 +219,13 @@ def _f_cells(column) -> np.ndarray:
 def _scaled(a: np.ndarray, e: np.ndarray):
     """a 10^(16 - e) as p + r: p = fl(a hi), r = its exact error + a lo."""
     k = 16 + _POWERS - e
-    hi, lo, hh, hl = _tables().powers  # each gathered at k where it is used
-    p = a * hi[k]
+    hi, lo, hh, hl = (table[k] for table in _tables().powers)
+    p = a * hi
     ah = a * _SPLIT
     ah -= ah - a  # Veltkamp: ah the high 26 bits of a, al the rest
     al = a - ah
-    th, tl = hh[k], hl[k]
-    # r = (((ah hh - p) + ah hl + al hh) + al hl) + a lo, summed in that order;
-    # each product is written over an operand it has used up.
-    r = ah * th
-    r -= p
-    r += np.multiply(ah, tl, out=ah)
-    r += np.multiply(al, th, out=th)
-    r += np.multiply(al, tl, out=tl)
-    r += np.multiply(a, lo[k], out=al)
-    return p, r
+    # r = (((ah hh - p) + ah hl + al hh) + al hl) + a lo, summed in that order.
+    return p, ah * hh - p + ah * hl + al * hh + al * hl + a * lo
 
 
 def _g_cells(column) -> np.ndarray:
@@ -240,7 +236,7 @@ def _g_cells(column) -> np.ndarray:
     n = len(values)
     a = np.abs(values)
     zero = a == 0  # formatted as 2 with the digit 2 replaced by 0
-    slow = ~((a >= _G_RANGE[0]) & (a <= _G_RANGE[1]))
+    slow = a.view(np.uint64) - _G_START > _G_END - _G_START
     a[slow] = 2.0  # not a power of ten: these rows take no edge path below
     e = np.floor(np.log10(a)).astype(np.int64)
     p, r = _scaled(a, e)
@@ -253,10 +249,9 @@ def _g_cells(column) -> np.ndarray:
         down = (pe < 1e16) | ((pe == 1e16) & (re_ < 0))
         e[edge] += up.astype(np.int64) - down
         p[edge], r[edge] = _scaled(a[edge], e[edge])
-    whole = np.floor(r)
-    r -= whole  # the fraction
-    d = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)
-    bad = ((slow ^ zero) | (np.abs(r - 0.5) < _TIE)).nonzero()[0]
+    whole = np.rint(r)  # a remainder within _TIE of a half makes the row bad
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    bad = ((slow ^ zero) | (np.abs(r - whole) > 0.5 - _TIE)).nonzero()[0]
     del a, p, r, whole  # each block's arrays go as soon as they are used up
     carry = (d == 10**17).nonzero()[0]
     if carry.size:
@@ -302,9 +297,12 @@ def _g_cells(column) -> np.ndarray:
         words[:, fraction - 1] = t.point[key]
     for k in (0, 1):
         np.bitwise_and(digits[:, k], t.fraction[k][key], out=words[:, fraction + k])
+    cells = words.view(np.uint8)
     if exponent:
         words[:, fraction + 2] = t.exponent[index]
-    return _patched(words.view(np.uint8), values, bad, "%.17g")
+        if int(np.abs(e).max()) < 100:  # "e+XX": the exponent word's last four bytes are 0
+            cells = cells[:, :-4]
+    return _patched(cells, values, bad, "%.17g")
 
 
 _CELLS = {"d": _d_cells, ".17g": _g_cells, ".0f": _f_cells}
@@ -319,8 +317,8 @@ def rows(template: str, columns: Sequence) -> bytes:
     literals and those matrices are joined side by side into one, whose
     zeros are dropped.  A cell takes up to 56 bytes of it (more where
     Python's text is longer), so the caller bounds the memory by the rows it
-    passes: every CLI block is at most 2^16 cells (a 2^14-row trace block
-    peaks at 1.9 MB traced).
+    passes: every CLI block is at most 2^15 cells (a 2^13-row trace block
+    peaks at 0.95 MB traced).
     """
     literals, conversions = _parse(template)
     if len(columns) != len(conversions):
@@ -329,10 +327,12 @@ def rows(template: str, columns: Sequence) -> bytes:
     n = len(columns[0])
     if n == 0:
         return b""
-    parts = [None] * (2 * len(literals) - 1)  # in template order
-    parts[::2] = (np.frombuffer(literal * n, np.uint8).reshape(n, len(literal))
-                  for literal in literals)
-    parts[1::2] = (_CELLS[conversion](column) for conversion, column in zip(conversions, columns))
+    parts = []  # in template order, without empty literals
+    for k, literal in enumerate(literals):
+        if literal:
+            parts.append(np.frombuffer(literal * n, np.uint8).reshape(n, len(literal)))
+        if k < len(columns):
+            parts.append(_CELLS[conversions[k]](columns[k]))
     text = np.concatenate(parts, axis=1)
     del parts  # frees the cell matrices before the copies below
     raw = text.tobytes()

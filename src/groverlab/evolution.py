@@ -34,10 +34,11 @@ __all__ = [
 ]
 
 # Probabilities per block: probability_blocks evaluates BLOCK // K steps of K
-# kernels at a time, and the CLI writes a trace BLOCK rows at a time.  One trace
-# block's evaluation, summary and text peak at 2.3 MB of traced temporaries, and
-# neither a trace nor a sweep keeps anything else that grows with its length.
-BLOCK = 2**14
+# kernels at a time unless told otherwise, and the CLI writes a trace BLOCK rows
+# at a time.  One trace block's evaluation, summary and text peak at 1.05 MB of
+# traced temporaries (2.15 MB at 2^14 rows), and neither a trace nor a sweep
+# keeps anything else that grows with its length.
+BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,19 @@ class TraceSummary:
     def add(self, block: np.ndarray) -> np.ndarray:
         """Fold in the next, nonempty block of probabilities; return its steps m."""
         first = self.steps
-        peak = int(np.argmax(block))
-        if not (math.isnan(self.peak_prob) or block[peak] <= self.peak_prob):
-            self.peak_prob, self.peak_step = float(block[peak]), first + peak
+        peak = int(block.argmax())
+        top = float(block[peak])
+        if not (math.isnan(self.peak_prob) or top <= self.peak_prob):
+            self.peak_prob, self.peak_step = top, first + peak
         seen = np.concatenate((self._tail, block))
         mid = seen[1:-1]
         self.maxima_count += int(np.count_nonzero((mid > seen[:-2]) & (mid > seen[2:])))
-        self._tail = seen[-2:]
-        if self._above is None and block[peak] > 0.5:
-            self._above = first + int(np.argmax(block > 0.5))
+        self._tail = seen[-2:].copy()  # not a view that keeps the block's copy
+        if self._above is None and top > 0.5:
+            self._above = first + int((block > 0.5).argmax())
         self.threshold_step = self._above if self.peak_prob > 0.5 else None
         self.steps += len(block)
-        return np.arange(first, self.steps)
+        return np.arange(first, self.steps, dtype=np.uint64)
 
 
 class EvolutionTrace(TraceSummary):
@@ -181,10 +183,12 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 
 
 def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
-                       s: Union[InitialState, np.ndarray], m_max: int) -> Iterator[np.ndarray]:
+                       s: Union[InitialState, np.ndarray], m_max: int,
+                       steps: Optional[int] = None) -> Iterator[np.ndarray]:
     """P(m) for m = 0..m_max from one start under each kernel of a (K, 2, 2)
-    stack, in (K, max(1, BLOCK // K)) blocks of steps (the last may be short),
-    each evaluated when asked for; the kernels and start are checked at the call.
+    stack, in (K, steps) blocks of steps (the last may be short), by default
+    max(1, BLOCK // K), each evaluated when asked for; the kernels and start
+    are checked at the call.
 
     A ReducedKernel refuses an InitialState for another list size; a bare
     stack takes any.  The SU(2) power k = e^{i lam} (cos a I + i sin a n.sigma)
@@ -198,7 +202,9 @@ def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
     angle, nx, ny, nz = _folded(_kernel_stack(kernels))
     x0, x1 = _reduced_input(size, s).tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
-    steps = max(1, BLOCK // max(1, len(angle)))
+    if steps is None:
+        steps = max(1, BLOCK // max(1, len(angle)))
+    angle, wr, wi = angle[:, None], w.real[:, None], w.imag[:, None]
 
     def probabilities(t):
         # The real and imaginary parts of cos(t) x0 + sin(t) w, in t's buffer.
@@ -206,11 +212,11 @@ def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
         # only adds exact zeros to them, whose sign squaring hides.
         sin, cos = np.sin(t), np.cos(t, out=t)
         re = cos * x0.real
-        re += sin * w.real[:, None]
+        re += sin * wr
         cos *= x0.imag
-        cos += np.multiply(sin, w.imag[:, None], out=sin)
+        cos += np.multiply(sin, wi, out=sin)
         return np.add(np.square(re, out=re), np.square(cos, out=cos), out=re)
-    return (probabilities(angle[:, None] * np.arange(lo, min(lo + steps, m_max + 1)))
+    return (probabilities(angle * np.arange(lo, min(lo + steps, m_max + 1)))
             for lo in range(0, m_max + 1, steps))
 
 
@@ -265,8 +271,6 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     once, then O(m_max).  The rank-1 iteration over the whole vector is the
     cross-check (``checks.reduced_vs_full``)."""
     kernel, start, weight = invariant_plane(cfg, x_in)
-    if m_max == 0:  # P(0) = |v[x0]|^2 exactly, as in the collapsed plane
-        return EvolutionTrace([abs(as_vector(x_in)[cfg.marked]) ** 2])
     probs = np.concatenate(tuple(probability_blocks(kernel, start, m_max)), axis=1)
     return EvolutionTrace(probs[0] * weight)
 

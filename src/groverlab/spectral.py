@@ -336,7 +336,8 @@ def kernel_manifold_points(angle1, angle2, n: int) -> AxisAngle:
               for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
     r1 = np.cos(t1) * np.eye(2) + 1j * np.sin(t1) * axis1
     r2 = np.cos(t2) * np.eye(2) + 1j * np.sin(t2) * axis2
-    return su2_decompositions(-(r2 @ r1))
+    # einsum calls no BLAS, so the products' bits do not depend on its kernel.
+    return su2_decompositions(-np.einsum("kij,kjl->kil", r2, r1))
 
 
 @functools.lru_cache(maxsize=16)

@@ -242,10 +242,11 @@ class TestConfigFile:
 
 # sha256 of exit code, stdout, stderr and --out bytes, joined by NULs, for the
 # benchmark's invocations (which write to --out) and README's (to stdout).  A
-# trailing --out writes to a temporary file.  manifold and verify multiply
-# through numpy's matmul, whose last bits follow the BLAS kernel picked for the
-# CPU, so they list every digest that OPENBLAS_CORETYPE = Prescott through
-# SapphireRapids gave on an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).
+# trailing --out writes to a temporary file.  verify multiplies through numpy's
+# matmul, whose last bits follow the BLAS kernel picked for the CPU, so it lists
+# every digest that OPENBLAS_CORETYPE = Prescott through SapphireRapids gave on
+# an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).  manifold's
+# products go through einsum, which calls no BLAS: one digest.
 GOLDEN = {
     "trace --n 1000000 --m-max 1000000 --out":
         "13bf2003112d5e8b5c7626486d021fbb904d7b6ca7be1405310a17dd0115f066",
@@ -254,8 +255,7 @@ GOLDEN = {
     "spectrum --n 1000000000 --grid 20001 --out":
         "881f9e3a5874f8fcfbc1b4d8ffb6ae5ce65ca0d0e0708a06c2e39153ebfab607",
     "manifold --grid 200x200 --out":
-        "d2566f72326dd1caecf78328fbf9150cc5a25699577c9f09387161020ff80420"
-        " ea78a720727cc41a87e46151f126d1d37d938006e3624ba0eb146fdea1628403",
+        "ea78a720727cc41a87e46151f126d1d37d938006e3624ba0eb146fdea1628403",
     "sweep --n 1000 --grid 64x64 --m-max 300 --out":
         "e22df5978789af884488bca29a87eb65678fc01db87946a13ada078bdfb8df62",
     "trace --n 1000 --m-max 1000":
@@ -265,8 +265,7 @@ GOLDEN = {
     "asymptotics --n 100000 --grid 41":
         "318a83fe1ba0efa78b02c9c257a22b4025f8473b5062fcd5a98b25b52c8d1a91",
     "manifold --grid 50x50":
-        "b01ffe715ddcc52826c81819c12224e3d8e3490fb382f64dde9ed9dc492cfe13"
-        " af4ea748779d8dc1c883ecb525e2a6901bc9ce8d7a208303a5f00802087df5cc",
+        "af4ea748779d8dc1c883ecb525e2a6901bc9ce8d7a208303a5f00802087df5cc",
     "verify --seed 7":
         "42c93576665b863881da281079bba9421462bfe87f89a54a326ca7eb9c777036"
         " 1223fb95e29e21e442482933963e7be702730907a085532c15a8d486d77ad22f"
@@ -369,10 +368,10 @@ class TestTrace:
 
     def test_block_working_set(self):
         """One BLOCK-row trace block, evaluated, summarized and formatted as
-        cmd_trace does, peaks below 2.5 MB of traced allocations (numpy
-        reports its buffers to tracemalloc, so the count does not vary): 2.3 MB
-        measured, 4.4 MB when the engine and the formatter held their
-        temporaries to the end."""
+        cmd_trace does, peaks below 1.15 MB of traced allocations (numpy
+        reports its buffers to tracemalloc, so the count does not vary): 1.05 MB
+        measured, 2.3 MB for the 2^14-row block before it and 4.4 MB when the
+        engine and the formatter held their temporaries to the end."""
         kernel, start = reduced_kernel(1.0, 1.0, 10**6), uniform_initial(10**6)
         rows(cli.TRACE_ROW, [[0], [0.5]])  # builds the lookup tables
         summary = TraceSummary()
@@ -384,7 +383,24 @@ class TestTrace:
         finally:
             tracemalloc.stop()
         assert summary.steps == evolution.BLOCK
-        assert peak <= 2.5e6, f"one block peaked at {peak / 1e6:.2f} MB"
+        assert peak <= 1.15e6, f"one block peaked at {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1000000", "--m-max", "100000"],
+        ["--n", "4096", "--k0", "momentum:3", "--a", "1.5", "--m-max", "100000"],
+    ], ids=["reduced", "momentum-a"])
+    def test_block_sizes_print_the_same_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        """The CSV and the summary at BLOCK rows per block, at the 2^14 rows
+        before it and at 2^14 - 1, which moves every block boundary, hash alike
+        (the momentum start at y0 = 3 has a plane weight other than 1)."""
+        digests = set()
+        for block in (evolution.BLOCK, 2**14, 2**14 - 1):
+            monkeypatch.setattr(evolution, "BLOCK", block)
+            path = tmp_path / f"{block}.csv"
+            rc, summary, err = run(capsys, "trace", *argv, "--out", str(path))
+            assert (rc, err) == (0, "")
+            digests.add(hashlib.sha256(path.read_bytes() + summary.encode()).hexdigest())
+        assert len(digests) == 1
 
     @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
     def test_blocks_reuse_their_memory(self, tmp_path):
@@ -683,6 +699,7 @@ class TestSweep:
                 "--beta-phase", "0.3", "--delta-phase", "-2", *extra]
         monkeypatch.setattr(evolution, "BLOCK", block)
         monkeypatch.setattr(cli, "GRID_BLOCK", block)  # 20 does not divide the 35 points
+        monkeypatch.setattr(cli, "SWEEP_STEPS", 1 if block == 20 else cli.SWEEP_STEPS)
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (0, "")
         _, rows = parse_csv(out)
@@ -703,8 +720,8 @@ class TestSweep:
         kernel = kernels_of(unit_phases([math.pi]), unit_phases([math.pi]))[0]
         flat = probability_trace(ReducedKernel(kernel, size), start, 30).probs
         assert np.all(flat == flat[0])
-        for block in (evolution.BLOCK, 1, 5):
-            monkeypatch.setattr(evolution, "BLOCK", block)
+        for block in (cli.SWEEP_STEPS, 1, 5):
+            monkeypatch.setattr(cli, "SWEEP_STEPS", block)
             rc, out, err = run(capsys, *argv)
             assert rc == 0
             assert parse_csv(out)[1][0][3:5] == [fmt(flat[0]), "0"]
@@ -952,7 +969,8 @@ class TestBlocks:
         assert rc == 0
         for block in (1, 7, 20):
             monkeypatch.setattr(cli, "GRID_BLOCK", block)  # the four grid commands
-            monkeypatch.setattr(evolution, "BLOCK", block)  # the trace's and sweep's engine
+            monkeypatch.setattr(evolution, "BLOCK", block)  # the trace's engine
+            monkeypatch.setattr(cli, "SWEEP_STEPS", block)  # the sweep's
             assert run(capsys, *argv) == (0, whole, err)
 
     @pytest.mark.parametrize("argv", [

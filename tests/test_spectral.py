@@ -478,11 +478,18 @@ class TestScalarReference:
             return math.cos(t) * np.eye(2) + 1j * math.sin(t) * np.array(
                 [[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
 
+        def product(a, b):
+            # In Python complex arithmetic: numpy's matmul follows the BLAS kernel.
+            a, b = a.tolist(), b.tolist()
+            return np.array([[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
+                             for i in range(2)])
+
         g1 = [(np.pi / 2 + 2 * np.pi * i / 9) % (2 * np.pi) for i in range(9)]
         g2 = [(np.pi / 2 + 2 * np.pi * j / 8) % (2 * np.pi) for j in range(8)]
         aa = kernel_manifold_points(np.array(g1)[:, None], g2, n)
         for k, (t1, t2) in enumerate((t1, t2) for t1 in g1 for t2 in g2):
-            lam, c, sin_axis = scalar_dephase(-(rotation(t2, axes[1]) @ rotation(t1, axes[0])))
+            lam, c, sin_axis = scalar_dephase(-product(rotation(t2, axes[1]),
+                                                       rotation(t1, axes[0])))
             s = math.hypot(*sin_axis)
             assert bits([aa.global_phase[k], aa.angle[k]]) == bits([lam, math.atan2(s, c)])
             if s < 1e-9:

@@ -12,6 +12,7 @@ parts read off by Pauli traces.  The reference shares no code with
 groverlab.  Both sides start from the same float angles.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 from reference import reflections
 
+from groverlab import cli
+from groverlab.algebra import TOL_EXACT
 from groverlab.kernel import GroverPhases, reduced_kernel
 from groverlab.spectral import eigensystem, kernel_manifold_points, optimal_steps_exact
 
@@ -104,3 +107,57 @@ def test_manifold_matches_reference(n):
             if not ok:
                 bad.append((i, j, [float(e) for e in err]))
     assert not bad, f"{len(bad)} of {len(MANIFOLD_GRID) ** 2} points wrong, e.g. {bad[:3]}"
+
+
+# asymptotics over a diagonal of one point more than GRID_BLOCK, so that its
+# last row comes from a second block, at list sizes up to the largest --n.
+ASYMPTOTIC_SIZES = (2, 1000, 10**9, 2**63 - 1)
+ASYMPTOTIC_GRID = cli.GRID_BLOCK + 1
+# gap_asymptotic's error, relative to 4 / sqrt(N): the float cos(phi/2) is
+# within rounding of 1, not of itself, near phi = +-pi (2.2e-17 measured).
+ASYMPTOTIC_GAP_TOL = 1e-15
+# A step count may differ from the floor of the 50-digit period only where
+# the period lies this close, relative, to an integer.
+PERIOD_RTOL = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _half_cos(phi):
+    """cos(phi/2) at 50 digits for the printed phi."""
+    with mp.workdps(50):
+        return mp.cos(mpf(phi) / 2)
+
+
+@pytest.mark.parametrize("alpha1", [None, 0.3, 1e-306], ids=["n", "alpha1", "tiny-alpha1"])
+@pytest.mark.parametrize("n", ASYMPTOTIC_SIZES)
+def test_asymptotics_matches_reference(tmp_path, n, alpha1):
+    """gap_asymptotic against 4 cos(phi/2) / sqrt(N), and m_asymptotic
+    against floor(pi sqrt(N) / (4 cos(phi/2))), or floor(pi / (4 alpha1
+    cos(phi/2))) with --alpha1, at 50 digits for the printed phi.  Both cells
+    are empty exactly where cos(phi/2) is below TOL_EXACT (the phi = +-pi
+    ends), and m_asymptotic also where the period overflows a float (near
+    those ends for alpha1 = 1e-306)."""
+    path = tmp_path / "a.csv"
+    argv = ["asymptotics", "--n", str(n), "--grid", str(ASYMPTOTIC_GRID), "--out", str(path)]
+    assert cli.main(argv + ([] if alpha1 is None else ["--alpha1", repr(alpha1)])) == 0
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == ASYMPTOTIC_GRID
+    bad = []
+    with mp.workdps(50):
+        scale = 4 / mp.sqrt(n)
+        for line in lines:
+            phi, _, _, gap, steps = line.split(",")
+            c = _half_cos(phi)
+            period = (mp.pi * mp.sqrt(n) if alpha1 is None else mp.pi / mpf(alpha1)) / (4 * c)
+            if c <= TOL_EXACT:
+                ok = gap == steps == ""
+            else:
+                ok = gap != "" and abs(mpf(gap) - scale * c) <= ASYMPTOTIC_GAP_TOL * scale
+                if period > mpf(np.finfo(float).max):
+                    ok = ok and steps == ""
+                elif int(steps) != mp.floor(period):
+                    near = abs(period - mp.nint(period)) <= PERIOD_RTOL * period
+                    ok = ok and near and abs(int(steps) - period) <= 1 + PERIOD_RTOL * period
+            if not ok:
+                bad.append((phi, gap, steps))
+    assert not bad, f"{len(bad)} of {len(lines)} rows wrong, e.g. {bad[:3]}"
