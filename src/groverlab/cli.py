@@ -58,16 +58,18 @@ from .spectral import (
 
 __all__ = ["ExperimentConfig", "main"]
 
-# Most points of a --grid.  The grid commands build, format and write
-# GRID_BLOCK points at a time, so this bounds the run time and the CSV's size
+# Most points of a --grid.  The grid commands build, format and write one
+# block of points at a time, so this bounds the run time and the CSV's size
 # (about 240 MB for a 10^6-point spectrum), not memory.
 MAX_GRID_POINTS = 10**6
-# Grid points per block in spectrum, manifold, sweep and asymptotics: a block's
+# CSV cells per block in spectrum, manifold, sweep and asymptotics: a block's
 # coordinates are generated, and its rows computed, formatted and written,
-# before the next.  A grid row holds a few dozen temporaries, so the block is
-# a quarter of the trace's BLOCK: a 20001-point spectrum peaks at 34 MB (38 MB
-# at 4096 points; 33 MB at 1024, which take about 20% more time per point).
-GRID_BLOCK = 2048
+# before the next.  Each of a row's cells costs a few dozen bytes of
+# temporaries, so a block holds GRID_CELLS // (the row's cells) points, as
+# many cells as the trace's 2^13-row block: 1092 points in spectrum, 1820
+# in manifold, 2730 in sweep and 3276 in asymptotics.  A 20001-point
+# spectrum peaks at 32.8 MB (34.3 MB in 2048-point blocks, 38 MB in 4096).
+GRID_CELLS = 2**14
 # A sweep folds its peaks over engine blocks of SWEEP_KERNELS kernels by
 # SWEEP_STEPS steps: cos and sin run 1.5x slower per element on 4 steps.
 SWEEP_KERNELS, SWEEP_STEPS = 1024, 16
@@ -362,14 +364,16 @@ def _trace_problem(cfg: ExperimentConfig):
     return kernels_of(beta, delta), start, 1.0
 
 
-def _spans(count: int) -> Iterator[Tuple[int, int]]:
-    """Ranges [lo, hi) of at most GRID_BLOCK grid points that cover ``count``."""
-    return ((lo, min(lo + GRID_BLOCK, count)) for lo in range(0, count, GRID_BLOCK))
+def _spans(count: int, template: str) -> Iterator[Tuple[int, int]]:
+    """Ranges [lo, hi) that cover ``count`` grid points, each of at most
+    GRID_CELLS cells of ``template``'s rows."""
+    block = GRID_CELLS // template.count("%")
+    return ((lo, min(lo + block, count)) for lo in range(0, count, block))
 
 
-def _torus(p: int, q: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _torus(p: int, q: int, template: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The p x q grid in row-major blocks: each point's row and column index."""
-    for lo, hi in _spans(p * q):
+    for lo, hi in _spans(p * q, template):
         yield np.divmod(np.arange(lo, hi), q)
 
 
@@ -396,7 +400,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     kernels_of, _, start = _reduced_problem(cfg)
 
     def body():
-        for i, j in _torus(p, q):
+        for i, j in _torus(p, q, SWEEP_ROW):
             bp = wrap_angle(cfg.beta_phase + TAU * i / p)
             dp = wrap_angle(cfg.delta_phase + TAU * j / q)
             beta, delta = unit_phases(bp), unit_phases(dp)
@@ -431,17 +435,19 @@ def _diagonal(p: int, lo: int, hi: int) -> np.ndarray:
     return t
 
 
-def _phase_blocks(cfg: ExperimentConfig) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-    """Blocks of phase angles (beta, delta) for spectrum/asymptotics: one
-    config point, or the diagonal sweep linspace(-pi, pi, p).  A bad --grid
-    is refused when this is called, not when the blocks are drawn."""
+def _phase_blocks(cfg: ExperimentConfig,
+                  template: str) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+    """Blocks of phase angles (beta, delta) for spectrum/asymptotics, whose
+    rows ``template`` formats: one config point, or the diagonal sweep
+    linspace(-pi, pi, p).  A bad --grid is refused when this is called, not
+    when the blocks are drawn."""
     if cfg.grid is None:
         return [(np.array([cfg.beta_phase]), np.array([cfg.delta_phase]))]
     p, _ = _grid(cfg.command, cfg.grid, 2, one_dim=True)
     for name in ("beta_phase", "delta_phase"):
         if getattr(cfg, name):
             raise UsageError(f"{cfg.command} --grid sweeps the diagonal; drop {_flag(name)}")
-    diagonal = (_diagonal(p, lo, hi) for lo, hi in _spans(p))
+    diagonal = (_diagonal(p, lo, hi) for lo, hi in _spans(p, template))
     return ((t, t) for t in diagonal)
 
 
@@ -450,12 +456,13 @@ SPECTRUM_ROW = "%.17g," * 11 + "%.0f,%.0f,%.17g,%d\n"
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    blocks = _phase_blocks(cfg)
+    blocks = _phase_blocks(cfg, SPECTRUM_ROW)
     kernels_of, size, _ = _reduced_problem(cfg)
 
     def body():
         for bp, dp in blocks:
-            beta, delta = unit_phases(bp), unit_phases(dp)
+            beta = unit_phases(bp)
+            delta = beta if dp is bp else unit_phases(dp)  # the diagonal's one array
             spec = eigensystems(kernels_of(beta, delta), size)
             # The printed fields only: the eigenvalues and eigenvectors go
             # before the rows are formatted.
@@ -467,8 +474,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
             stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
             if size is None:
                 diag_gap = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
+            wrapped = wrap_angle(bp)
             yield rows(SPECTRUM_ROW, [
-                wrap_angle(bp), wrap_angle(dp), det.real, det.imag, trace.real, trace.imag,
+                wrapped, wrapped if dp is bp else wrap_angle(dp),
+                det.real, det.imag, trace.real, trace.imag,
                 *phases, gap, diag_gap.real, diag_gap.imag,
                 np.floor(math.pi / np.where(degenerate, np.nan, gap)),
                 np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
@@ -485,7 +494,7 @@ ASYMPTOTICS_ROW = "%.17g,%d,%.17g,%.17g,%.0f\n"
 
 
 def cmd_asymptotics(cfg: ExperimentConfig) -> int:
-    blocks = _phase_blocks(cfg)
+    blocks = _phase_blocks(cfg, ASYMPTOTICS_ROW)
 
     def body():
         for _, dp in blocks:
@@ -507,7 +516,7 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
     p, q = _grid("manifold", cfg.grid or "50x50", 1)
 
     def body():
-        for i, j in _torus(p, q):
+        for i, j in _torus(p, q, MANIFOLD_ROW):
             # Anchor both grids at pi/2 so the original kernel is always on-grid.
             t1 = (math.pi / 2 + TAU * i / p) % TAU
             t2 = (math.pi / 2 + TAU * j / q) % TAU

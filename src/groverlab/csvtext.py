@@ -5,9 +5,9 @@ template of literal text and the three conversions the CSV writer uses:
 ``%d``, ``%.17g`` and ``%.0f``.  Each conversion returns its cells as a byte
 matrix, one row per CSV row, 0 meaning "no byte": it works out their width,
 then writes them as words, most of them looked up in small tables and
-masked.  ``rows`` joins the literals and the cell matrices side by side, and
-``bytes.translate`` drops the zeros once per call.  A NaN float cell is
-empty.
+masked.  ``rows`` joins the literals and the cell matrices side by side
+into a bytearray, and ``translate`` drops the zeros once per call.  A NaN
+float cell is empty.
 
 A ``%.17g`` cell scales |x| by 10^(16 - e), e = floor(log10 |x|), in
 double-double arithmetic: a Dekker two-product of |x| with the double
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class _Tables(NamedTuple):
     # uint32 masks of the digits of 0..9999 without leading zeros: row 0
     # keeps none of 0, row 1 (a number's last group) keeps its last "0"
     significant: np.ndarray
-    powers: np.ndarray  # rows hi, lo, hi_hi, hi_lo for 10^k, k = -300..300
+    powers: np.ndarray  # hi, lo, hi_hi, hi_lo of 10^k by k + 300, k = -300..300
     lead: np.ndarray  # sign, "0." and zeros, the first digit and a point after it
     # The %.17g layout by key = 18 * code + the trailing zero digits of the 17,
     # code = e + 5 in fixed notation (-4 <= e < 17), else 0.
@@ -96,22 +96,23 @@ def _tables() -> _Tables:
     digits after the first (two words) and the point after them, the
     fraction digits (two words) and the exponent.
     """
-    n = np.arange(10000)
-    quads = np.ascontiguousarray(n[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48,
-                                 dtype=np.uint8).view(np.uint32).ravel()
+    n = np.arange(10000, dtype=np.uint16)
+    quads = np.empty((10000, 4), np.uint8)
     zeros = np.zeros(10000, np.int8)
-    length = np.ones(10000, np.int64)
+    length = np.ones(10000, np.int8)
     for k in (1, 2, 3, 4):
-        zeros += n % 10**k == 0
+        quads[:, 4 - k] = n // np.uint16(10**(k - 1)) % np.uint16(10) + np.uint16(48)
+        zeros += n % np.uint16(10**k) == 0
         length += n >= 10**k
+    quads = quads.view(np.uint32).ravel()
     suffix = _words([b"", b"\0\0\0\xff", b"\0\0\xff\xff", b"\0\xff\xff\xff", b"\xff" * 4], 4)
     significant = suffix[np.stack([np.where(n == 0, 0, length), length])]
 
-    hi, lo = [], []
+    hi, lo, tens = [], [], [10**k for k in range(_POWERS + 1)]
     for k in range(-_POWERS, _POWERS + 1):
-        big, den = 10**max(k, 0), 10**max(-k, 0)
-        num, two = (big / den).as_integer_ratio()  # hi = num / two
-        hi.append(num / two)
+        big, den = tens[max(k, 0)], tens[max(-k, 0)]
+        hi.append(big / den)
+        num, two = hi[-1].as_integer_ratio()  # hi = num / two
         lo.append((big * two - num * den) / (den * two))
     hi = np.array(hi)
     t = hi * _SPLIT
@@ -130,7 +131,7 @@ def _tables() -> _Tables:
     j = np.arange(1, 17)
     integer = ((j <= ints) * np.uint8(255)).view(np.uint64)
     fraction = (((j > ints) & (j < digits[:, None])) * np.uint8(255)).view(np.uint64)
-    tables = _Tables(quads, zeros, significant, np.stack([hi, lo, hh, hi - hh]), lead,
+    tables = _Tables(quads, zeros, significant, np.stack([hi, lo, hh, hi - hh], axis=1), lead,
                      np.where((e >= -4) & (e < 17), 18 * (e + 5), 0),
                      (np.maximum(-point, 0) * 2 + ((point == 0) & (digits > 1))) * 10,
                      integer.T.copy(), fraction.T.copy(),
@@ -218,8 +219,7 @@ def _f_cells(column) -> np.ndarray:
 
 def _scaled(a: np.ndarray, e: np.ndarray):
     """a 10^(16 - e) as p + r: p = fl(a hi), r = its exact error + a lo."""
-    k = 16 + _POWERS - e
-    hi, lo, hh, hl = (table[k] for table in _tables().powers)
+    hi, lo, hh, hl = _tables().powers.take(16 + _POWERS - e, axis=0).T
     p = a * hi
     ah = a * _SPLIT
     ah -= ah - a  # Veltkamp: ah the high 26 bits of a, al the rest
@@ -228,16 +228,20 @@ def _scaled(a: np.ndarray, e: np.ndarray):
     return p, ah * hh - p + ah * hl + al * hh + al * hl + a * lo
 
 
-def _g_cells(column) -> np.ndarray:
-    """``%.17g``: 17 significant digits, trailing zeros stripped, fixed
-    notation for -4 <= e < 17 and d.ddde+XX otherwise."""
+def _g_cells(columns: Sequence) -> List[np.ndarray]:
+    """``%.17g`` of each of the equal-length ``columns``, one cell matrix per
+    column: 17 significant digits, trailing zeros stripped, fixed notation
+    for -4 <= e < 17 and d.ddde+XX otherwise.  The arithmetic runs once over
+    all of them; each matrix is as wide as its own cells need."""
     t = _tables()
-    values = np.asarray(column, dtype=np.float64)
-    n = len(values)
+    count = len(columns)
+    values = (np.asarray(columns[0], dtype=np.float64) if count == 1 else
+              np.concatenate([np.asarray(column, dtype=np.float64) for column in columns]))
+    n = len(values) // count
     a = np.abs(values)
     zero = a == 0  # formatted as 2 with the digit 2 replaced by 0
     slow = a.view(np.uint64) - _G_START > _G_END - _G_START
-    a[slow] = 2.0  # not a power of ten: these rows take no edge path below
+    a[slow] = 2.0  # not a power of ten: these values take no edge path below
     e = np.floor(np.log10(a)).astype(np.int64)
     p, r = _scaled(a, e)
     # log10 may put e one off near a power of ten: then p + r lies outside
@@ -249,9 +253,9 @@ def _g_cells(column) -> np.ndarray:
         down = (pe < 1e16) | ((pe == 1e16) & (re_ < 0))
         e[edge] += up.astype(np.int64) - down
         p[edge], r[edge] = _scaled(a[edge], e[edge])
-    whole = np.rint(r)  # a remainder within _TIE of a half makes the row bad
+    whole = np.rint(r)  # a remainder within _TIE of a half makes the value bad
     d = p.astype(np.int64) + whole.astype(np.int64)
-    bad = ((slow ^ zero) | (np.abs(r - whole) > 0.5 - _TIE)).nonzero()[0]
+    bad = (slow ^ zero) | (np.abs(r - whole) > 0.5 - _TIE)
     del a, p, r, whole  # each block's arrays go as soon as they are used up
     carry = (d == 10**17).nonzero()[0]
     if carry.size:
@@ -263,12 +267,12 @@ def _g_cells(column) -> np.ndarray:
     # a strided divmod takes four times as long).
     first = d // 10**16
     d -= first * 10**16
-    g = np.empty((4, n), np.int64)
+    g = np.empty((4, len(d)), np.int64)
     np.floor_divide(d, 10**8, out=g[1])
     np.subtract(d, g[1] * 10**8, out=g[3])
     np.floor_divide(g[1::2], 10**4, out=g[::2])
     g[1::2] -= g[::2] * 10**4
-    digits = t.quads.take(g.T, out=np.empty((n, 4), np.uint32), mode="clip").view(np.uint64)
+    digits = t.quads.take(g.T, mode="clip").view(np.uint64)
     # Trailing zero digits: those of the last nonzero group, and four for
     # each 0000 after it (``zeros`` of 0000 is 4).
     z = t.zeros[g]
@@ -278,37 +282,46 @@ def _g_cells(column) -> np.ndarray:
 
     index = e + _EXPONENTS
     key = t.layout[index] + zeros
-    # Words no row uses are left out: the integer digits after the first
-    # and their point below 10, the second word of them below 10^9, the
-    # exponent in fixed notation.
-    integer = (int(key.max()) // 18 + 2) // 8  # (e + 7) // 8 for the largest fixed e
-    fraction = 1 + integer + (integer > 0)  # the first fraction word
-    exponent = int(key.min()) < 18
     lead = t.lead_key[key] + first - 2 * zero
     lead += np.signbit(values) * 100
-    del first
+    del first, zeros
+    # Words no cell of a matrix uses are left out of it: the integer digits
+    # after the first and their point below 10, the second word of them
+    # below 10^9, the exponent in fixed notation, and its last four bytes
+    # (zeros) when every exponent has two digits.
+    keys = key.reshape(count, n)
+    cells = []
+    for c, (top, low) in enumerate(zip(keys.max(axis=1).tolist(), keys.min(axis=1).tolist())):
+        part = slice(c * n, (c + 1) * n)
+        integer = (top // 18 + 2) // 8  # (e + 7) // 8 for the largest fixed e
+        fraction = 1 + integer + (integer > 0)  # the first fraction word
+        exponent = low < 18
+        ckey = keys[c]
+        words = np.empty((n, fraction + 2 + exponent), np.uint64)
+        words[:, 0] = t.lead[lead[part]]
+        for k in range(integer):
+            np.bitwise_and(digits[part, k], t.integer[k][ckey], out=words[:, 1 + k])
+        if integer:
+            words[:, fraction - 1] = t.point[ckey]
+        for k in (0, 1):
+            np.bitwise_and(digits[part, k], t.fraction[k][ckey], out=words[:, fraction + k])
+        matrix = words.view(np.uint8)
+        if exponent:
+            words[:, fraction + 2] = t.exponent[index[part]]
+            if int(np.abs(e[part]).max()) < 100:
+                matrix = matrix[:, :-4]
+        cells.append(_patched(matrix, values[part], bad[part].nonzero()[0], "%.17g"))
+    return cells
 
-    words = np.empty((n, fraction + 2 + exponent), np.uint64)
-    words[:, 0] = t.lead[lead]
-    del lead
-    for k in range(integer):
-        np.bitwise_and(digits[:, k], t.integer[k][key], out=words[:, 1 + k])
-    if integer:
-        words[:, fraction - 1] = t.point[key]
-    for k in (0, 1):
-        np.bitwise_and(digits[:, k], t.fraction[k][key], out=words[:, fraction + k])
-    cells = words.view(np.uint8)
-    if exponent:
-        words[:, fraction + 2] = t.exponent[index]
-        if int(np.abs(e).max()) < 100:  # "e+XX": the exponent word's last four bytes are 0
-            cells = cells[:, :-4]
-    return _patched(cells, values, bad, "%.17g")
+
+_CELLS = {"d": _d_cells, ".0f": _f_cells}
+# Most values one _g_cells call formats: %.17g columns of one block are
+# formatted together up to this many, so that the calls' fixed costs are
+# shared while their temporaries stay within a trace block's.
+_G_VALUES = 2**13
 
 
-_CELLS = {"d": _d_cells, ".17g": _g_cells, ".0f": _f_cells}
-
-
-def rows(template: str, columns: Sequence) -> bytes:
+def rows(template: str, columns: Sequence) -> bytearray:
     """``"".join(template % row for row in zip(*columns)).encode()``, NaN cells empty.
 
     ``template`` is literal text around ``%d``, ``%.17g`` and ``%.0f``
@@ -317,8 +330,8 @@ def rows(template: str, columns: Sequence) -> bytes:
     literals and those matrices are joined side by side into one, whose
     zeros are dropped.  A cell takes up to 56 bytes of it (more where
     Python's text is longer), so the caller bounds the memory by the rows it
-    passes: every CLI block is at most 2^15 cells (a 2^13-row trace block
-    peaks at 0.95 MB traced).
+    passes: every CLI block is at most 2^14 cells, and a trace or spectrum
+    block peaks at about 1.1 MB traced.
     """
     literals, conversions = _parse(template)
     if len(columns) != len(conversions):
@@ -326,15 +339,19 @@ def rows(template: str, columns: Sequence) -> bytes:
                          f"got {len(columns)}")
     n = len(columns[0])
     if n == 0:
-        return b""
+        return bytearray()
+    cells = {}  # the %.17g columns' cell matrices, by column
+    g = [k for k, conversion in enumerate(conversions) if conversion == ".17g"]
+    per = max(1, _G_VALUES // n)
+    for lo in range(0, len(g), per):
+        cells.update(zip(g[lo:lo + per], _g_cells([columns[k] for k in g[lo:lo + per]])))
     parts = []  # in template order, without empty literals
     for k, literal in enumerate(literals):
         if literal:
             parts.append(np.frombuffer(literal * n, np.uint8).reshape(n, len(literal)))
         if k < len(columns):
-            parts.append(_CELLS[conversions[k]](columns[k]))
-    text = np.concatenate(parts, axis=1)
-    del parts  # frees the cell matrices before the copies below
-    raw = text.tobytes()
-    del text  # and the matrix before the compacted copy
+            parts.append(cells[k] if k in cells else _CELLS[conversions[k]](columns[k]))
+    raw = bytearray(n * sum(part.shape[1] for part in parts))
+    np.concatenate(parts, axis=1, out=np.frombuffer(raw, np.uint8).reshape(n, -1))
+    del parts, cells  # frees the cell matrices before the compacted copy
     return raw.translate(None, b"\0")

@@ -147,14 +147,19 @@ def _folded(m: np.ndarray):
 
 
 def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors (rows) of the kernels m for their eigenvalues z.
+    """Unit eigenvectors of the kernels m for the two eigenvalues of each
+    in z, of shape (2, K), as a (K, 2, 2) stack: kernel, eigenvalue, component.
 
     Each is built from whichever column of (m - z I) is better conditioned,
     then rotated so the second component is real positive (first component
-    used as the reference when the second vanishes).  Components are rows,
-    and each norm is np.linalg.norm's: sqrt of the sum of (x.conj() x).real.
+    used as the reference when the second vanishes).  Components are the
+    leading axis while they are built, and each norm is np.linalg.norm's:
+    sqrt of the sum of (x.conj() x).real.
     """
-    cols = np.stack([m[:, 0, 1], z - m[:, 0, 0], z - m[:, 1, 1], m[:, 1, 0]])  # two columns
+    cols = np.empty((4,) + z.shape, dtype=complex)  # two columns of m - z I per z
+    cols[0], cols[3] = m[:, 0, 1], m[:, 1, 0]
+    np.subtract(z, m[:, 0, 0], out=cols[1])
+    np.subtract(z, m[:, 1, 1], out=cols[2])
     sq = (cols.conj() * cols).real
     norms = np.sqrt(sq[0::2] + sq[1::2])
     first = norms[0] >= norms[1]
@@ -183,12 +188,11 @@ def eigensystems(kernels: Union[ReducedKernel, np.ndarray],
     degenerate = 2 * s <= DEGENERACY_TOL
     za = _expi(lam - angle)
     zb = np.where(degenerate, za, _expi(lam + angle))
-    va = np.zeros((len(m), 2), dtype=complex)
-    vb = va.copy()
-    va[:, 0] = vb[:, 1] = 1.0
+    v = np.zeros((len(m), 2, 2), dtype=complex)
+    v[:, 0, 0] = v[:, 1, 1] = 1.0
     live = ~degenerate
-    va[live] = _phase_fixed_eigvecs(m[live], za[live])
-    vb[live] = _phase_fixed_eigvecs(m[live], zb[live])
+    v[live] = _phase_fixed_eigvecs(m[live], np.stack([za[live], zb[live]]))
+    va, vb = v[:, 0], v[:, 1]
     ma, mb = np.abs(va[:, 0]), np.abs(vb[:, 0])
     dominated = np.maximum(ma, mb) > DOMINANCE_RATIO * np.minimum(ma, mb)
     swap = live & np.where(dominated, ma > mb, va[:, 0].imag > vb[:, 0].imag)
@@ -332,12 +336,18 @@ def kernel_manifold_points(angle1, angle2, n: int) -> AxisAngle:
     """
     _require_list_size(n)
     axis1, axis2 = _reflection_axes(n)
-    t1, t2 = (np.reshape(t, -1)[:, None, None]
+    t1, t2 = (np.reshape(t, -1)
               for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
-    r1 = np.cos(t1) * np.eye(2) + 1j * np.sin(t1) * axis1
-    r2 = np.cos(t2) * np.eye(2) + 1j * np.sin(t2) * axis2
-    # einsum calls no BLAS, so the products' bits do not depend on its kernel.
-    return su2_decompositions(-np.einsum("kij,kjl->kil", r2, r1))
+    # The rotations as (2, 2, K) stacks, so that each entry's K values are
+    # contiguous, and their products r2 r1 entry by entry: (+0 + r2_i0 r1_0l)
+    # + r2_i1 r1_1l, each complex product part by part.  That is what
+    # np.einsum("kij,kjl->kil") computes, bit for bit, and faster; neither
+    # calls BLAS, so the bits do not depend on its kernel.
+    eye = np.eye(2)[:, :, None]
+    r1 = np.cos(t1) * eye + 1j * np.sin(t1) * axis1[:, :, None]
+    r2 = np.cos(t2) * eye + 1j * np.sin(t2) * axis2[:, :, None]
+    product = (0.0 + _cmul(r2[:, :1], r1[None, 0])) + _cmul(r2[:, 1:], r1[None, 1])
+    return su2_decompositions(-np.moveaxis(product, -1, 0))
 
 
 @functools.lru_cache(maxsize=16)

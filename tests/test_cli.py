@@ -39,6 +39,21 @@ def run(capsys, *args):
     return rc, cap.out, cap.err
 
 
+# Each grid command's row template: its cells per row size its blocks.
+GRID_ROWS = {"spectrum": cli.SPECTRUM_ROW, "manifold": cli.MANIFOLD_ROW,
+             "sweep": cli.SWEEP_ROW, "asymptotics": cli.ASYMPTOTICS_ROW}
+
+
+def block_points(command: str) -> int:
+    """Grid points in one of ``command``'s blocks."""
+    return cli.GRID_CELLS // GRID_ROWS[command].count("%")
+
+
+def cut_blocks(monkeypatch, command: str, points: int) -> None:
+    """Set cli.GRID_CELLS so that ``command``'s blocks hold ``points`` grid points."""
+    monkeypatch.setattr(cli, "GRID_CELLS", points * GRID_ROWS[command].count("%"))
+
+
 def fmt(x: float) -> str:
     """A float cell as the CLI prints it: 17 significant digits."""
     return f"{x:.17g}"
@@ -369,7 +384,7 @@ class TestTrace:
     def test_block_working_set(self):
         """One BLOCK-row trace block, evaluated, summarized and formatted as
         cmd_trace does, peaks below 1.15 MB of traced allocations (numpy
-        reports its buffers to tracemalloc, so the count does not vary): 1.05 MB
+        reports its buffers to tracemalloc, so the count does not vary): 1.02 MB
         measured, 2.3 MB for the 2^14-row block before it and 4.4 MB when the
         engine and the formatter held their temporaries to the end."""
         kernel, start = reduced_kernel(1.0, 1.0, 10**6), uniform_initial(10**6)
@@ -698,7 +713,7 @@ class TestSweep:
         argv = ["sweep", "--n", "100", "--grid", "7x5", "--m-max", "60",
                 "--beta-phase", "0.3", "--delta-phase", "-2", *extra]
         monkeypatch.setattr(evolution, "BLOCK", block)
-        monkeypatch.setattr(cli, "GRID_BLOCK", block)  # 20 does not divide the 35 points
+        cut_blocks(monkeypatch, "sweep", block)  # 20 does not divide the 35 points
         monkeypatch.setattr(cli, "SWEEP_STEPS", 1 if block == 20 else cli.SWEEP_STEPS)
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (0, "")
@@ -954,6 +969,45 @@ class TestManifold:
         assert rc == 1
 
 
+# Grids around the block boundaries of spectrum (1092 points), manifold
+# (1820), sweep (2730) and asymptotics (3276), and the sha256 of what they
+# printed with 2048-point blocks.
+BOUNDARIES = {
+    "spectrum --n 1000 --grid 1091":
+        "db95a8bd94ff7935e4824cd653b65a733a9b6c9656544c3fe1e1daf8a6d4afa2",
+    "spectrum --n 1000 --grid 1092":
+        "b46fbc40c4db5ee8570063498118f3e3bee0d305dfa966a07f8f967c6aaa5792",
+    "spectrum --n 1000 --grid 1093":
+        "655dce1a7a2074c1e761d8195edacf686b3861eaebad1dbf847913ef26e3cae0",
+    "spectrum --n 1000 --grid 2184":
+        "b2f00564b9e054d439c93e78f2d896e68c190b69860edbddd1fb17f61fcd3370",
+    "manifold --grid 17x107":
+        "7b704ae03c9109868913368bc71c61c898decba65a3c4ba60f12eb7e8999e411",
+    "manifold --grid 35x52":
+        "ba823b34fe7f04e4b2c8a030148a75d91b3d8c9541ea2f8718bc1f8eae55abb7",
+    "manifold --grid 3x607":
+        "90048a4c1f635e8029c5798d53eaccc7a9508968348bbacb177059f23ecf6fbc",
+    "manifold --grid 70x52":
+        "ad716b6ebc76753aa473ce22b495061ad109eb6ea92d91c8184e09aec2a394a2",
+    "sweep --n 100 --m-max 5 --grid 31x88":
+        "aae6f2c6df6e561f2dc6b2074e52fb152e293725c09001d02f4bf8702ae27c90",
+    "sweep --n 100 --m-max 5 --grid 42x65":
+        "7c4bfba5ad45e119329b412c2b989da663bc57c8b906aabef75144865311d0f3",
+    "sweep --n 100 --m-max 5 --grid 4x683":
+        "e2ffcb01fc234e669c2dfc90af02b7b306143cab02b90c2fc8c83c92c7b1a376",
+    "sweep --n 100 --m-max 5 --grid 84x65":
+        "b03445353dd8fec3b858075384658555e0d2d6f405be5ab9e31709e2da789d6d",
+    "asymptotics --n 1000 --grid 3275":
+        "03f8a4c11e346e97642f2cdb8c61a8cf9a115ef77dac8ce65a2d861f38dbd21c",
+    "asymptotics --n 1000 --grid 3276":
+        "70b95af05d8246bde273c2cb1e7c0e29cf78bbedb3ae5991294d42fa4a5910e0",
+    "asymptotics --n 1000 --grid 3277":
+        "6f204413833beb510e3c5af4e4a97b8fe5a8a767191d7ba2ccf74043a3812f31",
+    "asymptotics --n 1000 --grid 6552":
+        "95d7f4f0cb9a0726e972db631a57351d16cb0cc1ea0bb62b2c01b67db695845a",
+}
+
+
 class TestBlocks:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "1000", "--grid", "101"],
@@ -968,7 +1022,8 @@ class TestBlocks:
         rc, whole, err = run(capsys, *argv)
         assert rc == 0
         for block in (1, 7, 20):
-            monkeypatch.setattr(cli, "GRID_BLOCK", block)  # the four grid commands
+            if argv[0] in GRID_ROWS:  # the four grid commands
+                cut_blocks(monkeypatch, argv[0], block)
             monkeypatch.setattr(evolution, "BLOCK", block)  # the trace's engine
             monkeypatch.setattr(cli, "SWEEP_STEPS", block)  # the sweep's
             assert run(capsys, *argv) == (0, whole, err)
@@ -980,23 +1035,39 @@ class TestBlocks:
         ["asymptotics", "--n", "1000", "--grid", "9001"],
     ], ids=lambda argv: argv[0])
     def test_old_and_doubled_block_sizes_give_the_same_bytes(self, capsys, monkeypatch, argv):
-        """Grids of more than 4096 points, cut at GRID_BLOCK, at 4096 (the
-        size before 2048) and at twice GRID_BLOCK, print the same bytes."""
+        """Grids of more than 4096 points, cut into GRID_CELLS blocks, into
+        blocks of 2048 and 4096 points (the sizes before it) and of twice
+        GRID_CELLS, print the same bytes."""
         rc, whole, err = run(capsys, *argv)
         assert rc == 0
-        for block in (4096, 2 * cli.GRID_BLOCK):
-            monkeypatch.setattr(cli, "GRID_BLOCK", block)
+        for block in (2048, 4096, 2 * block_points(argv[0])):
+            cut_blocks(monkeypatch, argv[0], block)
             assert run(capsys, *argv) == (0, whole, err)
 
+    @pytest.mark.parametrize("command", BOUNDARIES)
+    def test_block_boundaries_print_the_same_bytes(self, capsys, command):
+        """Grids of one block less one point, one block, one block and one
+        point, and two blocks print the bytes the 2048-point blocks printed
+        (their sha256, as test_golden_table takes it).  A sweep's grid is at
+        least 2 x 2, so its sizes are 2728, 2730, 2732 and 5460 points."""
+        argv = command.split()
+        block, (p, _, q) = block_points(argv[0]), argv[-1].partition("x")
+        steps = (-2, 0, 2) if argv[0] == "sweep" else (-1, 0, 1)
+        assert int(p) * int(q or 1) in [block + step for step in steps] + [2 * block]
+        rc, out, err = run(capsys, *argv)
+        digest = hashlib.sha256(b"\0".join([str(rc).encode(), out.encode(), err.encode()]))
+        assert digest.hexdigest() == BOUNDARIES[command]
+
     @pytest.mark.parametrize("argv, budget", [
-        (["spectrum", "--n", "1000000000", "--grid", str(cli.GRID_BLOCK)], 2.4e6),
-        (["manifold", "--grid", f"{cli.GRID_BLOCK // 32}x32"], 1.2e6),
+        (["spectrum", "--n", "1000000000", "--grid", str(block_points("spectrum"))], 1.2e6),
+        (["manifold", "--grid", f"{block_points('manifold') // 52}x52"], 1.15e6),
     ], ids=["spectrum", "manifold"])
     def test_block_working_set(self, argv, budget):
-        """One GRID_BLOCK-point block, built, evaluated, formatted and written
+        """One block of points, built, evaluated, formatted and written
         by its command, stays within ``budget`` of traced allocations (numpy
-        reports its buffers to tracemalloc): 2.24 MB for spectrum and 1.08 MB
-        for manifold measured, 4.44 and 2.15 MB with 4096-point blocks."""
+        reports its buffers to tracemalloc): 1.10 MB for spectrum's 1092
+        points and 1.03 MB for manifold's 1820 measured, 2.24 and 1.08 MB
+        with 2048-point blocks, 4.44 and 2.15 MB with 4096-point blocks."""
         argv = [*argv, "--out", os.devnull]
         assert cli.main(argv) == 0  # builds the lookup tables and caches
         tracemalloc.start()
@@ -1011,9 +1082,9 @@ class TestBlocks:
         (["trace", "--n", "1000", "--m-max", "100000"], [1]),
         (["trace", "--n", "64", "--m-max", "100", "--k0", "momentum:3", "--a", "2"], [1]),
         (["trace", "--m-max", "100", "--alpha1", "0.2"], [1]),
-        (["spectrum", "--n", "1000", "--grid", "5000"], [2048, 2048, 904]),
-        (["sweep", "--n", "100", "--grid", "64x64", "--m-max", "20"], [1024] * 4),
-        (["manifold", "--grid", "100x50"], [2048, 2048, 904]),
+        (["spectrum", "--n", "1000", "--grid", "5000"], [1092] * 4 + [632]),
+        (["sweep", "--n", "100", "--grid", "64x64", "--m-max", "20"], [1024, 1024, 682, 1024, 342]),
+        (["manifold", "--grid", "100x50"], [1820, 1820, 1360]),
     ], ids=["trace", "momentum", "alpha1", "spectrum", "sweep", "manifold"])
     def test_each_kernel_checked_once(self, monkeypatch, argv, stacks):
         """Each kernel stack is checked for unitarity once, where it enters
@@ -1044,9 +1115,8 @@ class TestBlocks:
         """Each block generates its own grid coordinates, with the bits of the
         whole-grid arrays they replace, across block boundaries that fall
         inside a row of the p x q grids (7 and 20 do not divide 101 or 9 x 8)."""
-        monkeypatch.setattr(cli, "GRID_BLOCK", block)
-
         def first_columns(*argv):
+            cut_blocks(monkeypatch, argv[0], block)
             rc, out, err = run(capsys, *argv)
             assert rc == 0
             return [r[:2] for r in parse_csv(out)[1]]

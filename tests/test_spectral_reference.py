@@ -109,10 +109,10 @@ def test_manifold_matches_reference(n):
     assert not bad, f"{len(bad)} of {len(MANIFOLD_GRID) ** 2} points wrong, e.g. {bad[:3]}"
 
 
-# asymptotics over a diagonal of one point more than GRID_BLOCK, so that its
+# asymptotics over a diagonal of one point more than a block, so that its
 # last row comes from a second block, at list sizes up to the largest --n.
 ASYMPTOTIC_SIZES = (2, 1000, 10**9, 2**63 - 1)
-ASYMPTOTIC_GRID = cli.GRID_BLOCK + 1
+ASYMPTOTIC_GRID = cli.GRID_CELLS // cli.ASYMPTOTICS_ROW.count("%") + 1
 # gap_asymptotic's error, relative to 4 / sqrt(N): the float cos(phi/2) is
 # within rounding of 1, not of itself, near phi = +-pi (2.2e-17 measured).
 ASYMPTOTIC_GAP_TOL = 1e-15
