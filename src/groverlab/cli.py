@@ -19,7 +19,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,20 +62,19 @@ __all__ = ["ExperimentConfig", "main"]
 # block of points at a time, so this bounds the run time and the CSV's size
 # (about 240 MB for a 10^6-point spectrum), not memory.
 MAX_GRID_POINTS = 10**6
-# CSV cells per block in spectrum, manifold, sweep and asymptotics: a block's
-# coordinates are generated, and its rows computed, formatted and written,
-# before the next.  Each of a row's cells costs a few dozen bytes of
-# temporaries, so a block holds GRID_CELLS // (the row's cells) points, as
-# many cells as the trace's 2^13-row block: 1092 points in spectrum, 1820
+# CSV cells per block, in every command that writes CSV: _write_csv computes,
+# formats and writes one block of rows before the next.  Each of a row's
+# cells costs a few dozen bytes of temporaries, so a block holds GRID_CELLS //
+# (the row's cells) rows: 8192 steps in trace, 1092 points in spectrum, 1820
 # in manifold, 2730 in sweep and 3276 in asymptotics.  A 20001-point
 # spectrum peaks at 32.8 MB (34.3 MB in 2048-point blocks, 38 MB in 4096).
 GRID_CELLS = 2**14
-# A sweep folds its peaks over engine blocks of SWEEP_KERNELS kernels by
-# SWEEP_STEPS steps: cos and sin run 1.5x slower per element on 4 steps.
+# A sweep folds its peaks over probability_blocks' evaluations of
+# SWEEP_KERNELS kernels by SWEEP_STEPS steps: cos and sin run 1.5x slower
+# per element on 4 steps.
 SWEEP_KERNELS, SWEEP_STEPS = 1024, 16
-# Longest trace (--m-max).  A trace evaluates, summarizes, formats and writes
-# BLOCK = 2^13 rows at a time, so its memory does not grow with the length:
-# this bounds the run time and the CSV's size (about 280 MB at 10^7).
+# Longest trace (--m-max).  A trace's memory does not grow with its length,
+# so this bounds the run time and the CSV's size (about 280 MB at 10^7).
 MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
 MAX_N = 2**63 - 1
@@ -230,14 +229,19 @@ def _grid(command: str, text: Optional[str], least: int,
     return p, q
 
 
-def _write_csv(cfg: ExperimentConfig, header: str, chunks: Iterable[bytes],
+def _write_csv(cfg: ExperimentConfig, header: str, template: str, count: int,
+               columns: Callable[[int, int], Sequence],
                summary: Optional[TraceSummary] = None) -> None:
-    """Write the header line, then the body's bytes chunk by chunk, to --out
-    or stdout; then the summary line, to stderr after a body on stdout.
+    """Write the header line, then ``count`` rows of ``template``, to --out or
+    stdout; then the summary line, to stderr after a body on stdout.
 
-    The body is never joined, so a lazy iterable is formatted as it is
-    written, and the summary is read after it.
+    The rows go in blocks of GRID_CELLS // (the template's cells): each block
+    [lo, hi) is computed by ``columns(lo, hi)``, in order, then formatted and
+    written before the next, and the summary is read after the last.
     """
+    block = GRID_CELLS // template.count("%")
+    chunks = (rows(template, columns(lo, min(lo + block, count)))
+              for lo in range(0, count, block))
     body = itertools.chain([header.encode() + b"\n"], chunks)
     to_file = cfg.out not in (None, "-")
     if to_file:
@@ -364,31 +368,21 @@ def _trace_problem(cfg: ExperimentConfig):
     return kernels_of(beta, delta), start, 1.0
 
 
-def _spans(count: int, template: str) -> Iterator[Tuple[int, int]]:
-    """Ranges [lo, hi) that cover ``count`` grid points, each of at most
-    GRID_CELLS cells of ``template``'s rows."""
-    block = GRID_CELLS // template.count("%")
-    return ((lo, min(lo + block, count)) for lo in range(0, count, block))
-
-
-def _torus(p: int, q: int, template: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The p x q grid in row-major blocks: each point's row and column index."""
-    for lo, hi in _spans(p * q, template):
-        yield np.divmod(np.arange(lo, hi), q)
-
-
 TRACE_ROW = "%d,%.17g\n"
 
 
 def cmd_trace(cfg: ExperimentConfig) -> int:
     kernel, start, weight = _trace_problem(cfg)
-    blocks = probability_blocks(kernel, start, cfg.m_max)
-    # One block in memory at a time: evaluated, summarized, formatted, written.
-    # x * 1.0 is x, bit for bit, so the reduced trace's weight multiplies nothing.
+    p = probability_blocks(kernel, start)
     summary = TraceSummary()
-    probs = (block[0] if weight == 1.0 else np.multiply(block[0], weight, out=block[0])
-             for block in blocks)
-    _write_csv(cfg, "m,prob", (rows(TRACE_ROW, [summary.add(p), p]) for p in probs), summary)
+
+    def columns(lo, hi):
+        probs = p(lo, hi)[0]
+        probs *= weight  # x * 1.0 is x, bit for bit: the reduced trace's weight changes nothing
+        summary.add(probs)
+        return [np.arange(lo, hi, dtype=np.uint64), probs]
+
+    _write_csv(cfg, "m,prob", TRACE_ROW, cfg.m_max + 1, columns, summary)
     return 0
 
 
@@ -399,56 +393,59 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     p, q = _grid("sweep", cfg.grid, 2)
     kernels_of, _, start = _reduced_problem(cfg)
 
-    def body():
-        for i, j in _torus(p, q, SWEEP_ROW):
-            bp = wrap_angle(cfg.beta_phase + TAU * i / p)
-            dp = wrap_angle(cfg.delta_phase + TAU * j / q)
-            beta, delta = unit_phases(bp), unit_phases(dp)
-            kernels = kernels_of(beta, delta)
-            # Each row's first maximum, folded over the stack's blocks of steps.
-            peak_prob, peak_step = np.full(len(bp), -math.inf), np.zeros(len(bp), int)
-            for lo in range(0, len(bp), SWEEP_KERNELS):
-                part, m = slice(lo, lo + SWEEP_KERNELS), 0
-                part_prob, part_step = peak_prob[part], peak_step[part]  # views
-                for block in probability_blocks(kernels[part], start, cfg.m_max, SWEEP_STEPS):
-                    top = block.argmax(axis=1)
-                    prob = block[np.arange(len(block)), top]
-                    better = prob > part_prob
-                    part_prob[better], part_step[better] = prob[better], m + top[better]
-                    m += block.shape[1]
-            g_abs = _abs(beta - delta)
-            yield rows(SWEEP_ROW, [
-                bp, dp, g_abs, peak_prob, peak_step,
+    def columns(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), q)  # the p x q grid in row-major order
+        bp = wrap_angle(cfg.beta_phase + TAU * i / p)
+        dp = wrap_angle(cfg.delta_phase + TAU * j / q)
+        beta, delta = unit_phases(bp), unit_phases(dp)
+        kernels = kernels_of(beta, delta)
+        # Each row's first maximum, folded over the stack's blocks of steps.
+        peak_prob, peak_step = np.full(len(bp), -math.inf), np.zeros(len(bp), int)
+        for k in range(0, len(bp), SWEEP_KERNELS):
+            part = slice(k, k + SWEEP_KERNELS)
+            part_prob, part_step = peak_prob[part], peak_step[part]  # views
+            evaluate = probability_blocks(kernels[part], start)
+            for m in range(0, cfg.m_max + 1, SWEEP_STEPS):
+                block = evaluate(m, min(m + SWEEP_STEPS, cfg.m_max + 1))
+                top = block.argmax(axis=1)
+                prob = block[np.arange(len(block)), top]
+                better = prob > part_prob
+                part_prob[better], part_step[better] = prob[better], m + top[better]
+        g_abs = _abs(beta - delta)
+        return [bp, dp, g_abs, peak_prob, peak_step,
                 np.where(g_abs <= TOL_EXACT, asymptotic_steps(
-                    _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)])
+                    _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]
 
-    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M", body())
+    _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M",
+               SWEEP_ROW, p * q, columns)
     return 0
 
 
-def _diagonal(p: int, lo: int, hi: int) -> np.ndarray:
-    """np.linspace(-pi, pi, p)[lo:hi], bit for bit, without the other points:
-    numpy computes -pi + i * (2 pi / (p - 1)) and sets the last point to pi."""
-    t = np.arange(lo, hi, dtype=float) * (TAU / (p - 1)) - math.pi
-    if hi == p:
-        t[-1] = math.pi
-    return t
-
-
-def _phase_blocks(cfg: ExperimentConfig,
-                  template: str) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-    """Blocks of phase angles (beta, delta) for spectrum/asymptotics, whose
-    rows ``template`` formats: one config point, or the diagonal sweep
-    linspace(-pi, pi, p).  A bad --grid is refused when this is called, not
-    when the blocks are drawn."""
+def _diagonal_points(cfg: ExperimentConfig) -> Optional[int]:
+    """The p of spectrum's and asymptotics' --grid <p>, the diagonal sweep
+    linspace(-pi, pi, p), or None for the one config point.  A bad --grid is
+    refused here, before the CSV is opened."""
     if cfg.grid is None:
-        return [(np.array([cfg.beta_phase]), np.array([cfg.delta_phase]))]
+        return None
     p, _ = _grid(cfg.command, cfg.grid, 2, one_dim=True)
     for name in ("beta_phase", "delta_phase"):
         if getattr(cfg, name):
             raise UsageError(f"{cfg.command} --grid sweeps the diagonal; drop {_flag(name)}")
-    diagonal = (_diagonal(p, lo, hi) for lo, hi in _spans(p, template))
-    return ((t, t) for t in diagonal)
+    return p
+
+
+def _phases(cfg: ExperimentConfig, p: Optional[int], lo: int,
+            hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase angles (beta, delta) of points [lo, hi) of ``_diagonal_points``'
+    p: the config point, or one array for both, np.linspace(-pi, pi, p)[lo:hi]
+    bit for bit without the other points (numpy computes -pi + i * (2 pi /
+    (p - 1)) and sets the last point to pi)."""
+    if p is None:
+        return np.array([cfg.beta_phase]), np.array([cfg.delta_phase])
+    t = np.arange(lo, hi, dtype=float) * (TAU / (p - 1)) - math.pi
+    if hi == p:
+        t[-1] = math.pi
+    return t, t
 
 
 # beta_phase .. diag_gap_im, m_exact, m_asymptotic, m_stability, degenerate.
@@ -456,37 +453,37 @@ SPECTRUM_ROW = "%.17g," * 11 + "%.0f,%.0f,%.17g,%d\n"
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    blocks = _phase_blocks(cfg, SPECTRUM_ROW)
+    p = _diagonal_points(cfg)
     kernels_of, size, _ = _reduced_problem(cfg)
 
-    def body():
-        for bp, dp in blocks:
-            beta = unit_phases(bp)
-            delta = beta if dp is bp else unit_phases(dp)  # the diagonal's one array
-            spec = eigensystems(kernels_of(beta, delta), size)
-            # The printed fields only: the eigenvalues and eigenvectors go
-            # before the rows are formatted.
-            det, trace, gap, degenerate = spec.det, spec.trace, spec.phase_gap, spec.degenerate
-            phases, diag_gap = (spec.eigphase1, spec.eigphase2), spec.diag_gap
-            del spec
-            diagonal = _abs(beta - delta) <= TOL_EXACT
-            phi = _atan2(delta.imag, delta.real)
-            stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
-            if size is None:
-                diag_gap = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
-            wrapped = wrap_angle(bp)
-            yield rows(SPECTRUM_ROW, [
-                wrapped, wrapped if dp is bp else wrap_angle(dp),
+    def columns(lo, hi):
+        bp, dp = _phases(cfg, p, lo, hi)
+        beta = unit_phases(bp)
+        delta = beta if dp is bp else unit_phases(dp)  # the diagonal's one array
+        spec = eigensystems(kernels_of(beta, delta), size)
+        # The printed fields only: the eigenvalues and eigenvectors go
+        # before the rows are formatted.
+        det, trace, gap, degenerate = spec.det, spec.trace, spec.phase_gap, spec.degenerate
+        phases, diag_gap = (spec.eigphase1, spec.eigphase2), spec.diag_gap
+        del spec
+        diagonal = _abs(beta - delta) <= TOL_EXACT
+        phi = _atan2(delta.imag, delta.real)
+        stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
+        if size is None:
+            diag_gap = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
+        wrapped = wrap_angle(bp)
+        return [wrapped, wrapped if dp is bp else wrap_angle(dp),
                 det.real, det.imag, trace.real, trace.imag,
                 *phases, gap, diag_gap.real, diag_gap.imag,
                 np.floor(math.pi / np.where(degenerate, np.nan, gap)),
                 np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
                 np.where(stable, stability_expansion(phi, cfg.n), np.nan),
-                degenerate])
+                degenerate]
 
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
-                    "m_exact,m_asymptotic,m_stability,degenerate", body())
+                    "m_exact,m_asymptotic,m_stability,degenerate",
+               SPECTRUM_ROW, p or 1, columns)
     return 0
 
 
@@ -494,17 +491,16 @@ ASYMPTOTICS_ROW = "%.17g,%d,%.17g,%.17g,%.0f\n"
 
 
 def cmd_asymptotics(cfg: ExperimentConfig) -> int:
-    blocks = _phase_blocks(cfg, ASYMPTOTICS_ROW)
+    p = _diagonal_points(cfg)
 
-    def body():
-        for _, dp in blocks:
-            phi = wrap_angle(dp)
-            gap = asymptotic_gaps(unit_phases(phi), cfg.n)
-            yield rows(ASYMPTOTICS_ROW, [
-                phi, np.full(len(phi), cfg.n), np.full(len(phi), cfg.alpha1 or math.nan), gap,
-                np.where(np.isnan(gap), np.nan, asymptotic_steps(phi, cfg.n, cfg.alpha1))])
+    def columns(lo, hi):
+        phi = wrap_angle(_phases(cfg, p, lo, hi)[1])
+        gap = asymptotic_gaps(unit_phases(phi), cfg.n)
+        return [phi, np.full(len(phi), cfg.n), np.full(len(phi), cfg.alpha1 or math.nan), gap,
+                np.where(np.isnan(gap), np.nan, asymptotic_steps(phi, cfg.n, cfg.alpha1))]
 
-    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic", body())
+    _write_csv(cfg, "phi,n,alpha1,gap_asymptotic,m_asymptotic",
+               ASYMPTOTICS_ROW, p or 1, columns)
     return 0
 
 
@@ -515,19 +511,18 @@ MANIFOLD_ROW = "%.17g," * 7 + "%d,%d\n"
 def cmd_manifold(cfg: ExperimentConfig) -> int:
     p, q = _grid("manifold", cfg.grid or "50x50", 1)
 
-    def body():
-        for i, j in _torus(p, q, MANIFOLD_ROW):
-            # Anchor both grids at pi/2 so the original kernel is always on-grid.
-            t1 = (math.pi / 2 + TAU * i / p) % TAU
-            t2 = (math.pi / 2 + TAU * j / q) % TAU
-            aa = kernel_manifold_points(t1, t2, cfg.n)
-            grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
-            equal = np.abs(wrap_angle(t1 - t2)) <= 1e-9
-            yield rows(MANIFOLD_ROW, [t1, t2, aa.angle, *aa.axis.T, aa.global_phase,
-                                      grover, equal])
+    def columns(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), q)  # the p x q grid in row-major order
+        # Anchor both grids at pi/2 so the original kernel is always on-grid.
+        t1 = (math.pi / 2 + TAU * i / p) % TAU
+        t2 = (math.pi / 2 + TAU * j / q) % TAU
+        aa = kernel_manifold_points(t1, t2, cfg.n)
+        grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
+        equal = np.abs(wrap_angle(t1 - t2)) <= 1e-9
+        return [t1, t2, aa.angle, *aa.axis.T, aa.global_phase, grover, equal]
 
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
-                    "global_phase,grover_point,equal_angles", body())
+                    "global_phase,grover_point,equal_angles", MANIFOLD_ROW, p * q, columns)
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,12 +33,9 @@ __all__ = [
     "perturbed_peak_estimate",
 ]
 
-# Probabilities per block: probability_blocks evaluates BLOCK // K steps of K
-# kernels at a time unless told otherwise, and the CLI writes a trace BLOCK rows
-# at a time.  One trace block's evaluation, summary and text peak at 1.05 MB of
-# traced temporaries (2.15 MB at 2^14 rows), and neither a trace nor a sweep
-# keeps anything else that grows with its length.
-BLOCK = 2**13
+# The library's traces fill their arrays _SPAN steps at a time: the engine's
+# temporaries stay a span's size however long the trace.
+_SPAN = 2**13
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,8 @@ class TraceSummary:
         self._above: Optional[int] = None
         self._tail = np.empty(0)
 
-    def add(self, block: np.ndarray) -> np.ndarray:
-        """Fold in the next, nonempty block of probabilities; return its steps m."""
+    def add(self, block: np.ndarray) -> None:
+        """Fold in the next, nonempty block of probabilities."""
         first = self.steps
         peak = int(block.argmax())
         top = float(block[peak])
@@ -105,7 +102,6 @@ class TraceSummary:
             self._above = first + int((block > 0.5).argmax())
         self.threshold_step = self._above if self.peak_prob > 0.5 else None
         self.steps += len(block)
-        return np.arange(first, self.steps, dtype=np.uint64)
 
 
 class EvolutionTrace(TraceSummary):
@@ -183,49 +179,53 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 
 
 def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
-                       s: Union[InitialState, np.ndarray], m_max: int,
-                       steps: Optional[int] = None) -> Iterator[np.ndarray]:
-    """P(m) for m = 0..m_max from one start under each kernel of a (K, 2, 2)
-    stack, in (K, steps) blocks of steps (the last may be short), by default
-    max(1, BLOCK // K), each evaluated when asked for; the kernels and start
-    are checked at the call.
+                       s: Union[InitialState, np.ndarray]) -> Callable[[int, int], np.ndarray]:
+    """The evaluator p(lo, hi) of P(m) for the steps m = lo..hi - 1 from one
+    start under each kernel of a (K, 2, 2) stack, as a (K, hi - lo) block;
+    the kernels and start are checked here, once.
 
     A ReducedKernel refuses an InitialState for another list size; a bare
     stack takes any.  The SU(2) power k = e^{i lam} (cos a I + i sin a n.sigma)
     gives P(m) = |cos(m a) x0 + sin(m a) w|^2 for the start (x0, x1) and
     w = (i n.sigma (x0, x1))[0]; a folded into [0, pi/2]
-    (``spectral._folded``) keeps its precision.
+    (``spectral._folded``) keeps its precision.  Each P(m) is computed from
+    m alone, so any cut of the steps into ranges gives the same bits.
     """
-    if m_max < 0:
-        raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
     size = kernels.size if isinstance(kernels, ReducedKernel) else None
     angle, nx, ny, nz = _folded(_kernel_stack(kernels))
     x0, x1 = _reduced_input(size, s).tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
-    if steps is None:
-        steps = max(1, BLOCK // max(1, len(angle)))
     angle, wr, wi = angle[:, None], w.real[:, None], w.imag[:, None]
 
-    def probabilities(t):
+    def probabilities(lo: int, hi: int) -> np.ndarray:
         # The real and imaginary parts of cos(t) x0 + sin(t) w, in t's buffer.
         # They have the complex product's bits: promoting cos and sin to complex
         # only adds exact zeros to them, whose sign squaring hides.
+        t = angle * np.arange(lo, hi)
         sin, cos = np.sin(t), np.cos(t, out=t)
         re = cos * x0.real
         re += sin * wr
         cos *= x0.imag
         cos += np.multiply(sin, wi, out=sin)
         return np.add(np.square(re, out=re), np.square(cos, out=cos), out=re)
-    return (probabilities(angle * np.arange(lo, min(lo + steps, m_max + 1)))
-            for lo in range(0, m_max + 1, steps))
+    return probabilities
+
+
+def _filled(p: Callable[[int, int], np.ndarray], m_max: int) -> np.ndarray:
+    """P(m) for m = 0..m_max of a one-kernel evaluator, _SPAN steps at a time."""
+    probs = np.empty(m_max + 1)
+    for lo in range(0, m_max + 1, _SPAN):
+        hi = min(lo + _SPAN, m_max + 1)
+        probs[lo:hi] = p(lo, hi)[0]
+    return probs
 
 
 def probability_trace(k: ReducedKernel, s: Union[InitialState, np.ndarray],
                       m_max: int) -> EvolutionTrace:
-    """P(m) for m = 0..m_max under one kernel, joined from ``probability_blocks``."""
+    """P(m) for m = 0..m_max under one kernel, from ``probability_blocks``."""
     if m_max < 1:
         raise InvalidSizeError(f"m_max must be >= 1, got {m_max}")
-    return EvolutionTrace(np.concatenate(tuple(probability_blocks(k, s, m_max)), axis=1)[0])
+    return EvolutionTrace(_filled(probability_blocks(k, s), m_max))
 
 
 def invariant_plane(cfg: FullSpaceConfig,
@@ -271,8 +271,9 @@ def full_space_trace(cfg: FullSpaceConfig, x_in: np.ndarray,
     once, then O(m_max).  The rank-1 iteration over the whole vector is the
     cross-check (``checks.reduced_vs_full``)."""
     kernel, start, weight = invariant_plane(cfg, x_in)
-    probs = np.concatenate(tuple(probability_blocks(kernel, start, m_max)), axis=1)
-    return EvolutionTrace(probs[0] * weight)
+    if m_max < 0:
+        raise InvalidSizeError(f"m_max must be >= 0, got {m_max}")
+    return EvolutionTrace(_filled(probability_blocks(kernel, start), m_max) * weight)
 
 
 def perturbed_peak_estimate(s: InitialState) -> float:

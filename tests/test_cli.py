@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groverlab
-from groverlab import algebra, cli, evolution
+from groverlab import algebra, cli
 from groverlab.cli import ExperimentConfig, wrap_angle
 from groverlab.csvtext import rows
 from groverlab.evolution import (
@@ -39,19 +39,19 @@ def run(capsys, *args):
     return rc, cap.out, cap.err
 
 
-# Each grid command's row template: its cells per row size its blocks.
-GRID_ROWS = {"spectrum": cli.SPECTRUM_ROW, "manifold": cli.MANIFOLD_ROW,
-             "sweep": cli.SWEEP_ROW, "asymptotics": cli.ASYMPTOTICS_ROW}
+# Each command's row template: its cells per row size its blocks.
+CSV_ROWS = {"trace": cli.TRACE_ROW, "spectrum": cli.SPECTRUM_ROW, "manifold": cli.MANIFOLD_ROW,
+            "sweep": cli.SWEEP_ROW, "asymptotics": cli.ASYMPTOTICS_ROW}
 
 
 def block_points(command: str) -> int:
-    """Grid points in one of ``command``'s blocks."""
-    return cli.GRID_CELLS // GRID_ROWS[command].count("%")
+    """Rows (trace steps or grid points) in one of ``command``'s blocks."""
+    return cli.GRID_CELLS // CSV_ROWS[command].count("%")
 
 
 def cut_blocks(monkeypatch, command: str, points: int) -> None:
-    """Set cli.GRID_CELLS so that ``command``'s blocks hold ``points`` grid points."""
-    monkeypatch.setattr(cli, "GRID_CELLS", points * GRID_ROWS[command].count("%"))
+    """Set cli.GRID_CELLS so that ``command``'s blocks hold ``points`` rows."""
+    monkeypatch.setattr(cli, "GRID_CELLS", points * CSV_ROWS[command].count("%"))
 
 
 def fmt(x: float) -> str:
@@ -382,22 +382,24 @@ class TestTrace:
         assert growth <= 2, f"peak RSS grew by {growth:.1f} MB"
 
     def test_block_working_set(self):
-        """One BLOCK-row trace block, evaluated, summarized and formatted as
-        cmd_trace does, peaks below 1.15 MB of traced allocations (numpy
-        reports its buffers to tracemalloc, so the count does not vary): 1.02 MB
+        """One trace block, evaluated, summarized and formatted as cmd_trace
+        does, peaks below 1.15 MB of traced allocations (numpy reports its
+        buffers to tracemalloc, so the count does not vary): 1.02 MB
         measured, 2.3 MB for the 2^14-row block before it and 4.4 MB when the
         engine and the formatter held their temporaries to the end."""
         kernel, start = reduced_kernel(1.0, 1.0, 10**6), uniform_initial(10**6)
+        block = block_points("trace")
         rows(cli.TRACE_ROW, [[0], [0.5]])  # builds the lookup tables
         summary = TraceSummary()
         tracemalloc.start()
         try:
-            for block in probability_blocks(kernel, start, evolution.BLOCK - 1):
-                rows(cli.TRACE_ROW, [summary.add(block[0]), block[0]])
+            probs = probability_blocks(kernel, start)(0, block)[0]
+            summary.add(probs)
+            rows(cli.TRACE_ROW, [np.arange(block, dtype=np.uint64), probs])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert summary.steps == evolution.BLOCK
+        assert summary.steps == block == 2**13
         assert peak <= 1.15e6, f"one block peaked at {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("argv", [
@@ -405,12 +407,13 @@ class TestTrace:
         ["--n", "4096", "--k0", "momentum:3", "--a", "1.5", "--m-max", "100000"],
     ], ids=["reduced", "momentum-a"])
     def test_block_sizes_print_the_same_bytes(self, tmp_path, capsys, monkeypatch, argv):
-        """The CSV and the summary at BLOCK rows per block, at the 2^14 rows
-        before it and at 2^14 - 1, which moves every block boundary, hash alike
-        (the momentum start at y0 = 3 has a plane weight other than 1)."""
+        """The CSV and the summary at GRID_CELLS' 2^13 rows per block, at the
+        2^14 rows before it and at 2^14 - 1, which moves every block boundary,
+        hash alike (the momentum start at y0 = 3 has a plane weight other than
+        1)."""
         digests = set()
-        for block in (evolution.BLOCK, 2**14, 2**14 - 1):
-            monkeypatch.setattr(evolution, "BLOCK", block)
+        for block in (block_points("trace"), 2**14, 2**14 - 1):
+            cut_blocks(monkeypatch, "trace", block)
             path = tmp_path / f"{block}.csv"
             rc, summary, err = run(capsys, "trace", *argv, "--out", str(path))
             assert (rc, err) == (0, "")
@@ -445,11 +448,11 @@ class TestTrace:
     ], ids=["reduced", "alpha1", "k0", "k0-a"])
     def test_blocks_of_seven_give_the_same_bytes(self, tmp_path, capsys, monkeypatch, argv):
         """Evaluated, summarized and written in blocks of 7 steps, the CSV,
-        the summary and the exit code are those of blocks of BLOCK."""
+        the summary and the exit code are those of whole blocks."""
         argv = ["trace", "--m-max", "98", *argv]  # 99 rows: a last block of one
         path = tmp_path / "t.csv"
         whole = run(capsys, *argv), run(capsys, *argv, "--out", str(path)), path.read_bytes()
-        monkeypatch.setattr(evolution, "BLOCK", 7)
+        cut_blocks(monkeypatch, "trace", 7)
         assert (run(capsys, *argv), run(capsys, *argv, "--out", str(path)),
                 path.read_bytes()) == whole
         assert whole[0][2] == whole[1][1] != ""  # the summary: stderr, or stdout with --out
@@ -706,13 +709,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("extra", [[], ["--a", "2"], ["--b", "0.9"], ["--alpha1", "0.3"]],
                              ids=["n", "a", "b", "alpha1"])
-    @pytest.mark.parametrize("block", [evolution.BLOCK, 20], ids=["block", "one-trace-per-call"])
+    @pytest.mark.parametrize("block", [block_points("sweep"), 20],
+                             ids=["block", "one-trace-per-call"])
     def test_peaks_match_single_kernel_traces(self, capsys, monkeypatch, extra, block):
         """Each row's peak, folded over blocks of steps, is the one-kernel
         trace's; at 20, 20-kernel blocks of one step each."""
         argv = ["sweep", "--n", "100", "--grid", "7x5", "--m-max", "60",
                 "--beta-phase", "0.3", "--delta-phase", "-2", *extra]
-        monkeypatch.setattr(evolution, "BLOCK", block)
         cut_blocks(monkeypatch, "sweep", block)  # 20 does not divide the 35 points
         monkeypatch.setattr(cli, "SWEEP_STEPS", 1 if block == 20 else cli.SWEEP_STEPS)
         rc, out, err = run(capsys, *argv)
@@ -1022,11 +1025,37 @@ class TestBlocks:
         rc, whole, err = run(capsys, *argv)
         assert rc == 0
         for block in (1, 7, 20):
-            if argv[0] in GRID_ROWS:  # the four grid commands
-                cut_blocks(monkeypatch, argv[0], block)
-            monkeypatch.setattr(evolution, "BLOCK", block)  # the trace's engine
-            monkeypatch.setattr(cli, "SWEEP_STEPS", block)  # the sweep's
+            cut_blocks(monkeypatch, argv[0], block)
+            monkeypatch.setattr(cli, "SWEEP_STEPS", block)  # the sweep's engine
             assert run(capsys, *argv) == (0, whole, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--n", "1000", "--m-max", "20000"],
+        ["sweep", "--n", "100", "--grid", "100x60", "--m-max", "3"],
+        ["spectrum", "--n", "1000", "--grid", "2500"],
+        ["spectrum", "--n", "1000"],
+        ["manifold", "--grid", "50x80"],
+        ["asymptotics", "--n", "1000", "--grid", "7000"],
+    ], ids=lambda argv: "_".join(argv[:1] + argv[-2:]))
+    def test_rows_get_one_cell_budget(self, capsys, monkeypatch, argv):
+        """Every command hands ``rows`` blocks of at most GRID_CELLS cells:
+        each block but the last holds exactly GRID_CELLS // (the row's cells)
+        rows, and the blocks cover every row once."""
+        template, sizes = CSV_ROWS[argv[0]], []
+
+        def counted(fmt_template, columns):
+            assert fmt_template == template
+            sizes.append(len(columns[0]))
+            return rows(fmt_template, columns)
+
+        monkeypatch.setattr(cli, "rows", counted)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        block = block_points(argv[0])
+        assert block * template.count("%") <= cli.GRID_CELLS
+        assert sizes[:-1] == [block] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= block
+        assert sum(sizes) == out.count("\n") - 1
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "1000000000", "--grid", "9001"],
@@ -1108,7 +1137,9 @@ class TestBlocks:
         whole = np.linspace(-math.pi, math.pi, p)
         for lo, hi in [(0, p), (0, min(p, 7)), (p // 3, p // 3 + 1), (max(0, p - 7), p),
                        (p - 1, p)]:
-            assert cli._diagonal(p, lo, hi).tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+            bp, dp = cli._phases(ExperimentConfig(), p, lo, hi)
+            assert bp is dp
+            assert bp.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
     @pytest.mark.parametrize("block", [7, 20])
     def test_block_coordinates_have_the_whole_grid_bits(self, capsys, monkeypatch, block):

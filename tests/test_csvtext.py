@@ -117,7 +117,7 @@ def test_log10_one_ulp_off(monkeypatch, ulps):
     assert_same("%.17g\n", [power_neighbours()])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_random_bit_patterns(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
@@ -125,7 +125,7 @@ def test_random_bit_patterns(bits):
         assert_same(conversion + "\n", [values])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
 def test_random_int64(values):
     assert_same("%d\n", [np.array(values, dtype=np.int64)])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from numpy.testing import assert_allclose
 
-from groverlab import evolution
 from groverlab.checks import _rank1_trace
 from groverlab.errors import (
     InvalidSizeError,
@@ -113,7 +112,7 @@ def cut_traces(draw):
     return probs, [m for m in range(1, len(probs)) if cut[m - 1]]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(cut_traces())
 @example((np.array([0.1, 0.9, 0.9, 0.3, 0.9, 0.2]), [2, 4]))  # tied peaks, a plateau cut
 @example((np.array([0.1, 0.3, 0.9, 0.4, 0.2]), [2]))  # a maximum first in its block
@@ -260,12 +259,15 @@ class TestProbabilityTrace:
         assert np.all(t.probs >= 0.0)
         assert np.all(t.probs <= 1.0 + 1e-10)
 
-    def test_blocks_give_the_same_probabilities(self, monkeypatch):
+    @pytest.mark.parametrize("m_max", [500, 3 * 2**13 + 5])
+    def test_blocks_give_the_same_probabilities(self, m_max):
+        """The trace, filled span by span, has the bits of the evaluator's
+        steps cut at any boundaries: every step, blocks of 7, one block, and
+        the 2^13, 2^14 and 2^14 - 1 steps a CSV block has held."""
         k = reduced_kernel(np.exp(0.3j), np.exp(-1.1j), 1000)
-        whole = probability_trace(k, uniform_initial(1000), 500).probs
-        for block in (1, 7, 500, 501):
-            monkeypatch.setattr(evolution, "BLOCK", block)
-            assert np.array_equal(probability_trace(k, uniform_initial(1000), 500).probs, whole)
+        whole = probability_trace(k, uniform_initial(1000), m_max).probs
+        for span in (1, 7, m_max, m_max + 1, 2**13, 2**14, 2**14 - 1):
+            assert np.array_equal(cut(k, uniform_initial(1000), m_max, span)[0], whole), span
 
     def test_rejects_empty_window(self):
         with pytest.raises(InvalidSizeError):
@@ -289,9 +291,17 @@ SWEEP_BETA = np.repeat(0.3 + 2 * np.pi * np.arange(6) / 6, 5)
 SWEEP_DELTA = np.tile(-2 + 2 * np.pi * np.arange(5) / 5, 6)
 
 
+def cut(kernels, s, m_max, span):
+    """``probability_blocks``' evaluator over steps 0..m_max, in ranges of
+    ``span`` steps, joined into one (K, m_max + 1) array."""
+    p = probability_blocks(kernels, s)
+    return np.concatenate([p(lo, min(lo + span, m_max + 1)) for lo in range(0, m_max + 1, span)],
+                          axis=1)
+
+
 def joined(kernels, s, m_max):
-    """``probability_blocks`` joined into one (K, m_max + 1) array."""
-    return np.concatenate(tuple(probability_blocks(kernels, s, m_max)), axis=1)
+    """``probability_blocks``' evaluator over steps 0..m_max, in one range."""
+    return probability_blocks(kernels, s)(0, m_max + 1)
 
 
 class TestProbabilityTraces:
@@ -303,21 +313,19 @@ class TestProbabilityTraces:
         (50, InitialState(np.sqrt(50 - 0.81 * 49), 0.9, 50)),  # --b 0.9
         (None, np.array([0.3, np.sqrt(1 - 0.09)], dtype=complex)),  # --alpha1 0.3
     ], ids=["n", "a", "b", "alpha1"])
-    def test_rows_equal_single_kernel_traces(self, monkeypatch, n, start):
+    def test_rows_equal_single_kernel_traces(self, n, start):
         beta, delta = unit_phases(SWEEP_BETA), unit_phases(SWEEP_DELTA)
         stack = (extended_reduced_kernels(beta, delta, 0.3) if n is None
                  else reduced_kernels(beta, delta, n))
         m_max = 60
         singles = [probability_trace(ReducedKernel(k, n), start, m_max) for k in stack]
         x_in = start.reduced_vector() if isinstance(start, InitialState) else start
-        # A block boundary inside every row: rows of 61 steps, blocks of one
-        # step for the 30 kernels (7 // 30 rounds up to one).
-        monkeypatch.setattr(evolution, "BLOCK", 7)
-        probs = joined(stack, start, m_max)
-        assert probs.shape == (len(stack), m_max + 1)
-        for row, single, k in zip(probs, singles, stack):
-            assert np.array_equal(row, single.probs)
-            assert np.array_equal(row, single_kernel_probs(ReducedKernel(k, n), x_in, m_max))
+        # Block boundaries inside every row: rows of 61 steps, in ranges of 7.
+        for probs in (joined(stack, start, m_max), cut(stack, start, m_max, 7)):
+            assert probs.shape == (len(stack), m_max + 1)
+            for row, single, k in zip(probs, singles, stack):
+                assert np.array_equal(row, single.probs)
+                assert np.array_equal(row, single_kernel_probs(ReducedKernel(k, n), x_in, m_max))
 
     def test_bare_stack_checked(self):
         good = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
@@ -340,8 +348,6 @@ class TestProbabilityTraces:
             joined(stack, np.array([0.5, 0.5]), 10)
         with pytest.raises(InvalidSizeError):
             joined(stack, np.array([1.0, 0.0, 0.0]), 10)
-        with pytest.raises(InvalidSizeError):
-            probability_blocks(stack, uniform_initial(100), -1)
         # A bare stack has no list size, so any InitialState start is accepted.
         joined(stack, uniform_initial(50), 10)
 
@@ -354,7 +360,7 @@ class TestProbabilityTraces:
     def test_real_parts_equal_complex_expression(self, kernels):
         """The engine's real-arithmetic P(m) has the bits of the complex
         |cos(m a) x0 + sin(m a) w|^2, for random unitary stacks and complex
-        unit starts, over windows that cross a block boundary."""
+        unit starts, over ranges that start at 0 and past it."""
         r = np.random.default_rng(kernels)
         z = r.normal(size=(kernels, 2, 2)) + 1j * r.normal(size=(kernels, 2, 2))
         stack = np.linalg.qr(z)[0]
@@ -363,23 +369,22 @@ class TestProbabilityTraces:
         x0, x1 = start.tolist()
         angle, nx, ny, nz = _folded(stack)
         w = np.array([1j * (c * x0 + complex(a, -b) * x1) for a, b, c in zip(nx, ny, nz)])
-        steps = evolution.BLOCK // kernels
-        for m_max in (steps, 2 * steps + 1):  # the first step of a block, and a short last block
-            t = angle[:, None] * np.arange(m_max + 1)
+        p = probability_blocks(stack, start)
+        steps = 2**13 // kernels
+        for lo, hi in ((0, steps + 1), (steps, 2 * steps + 2)):
+            t = angle[:, None] * np.arange(lo, hi)
             amp = np.cos(t) * x0 + np.sin(t) * w[:, None]
-            assert np.array_equal(joined(stack, start, m_max), amp.real ** 2 + amp.imag ** 2)
+            assert np.array_equal(p(lo, hi), amp.real ** 2 + amp.imag ** 2)
 
     @pytest.mark.parametrize("kernels", [0, 1, 3, 7, 30])
-    def test_blocks_hold_block_over_k_steps(self, monkeypatch, kernels):
-        """A block of K kernels holds BLOCK // K steps (at least one), the
-        last block the rest; an empty stack gives empty blocks."""
-        monkeypatch.setattr(evolution, "BLOCK", 7)
+    def test_block_holds_the_steps_asked_for(self, kernels):
+        """The evaluator's block for steps [lo, hi) of K kernels is (K, hi -
+        lo), however many steps: none, one, 7, 2^14; an empty stack gives
+        empty blocks."""
         phases = unit_phases(np.linspace(-3, 3, kernels))
-        blocks = list(probability_blocks(reduced_kernels(phases, phases, 100),
-                                         uniform_initial(100), 20))
-        steps = max(1, 7 // max(1, kernels))
-        assert [b.shape for b in blocks] == [(kernels, min(steps, 21 - lo))
-                                             for lo in range(0, 21, steps)]
+        p = probability_blocks(reduced_kernels(phases, phases, 100), uniform_initial(100))
+        for lo, hi in ((0, 0), (0, 1), (20, 27), (5, 5 + 2**14)):
+            assert p(lo, hi).shape == (kernels, hi - lo)
 
 
 def reference_probs(k, v, m_max):
@@ -664,7 +669,7 @@ class TestPerturbedPeak:
         assert pred == pytest.approx(min(abs(s.b), 1.0))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.integers(2, 4096))
 def test_trace_probabilities_always_physical(bp, dp, n):
     k = reduced_kernel(np.exp(1j * bp), np.exp(1j * dp), n)

@@ -334,7 +334,7 @@ class TestDftConjugate:
             dft_conjugate(np.ones((2, 3)))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.integers(2, 10**6))
 def test_reduced_kernel_always_unitary(bp, dp, n):
     k = reduced_kernel(np.exp(1j * bp), np.exp(1j * dp), n)

@@ -59,6 +59,18 @@ def test_phase_gap_matches_reference(n):
     assert not bad, f"{len(bad)} of {len(BALANCED) + len(UNBALANCED)} wrong, e.g. {bad[:3]}"
 
 
+@pytest.mark.xfail(strict=True, reason="Known defect 1: the kernel's entries lose the "
+                   "near-balanced phases' difference at large N (9e-9 relative)")
+def test_near_balanced_phase_gap_at_large_n():
+    """ROADMAP's Known defect 1 reproduction: spectrum's phase_gap within
+    GAP_RTOL of 50 digits where bp and dp differ by 4.5e-10 at N near 2^61."""
+    n, bp, dp = 2728383057332175872, -0.6196048970678825, -0.6196048966182851
+    phases = GroverPhases.from_angles(bp, dp)
+    spec = eigensystem(reduced_kernel(phases.beta, phases.delta, n))
+    gap, _ = reference(bp, dp, n)
+    assert abs(spec.phase_gap - gap) / gap <= GAP_RTOL
+
+
 # The CLI's 41x41 manifold grid, anchored at pi/2.
 MANIFOLD_GRID = [(math.pi / 2 + 2 * math.pi * i / 41) % (2 * math.pi) for i in range(41)]
 MANIFOLD_TOL = 1e-14

@@ -23,8 +23,8 @@ from reference import momentum_plane_start, power, reflections
 
 from groverlab import cli
 from groverlab.algebra import momentum_state
-from groverlab.evolution import (InitialState, full_space_trace, probability_trace,
-                                 uniform_initial)
+from groverlab.evolution import (InitialState, full_space_trace, probability_blocks,
+                                 probability_trace, uniform_initial)
 from groverlab.kernel import (FullSpaceConfig, GroverPhases, extended_reduced_kernel,
                               reduced_kernel)
 
@@ -100,6 +100,19 @@ def test_peak_step_is_a_reference_peak(bp, dp, n):
     trace, start = _reduced(bp, dp, n, uniform_initial(n), m_max)
     want, _ = reference(bp, dp, start, range(m_max + 1), n=n)
     assert want[trace.peak_step] >= want.max() - FLAT_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="Known defect 1: the kernel's entries lose the "
+                   "near-balanced phases' difference at large N (|dP| 1.3e-10)")
+def test_near_balanced_step_at_large_n():
+    """ROADMAP's Known defect 1 reproduction: P(10^7) at N = 1e12 and phases
+    1e-6 apart, from the evaluator's one-step range, within the gate."""
+    n, bp, dp, m = 10**12, 0.5, 0.500001, 10**7
+    phases = GroverPhases.from_angles(bp, dp)
+    state = uniform_initial(n)
+    got = probability_blocks(reduced_kernel(phases.beta, phases.delta, n), state)(m, m + 1)
+    want, angle = reference(bp, dp, state.reduced_vector(), [m], n=n)
+    assert abs(got[0, 0] - want[0]) <= FLAT_TOL + ANGLE_TOL * angle * m
 
 
 # Full-space traces.  Both sides take the same float angles (all four phases),
