@@ -36,6 +36,7 @@ from .errors import GroverLabError, ResourceLimitError
 from .evolution import (
     InitialState,
     TraceSummary,
+    _remainder,
     invariant_plane,
     probability_blocks,
     uniform_initial,
@@ -262,9 +263,8 @@ def _initial_state(cfg: ExperimentConfig) -> InitialState:
     if cfg.a is not None and cfg.b is None:
         return InitialState.complete(cfg.a, cfg.n)
     if cfg.a is None:
-        rem = cfg.n - cfg.b**2 * (cfg.n - 1)
-        if rem < 0:
-            raise UsageError(f"--b {cfg.b} is too large to normalize at n={cfg.n}")
+        rem = _remainder(cfg.n, cfg.b**2 * (cfg.n - 1),
+                        f"--b {cfg.b} is too large to normalize at n={cfg.n}", UsageError)
         return InitialState(math.sqrt(rem), cfg.b, cfg.n)
     norm = (cfg.a**2 + cfg.b**2 * (cfg.n - 1)) / cfg.n
     require_unit(norm, 1e-6, "squared norm of --a/--b", UsageError)

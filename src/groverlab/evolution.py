@@ -60,9 +60,8 @@ class InitialState:
     @classmethod
     def complete(cls, a: complex, size: int) -> "InitialState":
         """Fill in the real nonnegative b that normalizes a given a."""
-        rem = size - abs(complex(a)) ** 2
-        if rem < 0:
-            raise NormalizationError(f"|a|^2 = {abs(a) ** 2} exceeds the list size {size}")
+        taken = abs(complex(a)) ** 2
+        rem = _remainder(size, taken, f"|a|^2 = {taken} exceeds the list size {size}")
         return cls(a, np.sqrt(rem / (size - 1)), size)
 
     def reduced_vector(self) -> np.ndarray:
@@ -112,6 +111,20 @@ class EvolutionTrace(TraceSummary):
         super().__init__()
         self.probs = np.asarray(probs, dtype=float)
         self.add(self.probs)
+
+
+def _remainder(size: int, taken: float, refusal: str, error=NormalizationError) -> float:
+    """``size - taken``: what one coefficient, whose square times its weight
+    is ``taken``, leaves of the list size to the other.
+
+    The one rule for a start on the boundary: ``taken`` carries a few
+    rounding errors of ``size``, so a remainder less than 8 eps ``size``
+    below 0 is 0; one further below raises ``error(refusal)``.
+    """
+    rem = size - taken
+    if rem < -8 * np.finfo(float).eps * size:
+        raise error(refusal)
+    return max(rem, 0.0)
 
 
 def uniform_initial(n: int) -> InitialState:
