@@ -31,6 +31,7 @@ __all__ = [
 # several matrix products are only promised to TOL_PIPELINE.
 TOL_EXACT = 1e-12
 TOL_PIPELINE = 1e-10
+TAU = 2 * math.pi
 
 
 def as_vector(v) -> np.ndarray:
@@ -126,6 +127,12 @@ def _abs(z: np.ndarray) -> np.ndarray:
 def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Elementwise math.atan2 of 1-D arrays: numpy's arctan2 may differ in the last bit."""
     return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
+
+
+def wrap_angle(t) -> np.ndarray:
+    """Principal value in (-pi, pi], elementwise, exact (fmod and a shift by TAU)."""
+    w = np.fmod(t, TAU)
+    return np.where(w > math.pi, w - TAU, np.where(w <= -math.pi, w + TAU, w))
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

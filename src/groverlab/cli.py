@@ -26,10 +26,12 @@ import numpy as np
 from .algebra import (
     TOL_EXACT,
     TOL_PIPELINE,
+    TAU,
     _abs,
     _atan2,
     _require_wavenumber,
     require_unit,
+    wrap_angle,
 )
 from .csvtext import rows
 from .errors import GroverLabError, ResourceLimitError
@@ -52,8 +54,8 @@ from .kernel import (
 from .spectral import (
     asymptotic_gaps,
     asymptotic_steps,
-    eigensystems,
     kernel_manifold_points,
+    phase_spectra,
     stability_expansion,
 )
 
@@ -79,7 +81,6 @@ SWEEP_KERNELS, SWEEP_STEPS = 1024, 16
 MAX_STEPS = 10**7
 # N reaches numpy as an int64; a larger int makes np.sqrt fail.
 MAX_N = 2**63 - 1
-TAU = 2 * math.pi
 # What main sets through glibc's mallopt, in this order: M_MMAP_THRESHOLD
 # (-3), so blocks below 32 MiB come from the heap, then M_TRIM_THRESHOLD (-1),
 # so the heap keeps up to 64 MiB of free memory at its top.
@@ -200,12 +201,6 @@ def _check_values(cfg: ExperimentConfig) -> None:
                              f"got {val}")
 
 
-def wrap_angle(t) -> np.ndarray:
-    """Principal value in (-pi, pi], elementwise, exact (fmod and a shift by TAU)."""
-    w = np.fmod(t, TAU)
-    return np.where(w > math.pi, w - TAU, np.where(w <= -math.pi, w + TAU, w))
-
-
 def _grid(command: str, text: Optional[str], least: int,
           one_dim: bool = False) -> Tuple[int, int]:
     """--grid <p> or <p>x<q> as (p, q), q = 1 for <p>, or a refusal named by
@@ -236,11 +231,12 @@ def _write_csv(cfg: ExperimentConfig, header: str, template: str, count: int,
     """Write the header line, then ``count`` rows of ``template``, to --out or
     stdout; then the summary line, to stderr after a body on stdout.
 
-    The rows go in blocks of GRID_CELLS // (the template's cells): each block
+    The rows go in blocks of GRID_CELLS // (the template's CSV cells, a
+    literal one included): each block
     [lo, hi) is computed by ``columns(lo, hi)``, in order, then formatted and
     written before the next, and the summary is read after the last.
     """
-    block = GRID_CELLS // template.count("%")
+    block = GRID_CELLS // (template.count(",") + 1)
     chunks = (rows(template, columns(lo, min(lo + block, count)))
               for lo in range(0, count, block))
     body = itertools.chain([header.encode() + b"\n"], chunks)
@@ -454,31 +450,25 @@ SPECTRUM_ROW = "%.17g," * 11 + "%.0f,%.0f,%.17g,%d\n"
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     p = _diagonal_points(cfg)
-    kernels_of, size, _ = _reduced_problem(cfg)
+    size = cfg.n if cfg.alpha1 is None else None
 
     def columns(lo, hi):
         bp, dp = _phases(cfg, p, lo, hi)
-        beta = unit_phases(bp)
-        delta = beta if dp is bp else unit_phases(dp)  # the diagonal's one array
-        spec = eigensystems(kernels_of(beta, delta), size)
-        # The printed fields only: the eigenvalues and eigenvectors go
-        # before the rows are formatted.
-        det, trace, gap, degenerate = spec.det, spec.trace, spec.phase_gap, spec.degenerate
-        phases, diag_gap = (spec.eigphase1, spec.eigphase2), spec.diag_gap
-        del spec
-        diagonal = _abs(beta - delta) <= TOL_EXACT
-        phi = _atan2(delta.imag, delta.real)
-        stable = diagonal & (np.abs(phi) <= 0.5) & (size is not None)
+        # Each row from the phases it prints: the diagonal's -pi prints as pi.
+        bp = wrap_angle(bp)
+        dp = bp if p else wrap_angle(dp)
+        spec = phase_spectra(bp, dp, size, cfg.alpha1)
+        diagonal = 2 * np.abs(np.sin((dp - bp) / 2)) <= TOL_EXACT  # |beta - delta|
+        stable = diagonal & (np.abs(dp) <= 0.5) & (size is not None)
+        diag_gap = spec.diag_gap
         if size is None:
             diag_gap = np.full(len(bp), complex(np.nan, np.nan))  # prints as empty cells
-        wrapped = wrap_angle(bp)
-        return [wrapped, wrapped if dp is bp else wrap_angle(dp),
-                det.real, det.imag, trace.real, trace.imag,
-                *phases, gap, diag_gap.real, diag_gap.imag,
-                np.floor(math.pi / np.where(degenerate, np.nan, gap)),
-                np.where(diagonal, asymptotic_steps(phi, cfg.n, cfg.alpha1), np.nan),
-                np.where(stable, stability_expansion(phi, cfg.n), np.nan),
-                degenerate]
+        return [bp, dp, spec.det.real, spec.det.imag, spec.trace.real, spec.trace.imag,
+                spec.eigphase1, spec.eigphase2, spec.phase_gap, diag_gap.real, diag_gap.imag,
+                np.floor(math.pi / np.where(spec.degenerate, np.nan, spec.phase_gap)),
+                np.where(diagonal, asymptotic_steps(dp, cfg.n, cfg.alpha1), np.nan),
+                np.where(stable, stability_expansion(dp, cfg.n), np.nan),
+                spec.degenerate]
 
     _write_csv(cfg, "beta_phase,delta_phase,det_re,det_im,trace_re,trace_im,"
                     "eigphase1,eigphase2,phase_gap,diag_gap_re,diag_gap_im,"
@@ -505,7 +495,8 @@ def cmd_asymptotics(cfg: ExperimentConfig) -> int:
 
 
 # angle1, angle2, kernel_angle, axis_x, axis_y, axis_z, global_phase, flags.
-MANIFOLD_ROW = "%.17g," * 7 + "%d,%d\n"
+# global_phase is identically 0: every manifold point lies in SU(2).
+MANIFOLD_ROW = "%.17g," * 6 + "0,%d,%d\n"
 
 
 def cmd_manifold(cfg: ExperimentConfig) -> int:
@@ -513,13 +504,18 @@ def cmd_manifold(cfg: ExperimentConfig) -> int:
 
     def columns(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), q)  # the p x q grid in row-major order
-        # Anchor both grids at pi/2 so the original kernel is always on-grid.
-        t1 = (math.pi / 2 + TAU * i / p) % TAU
-        t2 = (math.pi / 2 + TAU * j / q) % TAU
+        # Each distinct angle computed and formatted once: angle1 over the
+        # block's rows, angle2 over all q columns once the block spans a row.
+        # Both grids are anchored at pi/2, so the original kernel is on-grid.
+        spans = hi - lo >= q
+        row, col = i - i[0], j if spans else np.arange(hi - lo)
+        angle1 = (math.pi / 2 + TAU * np.arange(i[0], i[-1] + 1) / p) % TAU
+        angle2 = (math.pi / 2 + TAU * (np.arange(q) if spans else j) / q) % TAU
+        t1, t2 = angle1[row], angle2[col]
         aa = kernel_manifold_points(t1, t2, cfg.n)
         grover = (np.abs(t1 - math.pi / 2) <= 1e-9) & (np.abs(t2 - math.pi / 2) <= 1e-9)
         equal = np.abs(wrap_angle(t1 - t2)) <= 1e-9
-        return [t1, t2, aa.angle, *aa.axis.T, aa.global_phase, grover, equal]
+        return [(angle1, row), (angle2, col), aa.angle, *aa.axis.T, grover, equal]
 
     _write_csv(cfg, "angle1,angle2,kernel_angle,axis_x,axis_y,axis_z,"
                     "global_phase,grover_point,equal_angles", MANIFOLD_ROW, p * q, columns)

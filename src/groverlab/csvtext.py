@@ -321,27 +321,38 @@ _CELLS = {"d": _d_cells, ".0f": _f_cells}
 _G_VALUES = 2**13
 
 
+def _cells(conversion: str, column) -> np.ndarray:
+    """One column's cell matrix; a (values, index) pair's rows are the cells
+    of values[index], each entry of values formatted once."""
+    if isinstance(column, tuple):
+        values, index = column
+        return _cells(conversion, values)[np.asarray(index, dtype=np.intp)]
+    return _g_cells([column])[0] if conversion == ".17g" else _CELLS[conversion](column)
+
+
 def rows(template: str, columns: Sequence) -> bytearray:
     """``"".join(template % row for row in zip(*columns)).encode()``, NaN cells empty.
 
     ``template`` is literal text around ``%d``, ``%.17g`` and ``%.0f``
     conversions, one per column; the columns are equal-length arrays or
-    lists.  Each conversion returns its cells as a byte matrix, and the
-    literals and those matrices are joined side by side into one, whose
-    zeros are dropped.  A cell takes up to 56 bytes of it (more where
-    Python's text is longer), so the caller bounds the memory by the rows it
-    passes: every CLI block is at most 2^14 cells, and a trace or spectrum
-    block peaks at about 1.1 MB traced.
+    lists, or (values, index) pairs that stand for the column values[index]
+    and format each entry of values once.  Each conversion returns its cells
+    as a byte matrix, and the literals and those matrices are joined side by
+    side into one, whose zeros are dropped.  A cell takes up to 56 bytes of
+    it (more where Python's text is longer), so the caller bounds the memory
+    by the rows it passes: every CLI block is at most 2^14 cells, and a
+    trace or spectrum block peaks at about 1.1 MB traced.
     """
     literals, conversions = _parse(template)
     if len(columns) != len(conversions):
         raise ValueError(f"template {template!r} takes {len(conversions)} columns, "
                          f"got {len(columns)}")
-    n = len(columns[0])
+    n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     if n == 0:
         return bytearray()
     cells = {}  # the %.17g columns' cell matrices, by column
-    g = [k for k, conversion in enumerate(conversions) if conversion == ".17g"]
+    g = [k for k, conversion in enumerate(conversions)
+         if conversion == ".17g" and not isinstance(columns[k], tuple)]
     per = max(1, _G_VALUES // n)
     for lo in range(0, len(g), per):
         cells.update(zip(g[lo:lo + per], _g_cells([columns[k] for k in g[lo:lo + per]])))
@@ -350,7 +361,7 @@ def rows(template: str, columns: Sequence) -> bytearray:
         if literal:
             parts.append(np.frombuffer(literal * n, np.uint8).reshape(n, len(literal)))
         if k < len(columns):
-            parts.append(cells[k] if k in cells else _CELLS[conversions[k]](columns[k]))
+            parts.append(cells[k] if k in cells else _cells(conversions[k], columns[k]))
     raw = bytearray(n * sum(part.shape[1] for part in parts))
     np.concatenate(parts, axis=1, out=np.frombuffer(raw, np.uint8).reshape(n, -1))
     del parts, cells  # frees the cell matrices before the compacted copy

@@ -10,20 +10,22 @@ The decompositions work on stacks of kernels of shape (K, 2, 2);
 ``eigensystem`` and ``su2_decompose`` are their batches of one.  Each
 entry has the bits of the scalar formula: complex products are taken part
 by part and atan2 and the 3-norm come from ``math``, because numpy's may
-differ in the last bit.
+differ in the last bit.  ``phase_spectra`` and ``kernel_manifold_points``
+take angles instead of matrices: they write each kernel's SU(2) form in
+closed form from its phase or rotation angles, and share one step that
+turns that form into angle and axis (``_rotation_angles``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import (TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _expi, _require_list_size,
-                      _require_overlap, require_unitary)
+from .algebra import (TAU, TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _complex, _expi,
+                      _require_list_size, _require_overlap, require_unitary, wrap_angle)
 from .errors import DivergentPeriodError, InvalidSizeError, ShapeError, SingularLimitError
 from .kernel import ReducedKernel, _unit_phases, grover_operator
 
@@ -42,6 +44,8 @@ __all__ = [
     "su2_decompose",
     "su2_decompositions",
     "kernel_manifold_points",
+    "PhaseSpectra",
+    "phase_spectra",
 ]
 
 # Eigenvalues closer than this are treated as one doubly-degenerate level.
@@ -322,6 +326,110 @@ def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
     return AxisAngle(global_phase=float(b.global_phase[0]), angle=float(b.angle[0]), axis=axis)
 
 
+@dataclass(frozen=True)
+class PhaseSpectra:
+    """The spectra ``phase_spectra`` computes from the phase angles: the
+    ``SpectralData`` fields but the eigenvalues and eigenvectors, each an
+    array with one entry per kernel."""
+
+    det: np.ndarray
+    trace: np.ndarray
+    eigphase1: np.ndarray
+    eigphase2: np.ndarray
+    phase_gap: np.ndarray
+    diag_gap: Optional[np.ndarray]
+    degenerate: np.ndarray
+
+
+# |n_z| beyond which one eigenvector is concentrated on the marked state: the
+# eigenvectors' first components have magnitudes sqrt((1 +- n_z)/2), whose
+# ratio exceeds DOMINANCE_RATIO exactly here.
+DOMINANT_NZ = (DOMINANCE_RATIO**2 - 1) / (DOMINANCE_RATIO**2 + 1)
+# 2 pi less TAU, to the double nearest it.
+_TAU_LO = 2.4492935982947064e-16
+
+
+def _rotation_angles(cos: np.ndarray, sin_axis: np.ndarray):
+    """(sin(angle), folded angle, angle, axis) of the rotations cos(angle) I +
+    i sin(angle) n.sigma given by cos(angle) and the rows of sin(angle) n,
+    of shape (3, K).
+
+    The folded angle atan2(sin, |cos|) lies in [0, pi/2] with full relative
+    precision, and the angle in [0, pi] is it or pi less it: one atan2 per
+    rotation.  The axis, of shape (K, 3), has NaN rows where sin(angle) is
+    below AXIS_TOL.
+    """
+    x, y, z = sin_axis
+    sin = np.sqrt(x * x + y * y + z * z)
+    folded = _atan2(sin, np.abs(cos))
+    angle = np.where(cos < 0, math.pi - folded, folded)
+    axis = np.divide(sin_axis, sin, out=np.full_like(sin_axis, np.nan), where=sin >= AXIS_TOL)
+    return sin, folded, angle, axis.T
+
+
+def phase_spectra(beta_phase, delta_phase, n: Optional[int] = None,
+                  alpha1: Optional[float] = None) -> PhaseSpectra:
+    """The spectra of the reduced kernels of phase angles (bp, dp) = (beta_phase,
+    delta_phase), which broadcast against each other, of size n or, with
+    ``alpha1``, of the general-superposition form: from the angles in closed
+    form, with no kernel matrix.
+
+    With h = (dp - bp)/2, lam = bp + h, w = 1/n and r = sqrt(n - 1)/n (alpha1^2
+    and alpha1 sqrt(1 - alpha1^2) with ``alpha1``), the kernel is
+    e^{i lam} (cos I + i (x, y, z).sigma) with
+
+        cos = w cos lam - (1 - w) cos h,   z = -(w sin lam + (1 - w) sin h),
+        x = -2 r cos(dp/2) sin(bp/2),      y = -2 r cos(dp/2) cos(bp/2).
+
+    dp - bp is exact where the phases are close (Sterbenz), so sin h keeps
+    full relative precision, and with it a near-balanced kernel's small
+    rotation, which the rounded entries of a kernel matrix lose.  Where the
+    phases lie close across the cut at +-pi, their difference is taken to
+    2 pi (TAU, then _TAU_LO), and lam and h move by pi, which turns the
+    rotation's sign.  det = e^{i(bp + dp)}, trace = 2 cos e^{i lam}, and
+    diag_gap = n (K00 - K11) = 2i n z e^{i lam} (None with ``alpha1``).  The
+    eigenphases are lam -/+ angle, wrapped, in ``eigensystems``' order:
+    eigvec2 is the eigenvector concentrated on the marked state where
+    |n_z| > DOMINANT_NZ (it belongs to lam + angle exactly when n_z > 0),
+    and otherwise the one whose phase-fixed first component has positive
+    imaginary part (lam - angle exactly when n_y > 0).
+    """
+    if alpha1 is None:
+        _require_list_size(n)
+        w, rest, r = 1 / n, (n - 1) / n, math.sqrt(n - 1) / n
+    else:
+        _require_overlap(alpha1)
+        w, rest = alpha1 * alpha1, 1 - alpha1 * alpha1
+        r = alpha1 * math.sqrt(rest)
+    bp, dp = (np.reshape(t, -1) for t in np.broadcast_arrays(np.asarray(beta_phase, float),
+                                                             np.asarray(delta_phase, float)))
+    d = dp - bp
+    far = np.abs(d) > math.pi
+    side = np.copysign(1.0, dp[far])
+    d[far] = (dp[far] - side * TAU) - bp[far] - side * _TAU_LO
+    h = d / 2
+    lam = bp + h
+    # e^{i lam} from the sum bp + h, not from its rounding, which is all of
+    # sin(lam) near lam = pi, where beta and delta are near -1.
+    cos_bp, sin_bp, cos_h, sin_h = np.cos(bp), np.sin(bp), np.cos(h), np.sin(h)
+    cos_lam, sin_lam = cos_bp * cos_h - sin_bp * sin_h, sin_bp * cos_h + cos_bp * sin_h
+    cos = w * cos_lam - rest * cos_h
+    half = np.where(far, 2 * r, -2 * r) * np.cos(dp / 2)
+    y, z = half * np.cos(bp / 2), -(w * sin_lam + rest * sin_h)
+    sin, folded, angle, _ = _rotation_angles(cos, np.stack([half * np.sin(bp / 2), y, z]))
+    degenerate = 2 * sin <= DEGENERACY_TOL
+    plus_first = ~degenerate & np.where(np.abs(z) > DOMINANT_NZ * sin, z < 0, y > 0)
+    minus, plus = wrap_angle(lam - angle), wrap_angle(lam + angle)
+    twice_n = None if alpha1 is not None else 2.0 * n
+    return PhaseSpectra(
+        det=_expi(bp + dp), trace=_complex(2 * cos * cos_lam, 2 * cos * sin_lam),
+        eigphase1=np.where(plus_first, plus, minus),
+        eigphase2=np.where(plus_first | degenerate, minus, plus),
+        phase_gap=np.where(degenerate, 0.0, 2 * folded), degenerate=degenerate,
+        diag_gap=None if twice_n is None else _complex(-twice_n * z * sin_lam,
+                                                       twice_n * z * cos_lam))
+
+
 def kernel_manifold_points(angle1, angle2, n: int) -> AxisAngle:
     """Sample the two-angle family of kernels built from the textbook factors.
 
@@ -332,33 +440,22 @@ def kernel_manifold_points(angle1, angle2, n: int) -> AxisAngle:
     (pi/2, pi/2) is the original kernel itself.  ``angle1`` and ``angle2``
     broadcast against each other (a column against a row gives a grid);
     the decompositions come back as ``su2_decompositions`` columns, one per
-    point in row-major order.
+    point in row-major order, with a global phase of exactly 0: each point
+    lies in SU(2).
+
+    A real reflection g is g00 sigma_z + g01 sigma_x, so i g has the axis
+    (g01, 0, g00): a1 = (0, 0, -1) for the marked state's diag(-1, 1), and
+    a2 = (a, 0, b) for the superposition's.  Each point -R(t2, a2) R(t1, a1)
+    is their quaternion product: with R(t, a) = cos t + i sin t a.sigma,
+    R2 R1 = c1 c2 - s1 s2 a2.a1 + i (c2 s1 a1 + c1 s2 a2 - s1 s2 a2 x a1).sigma.
     """
     _require_list_size(n)
-    axis1, axis2 = _reflection_axes(n)
+    u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
+    b, a = grover_operator(u, -1.0, 1.0)[0].real.tolist()
     t1, t2 = (np.reshape(t, -1)
               for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
-    # The rotations as (2, 2, K) stacks, so that each entry's K values are
-    # contiguous, and their products r2 r1 entry by entry: (+0 + r2_i0 r1_0l)
-    # + r2_i1 r1_1l, each complex product part by part.  That is what
-    # np.einsum("kij,kjl->kil") computes, bit for bit, and faster; neither
-    # calls BLAS, so the bits do not depend on its kernel.
-    eye = np.eye(2)[:, :, None]
-    r1 = np.cos(t1) * eye + 1j * np.sin(t1) * axis1[:, :, None]
-    r2 = np.cos(t2) * eye + 1j * np.sin(t2) * axis2[:, :, None]
-    product = (0.0 + _cmul(r2[:, :1], r1[None, 0])) + _cmul(r2[:, 1:], r1[None, 1])
-    return su2_decompositions(-np.moveaxis(product, -1, 0))
-
-
-@functools.lru_cache(maxsize=16)
-def _reflection_axes(n: int):
-    """The rotation axes a of the size-n kernel's two reflections, made
-    special-unitary with a factor of i each, as a read-only stack of a.sigma."""
-    marked = np.array([1.0 + 0j, 0.0])
-    u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
-    reflections = 1j * np.stack([grover_operator(marked, -1.0, 1.0),
-                                 grover_operator(u, -1.0, 1.0)])
-    axes = np.stack([np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-                     for nx, ny, nz in su2_decompositions(reflections).axis])
-    axes.setflags(write=False)
-    return axes
+    c1, s1, c2, s2 = np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
+    cs = c1 * s2
+    _, _, angle, axis = _rotation_angles(-(c1 * c2 + s1 * s2 * b),
+                                         np.stack([-a * cs, a * s1 * s2, c2 * s1 - b * cs]))
+    return AxisAngle(global_phase=np.zeros(len(t1)), angle=angle, axis=axis)

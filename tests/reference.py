@@ -4,6 +4,9 @@ Nothing here imports groverlab: the references share no code with the
 library they check.
 """
 
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 from mpmath import mp, mpc, mpf
 
@@ -19,6 +22,55 @@ def reflections(beta, delta, n, alpha1=None):
     g2 = mp.matrix([[delta * (i == j) + (gamma - delta) * u[i] * u[j] for j in range(2)]
                     for i in range(2)])
     return g1, g2
+
+
+def spectrum(beta_phase, delta_phase, n, alpha1=None):
+    """The spectrum of the kernel G2 G1 of phase angles (beta_phase,
+    delta_phase), from 50 digits, as floats: det, trace, the eigenphases
+    ``eigphases`` (a pair, in no particular order), the gap between them,
+    floor(pi / gap) as ``steps`` (None where the gap is 0), the period
+    pi / gap as an mpf, and n (K00 - K11) as ``diag_gap`` (None with
+    ``alpha1``).  The eigenvalues come from the quadratic formula, whose
+    cancellation the 50 digits absorb; ``degenerate`` is |z1 - z2| <= 1e-12."""
+    with mp.workdps(50):
+        g1, g2 = reflections(mp.expj(mpf(beta_phase)), mp.expj(mpf(delta_phase)), n, alpha1)
+        k = g2 * g1
+        tr = k[0, 0] + k[1, 1]
+        det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
+        root = mp.sqrt(tr * tr - 4 * det)
+        z1, z2 = (tr - root) / 2, (tr + root) / 2
+        gap = abs(mp.arg(z2 / z1))
+        period = mp.pi / gap if gap else None
+        return SimpleNamespace(
+            det=complex(det), trace=complex(tr), eigphases=(float(mp.arg(z1)), float(mp.arg(z2))),
+            gap=float(gap), period=period, steps=None if not gap else int(mp.floor(period)),
+            degenerate=abs(z1 - z2) <= mpf("1e-12"),
+            diag_gap=None if alpha1 is not None else complex(n * (k[0, 0] - k[1, 1])))
+
+
+def rotation(t, g):
+    """cos t + i sin t g for a reflection g; call inside mp.workdps(50)."""
+    c, s = mp.cos(mpf(t)), mp.sin(mpf(t))
+    return [[c * (i == j) + 1j * s * g[i, j] for j in range(2)] for i in range(2)]
+
+
+def manifold_reference(r1, r2):
+    """(global phase, rotation angle, sin(angle), sin(angle) n) of -r2 r1."""
+    k = [[-(r2[i][0] * r1[0][j] + r2[i][1] * r1[1][j]) for j in range(2)] for i in range(2)]
+    lam = mp.arg(k[0][0] * k[1][1] - k[0][1] * k[1][0]) / 2
+    u = mp.expj(-lam)
+    (a, b), (c, d) = ([x * u for x in row] for row in k)
+    # Tr(W) = 2 cos(angle) and Tr(sigma_j W) = 2i sin(angle) n_j, W = e^{-i lam} K.
+    sin_axis = [mp.re(t / 2j) for t in (b + c, 1j * (b - c), a - d)]
+    sin = mp.sqrt(sum(x * x for x in sin_axis))
+    return lam, mp.atan2(sin, mp.re(a + d) / 2), sin, sin_axis
+
+
+@functools.lru_cache(maxsize=None)
+def half_cos(phi):
+    """cos(phi/2) at 50 digits for the printed phi."""
+    with mp.workdps(50):
+        return mp.cos(mpf(phi) / 2)
 
 
 def _matmul(p, q):

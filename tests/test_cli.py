@@ -42,14 +42,19 @@ CSV_ROWS = {"trace": cli.TRACE_ROW, "spectrum": cli.SPECTRUM_ROW, "manifold": cl
             "sweep": cli.SWEEP_ROW, "asymptotics": cli.ASYMPTOTICS_ROW}
 
 
+def cells(template: str) -> int:
+    """CSV cells in a row of ``template``: its conversions and its literal cells."""
+    return template.count(",") + 1
+
+
 def block_points(command: str) -> int:
     """Rows (trace steps or grid points) in one of ``command``'s blocks."""
-    return cli.GRID_CELLS // CSV_ROWS[command].count("%")
+    return cli.GRID_CELLS // cells(CSV_ROWS[command])
 
 
 def cut_blocks(monkeypatch, command: str, points: int) -> None:
     """Set cli.GRID_CELLS so that ``command``'s blocks hold ``points`` rows."""
-    monkeypatch.setattr(cli, "GRID_CELLS", points * CSV_ROWS[command].count("%"))
+    monkeypatch.setattr(cli, "GRID_CELLS", points * cells(CSV_ROWS[command]))
 
 
 def fmt(x: float) -> str:
@@ -260,27 +265,28 @@ class TestConfigFile:
 # trailing --out writes to a temporary file.  verify multiplies through numpy's
 # matmul, whose last bits follow the BLAS kernel picked for the CPU, so it lists
 # every digest that OPENBLAS_CORETYPE = Prescott through SapphireRapids gave on
-# an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).  manifold's
-# products go through einsum, which calls no BLAS: one digest.
+# an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).  spectrum and
+# manifold take their points from the angles in closed form, with no matrix
+# product: one digest.
 GOLDEN = {
     "trace --n 1000000 --m-max 1000000 --out":
         "13bf2003112d5e8b5c7626486d021fbb904d7b6ca7be1405310a17dd0115f066",
     "trace --n 4096 --k0 momentum:0 --m-max 20000 --out":
         "22431c157b805b5409c9ff220c91e69c4eeaf39d957d4882d543e332d74504fa",
     "spectrum --n 1000000000 --grid 20001 --out":
-        "881f9e3a5874f8fcfbc1b4d8ffb6ae5ce65ca0d0e0708a06c2e39153ebfab607",
+        "1054cfbbe9b2c1714f80209f1205a580eb4f124bf7fc4defb8f7572089580e4d",
     "manifold --grid 200x200 --out":
-        "ea78a720727cc41a87e46151f126d1d37d938006e3624ba0eb146fdea1628403",
+        "c6277e2f25f8567da5f9198946b901814dff34ba1ee7ae5a4d6531d2a39729a0",
     "sweep --n 1000 --grid 64x64 --m-max 300 --out":
         "e22df5978789af884488bca29a87eb65678fc01db87946a13ada078bdfb8df62",
     "trace --n 1000 --m-max 1000":
         "060407350a8e3fea187dad7752a4707788c70173dff594552b955d1bf9732cd1",
     "spectrum --n 1000 --grid 101":
-        "d301a82726884dce45b67950320dd81ddb0a7e1ddf072628bd2ac9c3cb67908e",
+        "9e935ee47277cbe3ccbde5de8786d2a511225109ec0445bdb0e09c6bd21e30c0",
     "asymptotics --n 100000 --grid 41":
         "318a83fe1ba0efa78b02c9c257a22b4025f8473b5062fcd5a98b25b52c8d1a91",
     "manifold --grid 50x50":
-        "af4ea748779d8dc1c883ecb525e2a6901bc9ce8d7a208303a5f00802087df5cc",
+        "1efb1d4838cd5b03a4cf82017f47563cbf16488bf8062d9ccf14efe12d28e0d1",
     "verify --seed 7":
         "42c93576665b863881da281079bba9421462bfe87f89a54a326ca7eb9c777036"
         " 1223fb95e29e21e442482933963e7be702730907a085532c15a8d486d77ad22f"
@@ -726,6 +732,21 @@ class TestSpectrum:
         assert row[12] == ""
         assert row[13] == ""
 
+    @pytest.mark.parametrize("extra", [[], ["--alpha1", "0.3"]], ids=["n", "alpha1"])
+    def test_rows_are_their_printed_phases(self, capsys, extra):
+        """Each row of the diagonal is computed from the phases it prints: it
+        is the single-point run of them, byte for byte, at the first point
+        (-pi, printed as pi) too."""
+        rc, out, _ = run(capsys, "spectrum", "--n", "1000", "--grid", "9", *extra)
+        assert rc == 0
+        header, *lines = out.splitlines()
+        for line in lines:
+            bp, dp = line.split(",")[:2]
+            rc, one, _ = run(capsys, "spectrum", "--n", "1000", "--beta-phase", bp,
+                             "--delta-phase", dp, *extra)
+            assert (rc, one) == (0, header + "\n" + line + "\n")
+        assert lines[0] == lines[-1]
+
     def test_diagonal_grid_sweep(self, capsys):
         rc, out, err = run(capsys, "spectrum", "--n", "1000", "--grid", "9")
         assert rc == 0
@@ -898,21 +919,21 @@ class TestManifold:
 # printed with 2048-point blocks.
 BOUNDARIES = {
     "spectrum --n 1000 --grid 1091":
-        "db95a8bd94ff7935e4824cd653b65a733a9b6c9656544c3fe1e1daf8a6d4afa2",
+        "6b2f956c81424a78ad2e56ef0e50923c106e36a2f7da16944425d952b29a453f",
     "spectrum --n 1000 --grid 1092":
-        "b46fbc40c4db5ee8570063498118f3e3bee0d305dfa966a07f8f967c6aaa5792",
+        "a388024d5d6fa0e2feb87019573d4341eb9e811f8745b5d3978c530b19410957",
     "spectrum --n 1000 --grid 1093":
-        "655dce1a7a2074c1e761d8195edacf686b3861eaebad1dbf847913ef26e3cae0",
+        "09c0fd4185120a960cdf7aeb48d8c3ce5d5c6749fec0f7ac712b567246417c5e",
     "spectrum --n 1000 --grid 2184":
-        "b2f00564b9e054d439c93e78f2d896e68c190b69860edbddd1fb17f61fcd3370",
+        "76c4f56092f549d569c99eebf2fe609bdf4f5963a922778c8f2fd05ec513a72d",
     "manifold --grid 17x107":
-        "7b704ae03c9109868913368bc71c61c898decba65a3c4ba60f12eb7e8999e411",
+        "320fa8524cfb81266d63f298c2221e8622c1be417feb40e1c1a0f83ece7a1eb2",
     "manifold --grid 35x52":
-        "ba823b34fe7f04e4b2c8a030148a75d91b3d8c9541ea2f8718bc1f8eae55abb7",
+        "705256a222393d1b70ddf9092cd31567faa43e6ed44c15537c1da88d40aa44cb",
     "manifold --grid 3x607":
-        "90048a4c1f635e8029c5798d53eaccc7a9508968348bbacb177059f23ecf6fbc",
+        "7c1c529a834469b617cefc0562e94126162d22c36177abf3d9f6fca11915181a",
     "manifold --grid 70x52":
-        "ad716b6ebc76753aa473ce22b495061ad109eb6ea92d91c8184e09aec2a394a2",
+        "af425a05abf454fc8f9382e41c8f00a17ba29a4b27e8d36ff00eea5925547141",
     "sweep --n 100 --m-max 5 --grid 31x88":
         "aae6f2c6df6e561f2dc6b2074e52fb152e293725c09001d02f4bf8702ae27c90",
     "sweep --n 100 --m-max 5 --grid 42x65":
@@ -977,14 +998,14 @@ class TestBlocks:
 
         def counted(fmt_template, columns):
             assert fmt_template == template
-            sizes.append(len(columns[0]))
+            sizes.append(len(columns[-1]))
             return rows(fmt_template, columns)
 
         monkeypatch.setattr(cli, "rows", counted)
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
         block = block_points(argv[0])
-        assert block * template.count("%") <= cli.GRID_CELLS
+        assert block * cells(template) <= cli.GRID_CELLS
         assert sizes[:-1] == [block] * (len(sizes) - 1)
         assert 0 < sizes[-1] <= block
         assert sum(sizes) == out.count("\n") - 1
@@ -1007,15 +1028,15 @@ class TestBlocks:
         (["trace", "--n", "1000", "--m-max", "100000"], [1]),
         (["trace", "--n", "64", "--m-max", "100", "--k0", "momentum:3", "--a", "2"], [1]),
         (["trace", "--m-max", "100", "--alpha1", "0.2"], [1]),
-        (["spectrum", "--n", "1000", "--grid", "5000"], [1092] * 4 + [632]),
         (["sweep", "--n", "100", "--grid", "64x64", "--m-max", "20"], [1024, 1024, 682, 1024, 342]),
-        (["manifold", "--grid", "100x50"], [1820, 1820, 1360]),
-    ], ids=["trace", "momentum", "alpha1", "spectrum", "sweep", "manifold"])
+        (["spectrum", "--n", "1000", "--grid", "5000"], []),
+        (["spectrum", "--alpha1", "0.3", "--beta-phase", "1"], []),
+        (["manifold", "--grid", "100x50"], []),
+    ], ids=["trace", "momentum", "alpha1", "sweep", "spectrum", "spectrum-alpha1", "manifold"])
     def test_each_kernel_checked_once(self, monkeypatch, argv, stacks):
         """Each kernel stack is checked for unitarity once, where it enters
-        the engine or a decomposition: a trace, each sweep engine sub-stack,
-        each spectrum and manifold block."""
-        groverlab.spectral._reflection_axes(10)  # the manifold's cached reflections
+        the engine: a trace, each sweep engine sub-stack.  spectrum and
+        manifold build no stack: their points come from the angles."""
         sizes = []
 
         def counted(m, tol, what):

@@ -219,3 +219,24 @@ def test_rejects_other_conversions_and_column_counts():
     with pytest.raises(ValueError):
         rows("m\n", [])
     assert rows("%d\n", [np.array([], dtype=np.int64)]) == b""
+
+
+@pytest.mark.parametrize("conversion", ["%d", "%.17g", "%.0f"])
+@pytest.mark.parametrize("case", ["random", "repeated", "nan", "empty"])
+def test_pair_column_is_its_indexed_values(conversion, case):
+    """A (values, index) column prints values[index], in any place of the
+    row, beside plain columns, whatever index repeats or leaves out; a NaN
+    value prints an empty cell, and an empty index no row."""
+    rng = np.random.default_rng(len(case))
+    values = mixed_column(conversion, rng, 30)
+    if case == "nan" and conversion != "%d":  # an integer column has no NaN
+        values[::3] = math.nan
+    index = {"repeated": np.full(200, 3),
+             "empty": np.array([], dtype=np.intp)}.get(case, rng.integers(0, 30, 200))
+    template = "x," + conversion + "," + conversion + ",%d\n"
+    plain = values[index]
+    other = np.arange(len(plain))
+    got = rows(template, [(values, index), plain, other])
+    assert got == rows(template, [plain, (values, index), other])
+    assert got == python_rows(template, [plain, plain, other])
+    assert (got == b"") == (case == "empty")

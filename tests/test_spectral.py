@@ -31,6 +31,7 @@ from groverlab.spectral import (
     kernel_manifold_points,
     optimal_steps_asymptotic,
     optimal_steps_exact,
+    phase_spectra,
     stability_expansion,
     su2_decompose,
     su2_decompositions,
@@ -434,6 +435,64 @@ def scalar_eigensystem(m):
     return cmath.phase(za), cmath.phase(zb), 2 * math.atan2(s, abs(c)), False, vb
 
 
+def scalar_phase_spectrum(bp, dp, n, alpha1):
+    """(det, trace, eigphase1, eigphase2, phase_gap, degenerate, diag_gap) of
+    ``phase_spectra``'s closed form, in Python math, one kernel at a time."""
+    bp, dp = float(bp), float(dp)
+    if alpha1 is None:
+        w, rest, r = 1 / n, (n - 1) / n, math.sqrt(n - 1) / n
+    else:
+        w, rest = alpha1 * alpha1, 1 - alpha1 * alpha1
+        r = alpha1 * math.sqrt(rest)
+    d, scale = dp - bp, -2 * r
+    if abs(d) > math.pi:  # across the cut: 2 pi from the difference, and the sign turned
+        side = math.copysign(1.0, dp)
+        d, scale = (dp - side * 2 * math.pi) - bp - side * 2.4492935982947064e-16, 2 * r
+    h = d / 2
+    lam = bp + h
+    cos_lam = math.cos(bp) * math.cos(h) - math.sin(bp) * math.sin(h)
+    sin_lam = math.sin(bp) * math.cos(h) + math.cos(bp) * math.sin(h)
+    cos = w * cos_lam - rest * math.cos(h)
+    x = scale * math.cos(dp / 2) * math.sin(bp / 2)
+    y = scale * math.cos(dp / 2) * math.cos(bp / 2)
+    z = -(w * sin_lam + rest * math.sin(h))
+    sin = math.sqrt(x * x + y * y + z * z)
+    folded = math.atan2(sin, abs(cos))
+    angle = math.pi - folded if cos < 0 else folded
+    degenerate = 2 * sin <= 1e-12
+    plus_first = not degenerate and ((z < 0) if abs(z) > 15 / 17 * sin else (y > 0))
+    minus, plus = (math.remainder(lam - angle, 2 * math.pi),
+                   math.remainder(lam + angle, 2 * math.pi))
+    minus, plus = (math.pi if t == -math.pi else t for t in (minus, plus))
+    e1, e2 = (plus, minus) if plus_first else (minus, minus if degenerate else plus)
+    twice_n = 2.0 * n if alpha1 is None else None
+    diag_gap = None if alpha1 else complex(-twice_n * z * sin_lam, twice_n * z * cos_lam)
+    return (complex(math.cos(bp + dp), math.sin(bp + dp)),
+            complex(2 * cos * cos_lam, 2 * cos * sin_lam), e1, e2,
+            0.0 if degenerate else 2 * folded, degenerate, diag_gap)
+
+
+def scalar_manifold_point(t1, t2, n):
+    """(angle, axis) of ``kernel_manifold_points``' quaternion product, in
+    Python math, from the reflection axes read off ``grover_operator``."""
+    u = np.array([1 / math.sqrt(n), math.sqrt((n - 1) / n)], dtype=complex)
+    b, a = grover_operator(u, -1.0, 1.0)[0].real.tolist()
+    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+    cos = -(c1 * c2 + s1 * s2 * b)
+    sin_axis = [-a * (c1 * s2), a * s1 * s2, c2 * s1 - b * (c1 * s2)]
+    sin = math.sqrt(sin_axis[0] ** 2 + sin_axis[1] ** 2 + sin_axis[2] ** 2)
+    folded = math.atan2(sin, abs(cos))
+    axis = [x / sin if sin >= 1e-9 else math.nan for x in sin_axis]
+    return (math.pi - folded if cos < 0 else folded), axis
+
+
+def complex_bits(x):
+    """The bits of a float, a complex number's parts or a bool; None stays None."""
+    if x is None or isinstance(x, (bool, np.bool_)):
+        return x
+    return bits([complex(x).real, complex(x).imag])
+
+
 EPS = np.finfo(float).eps
 
 
@@ -442,7 +501,9 @@ def bits(x):
 
 
 class TestScalarReference:
-    """The batched code against the per-kernel loop it replaced: the same bits
+    """The batched code against per-kernel Python: the matrix code against the
+    loop it replaced, and the closed forms of ``phase_spectra`` and
+    ``kernel_manifold_points`` against their twins in ``math``.  The same bits
     wherever the arithmetic is the same.  Eigenvector norms are now summed in
     another order, which can flip the choice between two equally good
     columns, so eigenvectors agree to their conditioning, 16 eps / |z1 - z2|."""
@@ -466,36 +527,46 @@ class TestScalarReference:
 
     @pytest.mark.parametrize("n", [4, 10, 10**6])
     def test_manifold(self, n):
-        marked = np.array([1.0 + 0j, 0.0])
-        u = np.array([1 / np.sqrt(n), np.sqrt((n - 1) / n)], dtype=complex)
-        axes = []
-        for g in (grover_operator(marked, -1.0, 1.0), grover_operator(u, -1.0, 1.0)):
-            _, _, sin_axis = scalar_dephase(1j * g)
-            axes.append(np.array(sin_axis) / math.hypot(*sin_axis))
-
-        def rotation(t, axis):
-            nx, ny, nz = axis
-            return math.cos(t) * np.eye(2) + 1j * math.sin(t) * np.array(
-                [[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-
-        def product(a, b):
-            # In Python complex arithmetic: numpy's matmul follows the BLAS kernel.
-            a, b = a.tolist(), b.tolist()
-            return np.array([[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
-                             for i in range(2)])
-
         g1 = [(np.pi / 2 + 2 * np.pi * i / 9) % (2 * np.pi) for i in range(9)]
         g2 = [(np.pi / 2 + 2 * np.pi * j / 8) % (2 * np.pi) for j in range(8)]
         aa = kernel_manifold_points(np.array(g1)[:, None], g2, n)
+        assert bits(aa.global_phase) == bits(np.zeros(72))
         for k, (t1, t2) in enumerate((t1, t2) for t1 in g1 for t2 in g2):
-            lam, c, sin_axis = scalar_dephase(-product(rotation(t2, axes[1]),
-                                                       rotation(t1, axes[0])))
-            s = math.hypot(*sin_axis)
-            assert bits([aa.global_phase[k], aa.angle[k]]) == bits([lam, math.atan2(s, c)])
-            if s < 1e-9:
-                assert np.isnan(aa.axis[k]).all()
-            else:
-                assert bits(aa.axis[k]) == bits(np.array(sin_axis) / s)
+            angle, axis = scalar_manifold_point(t1, t2, n)
+            assert bits(aa.angle[k]) == bits(angle)
+            assert bits(aa.axis[k]) == bits(axis)
+
+    @pytest.mark.parametrize("n, alpha1", [(2, None), (10, None), (1000, None), (10**9, None),
+                                           (2**63 - 1, None), (None, 0.3), (None, 1e-9)])
+    def test_phase_spectra(self, n, alpha1):
+        bp, dp = rng.uniform(-np.pi, np.pi, (2, 300))
+        dp[:100] = bp[:100]  # balanced
+        dp[100:200] = bp[100:200] + rng.normal(0, 1e-6, 100)  # near-balanced
+        dp[:4] = bp[:4] = [np.pi, -np.pi, 0.0, 3.0]
+        bp[200:204], dp[200:204] = [np.pi, -np.pi, 3.14, -3.14], [-3.1415, 3.1415, -3.14, 3.14]
+        batch = phase_spectra(bp, dp, n, alpha1)
+        for k in range(len(bp)):
+            want = scalar_phase_spectrum(bp[k], dp[k], n, alpha1)
+            got = [batch.det[k], batch.trace[k], batch.eigphase1[k], batch.eigphase2[k],
+                   batch.phase_gap[k], batch.degenerate[k],
+                   None if alpha1 else batch.diag_gap[k]]
+            assert [complex_bits(x) for x in got] == [complex_bits(x) for x in want], k
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**6, 10**9])
+    def test_phase_spectra_order(self, n):
+        """phase_spectra orders the eigenphases as eigensystems does, from the
+        axis alone, on 20000 random non-degenerate kernels per size."""
+        r = np.random.default_rng(n)
+        bp, dp = r.uniform(-np.pi, np.pi, (2, 20000))
+        dp[:5000] = bp[:5000]
+        dp[5000:10000] = bp[5000:10000] + r.normal(0, 1 / math.sqrt(n), 5000)
+        old = eigensystems(reduced_kernels(unit_phases(bp), unit_phases(dp), n), n)
+        new = phase_spectra(bp, dp, n)
+        assert (new.degenerate == old.degenerate).all()
+        live = ~old.degenerate & (old.phase_gap > 1e-8)
+        assert live.sum() > 19000
+        distance = np.abs(np.remainder(new.eigphase1 - old.eigphase1 + np.pi, 2 * np.pi) - np.pi)
+        assert distance[live].max() <= 1e-9
 
 
 def gap_reference(stack):
@@ -575,20 +646,6 @@ class TestManifold:
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidSizeError):
             kernel_manifold_points([0.0], [0.0], n=1)
-
-    def test_reflections_built_once_per_size(self, monkeypatch):
-        """The two reflections are built and split once per n, not once per
-        call, and the axes kept for n are read-only."""
-        built, build = [], spectral.grover_operator
-        monkeypatch.setattr(spectral, "grover_operator", lambda *a: built.append(a) or build(*a))
-        spectral._reflection_axes.cache_clear()
-        first = kernel_manifold_points([0.1, 2.0], [0.3, -1.0], n=37)
-        again = kernel_manifold_points([0.1, 2.0], [0.3, -1.0], n=37)
-        spectral._reflection_axes.cache_clear()  # drop the entry built under the patch
-        assert len(built) == 2
-        assert (first.angle.tobytes(), first.axis.tobytes()) == (again.angle.tobytes(),
-                                                                 again.axis.tobytes())
-        assert not any(axis.flags.writeable for axis in spectral._reflection_axes(37))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
-"""Phase gaps of large-N kernels and the rotation manifold against an
-independent 50-digit reference.
+"""Phase gaps and spectrum rows of large-N and near-balanced kernels, and the
+rotation manifold, against an independent 50-digit reference
+(``reference.spectrum`` and ``reference.manifold_reference``).
 
 The reference builds the two reflections with mpmath in the (|x0>, |xp>)
 basis, G1 = diag(alpha, beta) and G2 = delta + (gamma - delta) |u><u| with
@@ -12,17 +13,18 @@ parts read off by Pauli traces.  The reference shares no code with
 groverlab.  Both sides start from the same float angles.
 """
 
-import functools
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
-from reference import reflections
+from reference import half_cos, manifold_reference, reflections, rotation, spectrum
 
 from groverlab import cli
 from groverlab.algebra import TOL_EXACT
-from groverlab.kernel import GroverPhases, extended_reduced_kernel, reduced_kernel
+from groverlab.kernel import GroverPhases, reduced_kernel
 from groverlab.spectral import eigensystem, kernel_manifold_points, optimal_steps_exact
 
 SIZES = (10**6, 10**9, 10**12, 10**15, 10**18)
@@ -34,80 +36,126 @@ BALANCED = [(t, t) for t in np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 41).tol
 UNBALANCED = [tuple(p) for p in np.random.default_rng(4).uniform(-math.pi, math.pi, (40, 2)).tolist()]
 
 
-def reference(beta_phase, delta_phase, n, alpha1=None):
-    """The gap between the two eigenphases and floor(pi / gap), from 50 digits;
-    with ``alpha1``, of the general-superposition kernel."""
-    with mp.workdps(50):
-        g1, g2 = reflections(mp.expj(mpf(beta_phase)), mp.expj(mpf(delta_phase)), n, alpha1)
-        k = g2 * g1
-        tr = k[0, 0] + k[1, 1]
-        det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
-        root = mp.sqrt(tr * tr - 4 * det)
-        gap = abs(mp.arg((tr + root) / (tr - root)))
-        return float(gap), int(mp.floor(mp.pi / gap))
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_phase_gap_matches_reference(n):
     bad = []
     for bp, dp in BALANCED + UNBALANCED:
         phases = GroverPhases.from_angles(bp, dp)
         spec = eigensystem(reduced_kernel(phases.beta, phases.delta, n))
-        gap, steps = reference(bp, dp, n)
-        rel = abs(spec.phase_gap - gap) / gap
-        if spec.degenerate or not rel <= GAP_RTOL or optimal_steps_exact(spec) != steps:
+        want = spectrum(bp, dp, n)
+        rel = abs(spec.phase_gap - want.gap) / want.gap
+        if spec.degenerate or not rel <= GAP_RTOL or optimal_steps_exact(spec) != want.steps:
             bad.append((bp, dp, rel, spec.degenerate))
     assert not bad, f"{len(bad)} of {len(BALANCED) + len(UNBALANCED)} wrong, e.g. {bad[:3]}"
 
 
-@pytest.mark.xfail(strict=True, reason="Known defect 1: the kernel's entries lose the "
-                   "near-balanced phases' difference at large N (9e-9 relative)")
+def spectrum_row(*args):
+    """The cells of ``spectrum`` at one point, by column name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spectrum", *args]) == 0
+    header, row = out.getvalue().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def spectrum_errors(row, n=None, alpha1=None):
+    """The printed spectrum row's errors against 50 digits at its printed
+    phases, as (column, error, bound) triples: phase_gap relative, the
+    eigenphase pair on the circle (in the better order), det, trace and
+    diag_gap within 1e-12 max(1, |value|), and m_exact exact unless pi/gap
+    lies within GAP_RTOL, relative, of an integer (error 1 for a miss)."""
+    want = spectrum(float(row["beta_phase"]), float(row["delta_phase"]), n, alpha1)
+    cell = lambda name: complex(float(row[name + "_re"]), float(row[name + "_im"]))
+    errors = [(name, abs(cell(name) - value) / max(1, abs(value)), GAP_RTOL)
+              for name, value in [("det", want.det), ("trace", want.trace),
+                                  ("diag_gap", want.diag_gap)] if value is not None]
+    if row["degenerate"] == "1" or want.degenerate:
+        return errors + [("degenerate", float(row["degenerate"] != str(int(want.degenerate))), 0)]
+    got = float(row["eigphase1"]), float(row["eigphase2"])
+    on_circle = [max(abs(math.remainder(g - w, 2 * math.pi)) for g, w in zip(got, pair))
+                 for pair in (want.eigphases, want.eigphases[::-1])]
+    near = abs(want.period - mp.nint(want.period)) <= GAP_RTOL * want.period
+    return errors + [
+        ("phase_gap", abs(float(row["phase_gap"]) - want.gap) / want.gap, GAP_RTOL),
+        ("eigphases", min(on_circle), GAP_RTOL),
+        ("m_exact", float(not near and int(row["m_exact"]) != want.steps), 0)]
+
+
 def test_near_balanced_phase_gap_at_large_n():
-    """ROADMAP's Known defect 1 reproduction: spectrum's phase_gap within
-    GAP_RTOL of 50 digits where bp and dp differ by 4.5e-10 at N near 2^61."""
+    """ROADMAP's Known defect 1 reproduction, which printed phase_gap 9e-9
+    relative off and m_exact 1336986488 for 1336986476: spectrum's cells
+    within tolerance of 50 digits where bp and dp differ by 4.5e-10 at N
+    near 2^61."""
     n, bp, dp = 2728383057332175872, -0.6196048970678825, -0.6196048966182851
-    phases = GroverPhases.from_angles(bp, dp)
-    spec = eigensystem(reduced_kernel(phases.beta, phases.delta, n))
-    gap, _ = reference(bp, dp, n)
-    assert abs(spec.phase_gap - gap) / gap <= GAP_RTOL
+    row = spectrum_row("--n", str(n), "--beta-phase", repr(bp), "--delta-phase", repr(dp))
+    assert row["m_exact"] == "1336986476"
+    assert all(err <= bound for _, err, bound in spectrum_errors(row, n))
 
 
-@pytest.mark.xfail(strict=True, reason="Known defect 1: the --alpha1 kernel's entries lose "
-                   "the near-balanced phases' difference at small alpha1 (7e-9 relative)")
 def test_near_balanced_alpha1_phase_gap():
-    """Known defect 1 in the --alpha1 kernel builder: ``spectrum --alpha1
-    1e-9 --beta-phase 0.5 --delta-phase 0.500000001`` prints phase_gap
+    """Known defect 1 in the --alpha1 kernel: ``spectrum --alpha1 1e-9
+    --beta-phase 0.5 --delta-phase 0.500000001`` printed phase_gap
     4.002581693442262e-09 and m_exact 784891576, where 50 digits give
     4.0025817214194914e-09 and 784891570."""
-    alpha1, bp, dp = 1e-9, 0.5, 0.500000001
-    phases = GroverPhases.from_angles(bp, dp)
-    spec = eigensystem(extended_reduced_kernel(phases.beta, phases.delta, alpha1))
-    gap, steps = reference(bp, dp, None, alpha1)
-    assert abs(spec.phase_gap - gap) / gap <= GAP_RTOL
-    assert optimal_steps_exact(spec) == steps
+    row = spectrum_row("--alpha1", "1e-09", "--beta-phase", "0.5", "--delta-phase", "0.500000001")
+    assert row["m_exact"] == "784891570"
+    assert all(err <= bound for _, err, bound in spectrum_errors(row, alpha1=1e-9))
+
+
+# Near-balanced pairs: |bp - dp| = eps / sqrt(N), or eps alpha1 with --alpha1,
+# about random bp, at every list size and overlap the kernels take.
+ACCURACY_SIZES = (2, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18, 2**63 - 1)
+ACCURACY_OVERLAPS = (1e-9, 1e-6, 1e-3, 0.3)
+ACCURACY_EPS = (0, 1e-4, 1e-2, 1, 1e2, 1e6)
+ACCURACY_DRAWS = 4
+
+
+@pytest.mark.parametrize("n, alpha1", [(n, None) for n in ACCURACY_SIZES]
+                         + [(None, alpha1) for alpha1 in ACCURACY_OVERLAPS],
+                         ids=[f"n={n}" for n in ACCURACY_SIZES]
+                         + [f"alpha1={alpha1}" for alpha1 in ACCURACY_OVERLAPS])
+def test_spectrum_matches_reference_near_balance(n, alpha1):
+    """Every spectrum cell a kernel sets, within its bound of 50 digits
+    (``spectrum_errors``), for phases from balanced to far apart."""
+    rng = np.random.default_rng(n or int(1 / alpha1))
+    scale = alpha1 if n is None else 1 / math.sqrt(n)
+    size = ["--n", str(n)] if n is not None else ["--alpha1", repr(alpha1)]
+    bad = []
+    for eps in ACCURACY_EPS:
+        for _ in range(ACCURACY_DRAWS):
+            bp = rng.uniform(-math.pi, math.pi)
+            dp = bp + float(rng.choice([-1, 1])) * eps * scale
+            row = spectrum_row(*size, "--beta-phase", repr(bp), "--delta-phase", repr(dp))
+            bad += [(eps, bp, dp, name, err) for name, err, bound in spectrum_errors(row, n, alpha1)
+                    if not err <= bound]
+    assert not bad, f"{len(bad)} cells off, e.g. {bad[:3]}"
+
+
+# beta and delta near -1, where the kernel is near the identity and lam near
+# pi: on one side of the cut at +-pi, and across it.
+NEAR_MINUS_ONE = [(math.pi - 1e-7, math.pi - 3e-7), (-math.pi + 4e-6, -math.pi + 1e-11),
+                  (math.pi - 2e-9, -math.pi + 5e-9), (-math.pi + 1e-5, math.pi - 1e-11),
+                  (3.1415926535079017, -3.141592653583254)]
+
+
+@pytest.mark.parametrize("n, alpha1", [(10**3, None), (10**9, None), (2**63 - 1, None),
+                                       (None, 1e-3), (None, 0.3)])
+def test_spectrum_near_minus_one(n, alpha1):
+    """Every spectrum cell a kernel sets, within its bound of 50 digits, where
+    the rotation is small and lam is near pi, so that its rounding would be
+    all of sin(lam), and where bp - dp is near 2 pi."""
+    size = ["--n", str(n)] if n is not None else ["--alpha1", repr(alpha1)]
+    bad = []
+    for bp, dp in NEAR_MINUS_ONE:
+        row = spectrum_row(*size, "--beta-phase", repr(bp), "--delta-phase", repr(dp))
+        bad += [(bp, dp, name, err) for name, err, bound in spectrum_errors(row, n, alpha1)
+                if not err <= bound]
+    assert not bad, f"{len(bad)} cells off, e.g. {bad[:3]}"
 
 
 # The CLI's 41x41 manifold grid, anchored at pi/2.
 MANIFOLD_GRID = [(math.pi / 2 + 2 * math.pi * i / 41) % (2 * math.pi) for i in range(41)]
 MANIFOLD_TOL = 1e-14
-
-
-def rotation(t, g):
-    """cos t + i sin t g for a reflection g; call inside mp.workdps(50)."""
-    c, s = mp.cos(mpf(t)), mp.sin(mpf(t))
-    return [[c * (i == j) + 1j * s * g[i, j] for j in range(2)] for i in range(2)]
-
-
-def manifold_reference(r1, r2):
-    """(global phase, rotation angle, sin(angle), sin(angle) n) of -r2 r1."""
-    k = [[-(r2[i][0] * r1[0][j] + r2[i][1] * r1[1][j]) for j in range(2)] for i in range(2)]
-    lam = mp.arg(k[0][0] * k[1][1] - k[0][1] * k[1][0]) / 2
-    u = mp.expj(-lam)
-    (a, b), (c, d) = ([x * u for x in row] for row in k)
-    # Tr(W) = 2 cos(angle) and Tr(sigma_j W) = 2i sin(angle) n_j, W = e^{-i lam} K.
-    sin_axis = [mp.re(t / 2j) for t in (b + c, 1j * (b - c), a - d)]
-    sin = mp.sqrt(sum(x * x for x in sin_axis))
-    return lam, mp.atan2(sin, mp.re(a + d) / 2), sin, sin_axis
 
 
 @pytest.mark.parametrize("n", (4, 10, 10**6))
@@ -149,13 +197,6 @@ ASYMPTOTIC_GAP_TOL = 1e-15
 PERIOD_RTOL = 1e-9
 
 
-@functools.lru_cache(maxsize=None)
-def _half_cos(phi):
-    """cos(phi/2) at 50 digits for the printed phi."""
-    with mp.workdps(50):
-        return mp.cos(mpf(phi) / 2)
-
-
 @pytest.mark.parametrize("alpha1", [None, 0.3, 1e-306], ids=["n", "alpha1", "tiny-alpha1"])
 @pytest.mark.parametrize("n", ASYMPTOTIC_SIZES)
 def test_asymptotics_matches_reference(tmp_path, n, alpha1):
@@ -175,7 +216,7 @@ def test_asymptotics_matches_reference(tmp_path, n, alpha1):
         scale = 4 / mp.sqrt(n)
         for line in lines:
             phi, _, _, gap, steps = line.split(",")
-            c = _half_cos(phi)
+            c = half_cos(phi)
             period = (mp.pi * mp.sqrt(n) if alpha1 is None else mp.pi / mpf(alpha1)) / (4 * c)
             if c <= TOL_EXACT:
                 ok = gap == steps == ""
