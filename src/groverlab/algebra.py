@@ -32,6 +32,8 @@ __all__ = [
 TOL_EXACT = 1e-12
 TOL_PIPELINE = 1e-10
 TAU = 2 * math.pi
+# 2 pi less TAU, to the double nearest it.
+_TAU_LO = 2.4492935982947064e-16
 
 
 def as_vector(v) -> np.ndarray:
@@ -82,14 +84,7 @@ def _require_overlap(alpha1: float) -> None:
 
 def unitarity_residual(a: np.ndarray):
     """max|M^dagger M - I| of a square array already coerced by as_matrix,
-    or one such residual per matrix of a stack of shape (K, n, n); a 2x2
-    stack [[p, q], [r, s]] takes the three distinct entries from its columns:
-    |p|^2 + |r|^2 - 1, |q|^2 + |s|^2 - 1 and conj(p) q + conj(r) s."""
-    if a.ndim == 3 and a.shape[1:] == (2, 2):
-        p, q, r, s = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-        first = np.abs(p.real**2 + p.imag**2 + r.real**2 + r.imag**2 - 1)
-        second = np.abs(q.real**2 + q.imag**2 + s.real**2 + s.imag**2 - 1)
-        return np.maximum(np.maximum(first, second), np.abs(p.conj() * q + r.conj() * s))
+    or one such residual per matrix of a stack of shape (K, n, n)."""
     resid = np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
     return float(resid) if resid.ndim == 0 else resid
 
@@ -133,6 +128,15 @@ def wrap_angle(t) -> np.ndarray:
     """Principal value in (-pi, pi], elementwise, exact (fmod and a shift by TAU)."""
     w = np.fmod(t, TAU)
     return np.where(w > math.pi, w - TAU, np.where(w <= -math.pi, w + TAU, w))
+
+
+def reduce_angle(t) -> np.ndarray:
+    """t less its turns of 2 pi, to full precision: wrap_angle's, each _TAU_LO
+    short, or, from 2^50 on (where those shortfalls add up to more than a
+    rounding, and doubles lie 1/4 or more apart), the angle of cos t, sin t."""
+    w = wrap_angle(t)
+    return np.where(np.abs(t) < 2.0**50, w - np.rint((t - w) / TAU) * _TAU_LO,
+                    np.arctan2(np.sin(t), np.cos(t)))
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,9 +27,8 @@ from .algebra import (
     TOL_EXACT,
     TOL_PIPELINE,
     TAU,
-    _abs,
-    _atan2,
     _require_wavenumber,
+    reduce_angle,
     require_unit,
     wrap_angle,
 )
@@ -39,19 +38,20 @@ from .evolution import (
     InitialState,
     TraceSummary,
     _remainder,
+    _rotation_blocks,
     invariant_plane,
-    probability_blocks,
     uniform_initial,
 )
 from .kernel import (
     FullSpaceConfig,
     GroverPhases,
-    extended_reduced_kernels,
-    reduced_kernels,
     require_full_size,
     unit_phases,
 )
 from .spectral import (
+    _dephase,
+    _kernel_stack,
+    _phase_rotations,
     asymptotic_gaps,
     asymptotic_steps,
     kernel_manifold_points,
@@ -72,7 +72,7 @@ MAX_GRID_POINTS = 10**6
 # in manifold, 2730 in sweep and 3276 in asymptotics.  A 20001-point
 # spectrum peaks at 32.8 MB (34.3 MB in 2048-point blocks, 38 MB in 4096).
 GRID_CELLS = 2**14
-# A sweep folds its peaks over probability_blocks' evaluations of
+# A sweep folds its peaks over _rotation_blocks' evaluations of
 # SWEEP_KERNELS kernels by SWEEP_STEPS steps: cos and sin run 1.5x slower
 # per element on 4 steps.
 SWEEP_KERNELS, SWEEP_STEPS = 1024, 16
@@ -313,43 +313,47 @@ def _summary_line(trace: TraceSummary) -> str:
 
 
 def _reduced_problem(cfg: ExperimentConfig):
-    """The builder of the reduced kernels for arrays of unit phases (beta,
-    delta), the list size they stand for, and the start they evolve from.
+    """The builder of the reduced kernels' SU(2) forms (cos, sin_axis) from
+    arrays of phase angles, ``spectral._phase_rotations``, and the plane start.
 
     ``--alpha1`` (refused with --a, --b or --k0) switches every kernel to
-    the general-superposition form, which has no list size, and the start to
-    (alpha1, sqrt(1 - alpha1^2)); otherwise the kernels have size ``--n``
-    and the start is --a/--b.  Every refusal is made here, before a kernel
-    is built.
+    the general-superposition form and the start to (alpha1, sqrt(1 -
+    alpha1^2)); otherwise the kernels have size ``--n`` and the start is
+    --a/--b.  Every refusal is made here, before a kernel is built.
     """
     if cfg.alpha1 is None:
-        return lambda beta, delta: reduced_kernels(beta, delta, cfg.n), cfg.n, _initial_state(cfg)
-    if cfg.a is not None or cfg.b is not None or cfg.k0 != "uniform":
+        start = _initial_state(cfg).reduced_vector()
+    elif cfg.a is not None or cfg.b is not None or cfg.k0 != "uniform":
         raise UsageError("--alpha1 fixes the kernel and the start; "
                          "it cannot be combined with --a, --b or --k0")
-    start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
-    return lambda beta, delta: extended_reduced_kernels(beta, delta, cfg.alpha1), None, start
+    else:
+        start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
+    return lambda bp, dp: _phase_rotations(bp, dp, cfg.n, cfg.alpha1)[3:], start
 
 
 def _trace_problem(cfg: ExperimentConfig):
-    """The trace's plane, as ``invariant_plane`` gives it: the kernel, the
-    start and the weight of its probabilities.
+    """The trace's plane, as ``invariant_plane`` gives it: the kernel's SU(2)
+    form (cos, sin_axis), the start and the weight of its probabilities.
 
     A --k0 other than uniform traces the full space (marked element 0): the
     weight times a trace in the plane of the marked element and k0.  Every
     momentum k0 has k0[0] = 1/sqrt(N) and c = sqrt(1 - 1/N) off it, so that
     plane is the reduced one, at any N, and only an --a/--b start at y0 != 0
     differs from the reduced start: it projects to (a/sqrt(N), -b/(N c)).
-    A file: k0 is projected by ``invariant_plane`` itself, in O(N).  Otherwise
-    the plane is ``_reduced_problem``'s, with weight 1.
+    A file: k0 is projected by ``invariant_plane`` itself, in O(N), and its
+    kernel split by ``spectral._dephase``.  Otherwise the plane is
+    ``_reduced_problem``'s, with weight 1.  The closed form takes phases
+    within pi of each other as they are, and others less their turns of 2 pi.
     """
-    beta, delta = unit_phases([cfg.beta_phase]), unit_phases([cfg.delta_phase])
+    bp, dp = np.array([cfg.beta_phase]), np.array([cfg.delta_phase])
+    if abs(cfg.delta_phase - cfg.beta_phase) > math.pi:
+        bp, dp = reduce_angle(bp), reduce_angle(dp)
     if cfg.alpha1 is None and cfg.k0.startswith("momentum:"):
         if _wavenumber(cfg) and (cfg.a is not None or cfg.b is not None):
             s = _initial_state(cfg)
             x0, x1 = s.a / math.sqrt(cfg.n), -s.b / math.sqrt(cfg.n * (cfg.n - 1))
             norm = math.hypot(abs(x0), abs(x1))
-            return reduced_kernels(beta, delta, cfg.n), np.array([x0, x1]) / norm, norm**2
+            return _phase_rotations(bp, dp, cfg.n)[3:], np.array([x0, x1]) / norm, norm**2
     elif cfg.alpha1 is None and cfg.k0 != "uniform":
         # Refused before the file is read.
         require_full_size(cfg.n, "full-space trace")
@@ -359,17 +363,19 @@ def _trace_problem(cfg: ExperimentConfig):
             x_in = np.full(cfg.n, s.b / math.sqrt(cfg.n), dtype=complex)
             x_in[0] = s.a / math.sqrt(cfg.n)
         phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
-        return invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
-    kernels_of, _, start = _reduced_problem(cfg)
-    return kernels_of(beta, delta), start, 1.0
+        kernel, start, weight = invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
+        _, _, cos, _, sin_axis = _dephase(_kernel_stack(kernel))
+        return (cos, sin_axis), start, weight
+    rotations_of, start = _reduced_problem(cfg)
+    return rotations_of(bp, dp), start, 1.0
 
 
 TRACE_ROW = "%d,%.17g\n"
 
 
 def cmd_trace(cfg: ExperimentConfig) -> int:
-    kernel, start, weight = _trace_problem(cfg)
-    p = probability_blocks(kernel, start)
+    (cos, sin_axis), start, weight = _trace_problem(cfg)
+    p = _rotation_blocks(cos, sin_axis, start)
     summary = TraceSummary()
 
     def columns(lo, hi):
@@ -387,30 +393,28 @@ SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%d,%.0f\n"
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     p, q = _grid("sweep", cfg.grid, 2)
-    kernels_of, _, start = _reduced_problem(cfg)
+    rotations_of, start = _reduced_problem(cfg)
 
     def columns(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), q)  # the p x q grid in row-major order
         bp = wrap_angle(cfg.beta_phase + TAU * i / p)
         dp = wrap_angle(cfg.delta_phase + TAU * j / q)
-        beta, delta = unit_phases(bp), unit_phases(dp)
-        kernels = kernels_of(beta, delta)
-        # Each row's first maximum, folded over the stack's blocks of steps.
+        cos, sin_axis = rotations_of(bp, dp)
+        # Each row's first maximum, folded over the kernels' blocks of steps.
         peak_prob, peak_step = np.full(len(bp), -math.inf), np.zeros(len(bp), int)
         for k in range(0, len(bp), SWEEP_KERNELS):
             part = slice(k, k + SWEEP_KERNELS)
             part_prob, part_step = peak_prob[part], peak_step[part]  # views
-            evaluate = probability_blocks(kernels[part], start)
+            evaluate = _rotation_blocks(cos[part], sin_axis[:, part], start)
             for m in range(0, cfg.m_max + 1, SWEEP_STEPS):
                 block = evaluate(m, min(m + SWEEP_STEPS, cfg.m_max + 1))
                 top = block.argmax(axis=1)
                 prob = block[np.arange(len(block)), top]
                 better = prob > part_prob
                 part_prob[better], part_step[better] = prob[better], m + top[better]
-        g_abs = _abs(beta - delta)
+        g_abs = 2 * np.abs(np.sin((dp - bp) / 2))  # |beta - delta|
         return [bp, dp, g_abs, peak_prob, peak_step,
-                np.where(g_abs <= TOL_EXACT, asymptotic_steps(
-                    _atan2(delta.imag, delta.real), cfg.n, cfg.alpha1), np.nan)]
+                np.where(g_abs <= TOL_EXACT, asymptotic_steps(dp, cfg.n, cfg.alpha1), np.nan)]
 
     _write_csv(cfg, "beta_phase,delta_phase,g_abs,peak_prob,peak_step,pred_M",
                SWEEP_ROW, p * q, columns)

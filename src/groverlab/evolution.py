@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import TOL_EXACT, _cmul, _complex, _require_list_size, as_vector, require_unit
 from .errors import InvalidSizeError, NormalizationError, PeakedInitialStateWarning
 from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
-from .spectral import SpectralData, _folded, _kernel_stack
+from .spectral import SpectralData, _dephase, _kernel_stack, _rotation_angles
 
 __all__ = [
     "InitialState",
@@ -193,20 +193,28 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 
 def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
                        s: Union[InitialState, np.ndarray]) -> Callable[[int, int], np.ndarray]:
-    """The evaluator p(lo, hi) of P(m) for the steps m = lo..hi - 1 from one
-    start under each kernel of a (K, 2, 2) stack, as a (K, hi - lo) block;
-    the kernels and start are checked here, once.
-
-    A ReducedKernel refuses an InitialState for another list size; a bare
-    stack takes any.  The SU(2) power k = e^{i lam} (cos a I + i sin a n.sigma)
-    gives P(m) = |cos(m a) x0 + sin(m a) w|^2 for the start (x0, x1) and
-    w = (i n.sigma (x0, x1))[0]; a folded into [0, pi/2]
-    (``spectral._folded``) keeps its precision.  Each P(m) is computed from
-    m alone, so any cut of the steps into ranges gives the same bits.
-    """
+    """``_rotation_blocks`` of a (K, 2, 2) stack of kernels, split by
+    ``spectral._dephase``, and a start, both checked here, once: a
+    ReducedKernel refuses an InitialState for another list size."""
     size = kernels.size if isinstance(kernels, ReducedKernel) else None
-    angle, nx, ny, nz = _folded(_kernel_stack(kernels))
-    x0, x1 = _reduced_input(size, s).tolist()
+    _, _, cos, _, sin_axis = _dephase(_kernel_stack(kernels))
+    return _rotation_blocks(cos, sin_axis, _reduced_input(size, s))
+
+
+def _rotation_blocks(cos: np.ndarray, sin_axis: np.ndarray,
+                     x: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """The evaluator p(lo, hi) of P(m), m = lo..hi - 1, as a (K, hi - lo) block,
+    from the unit start x = (x0, x1) under the kernels e^{i lam} (cos a I + i
+    sin a n.sigma) given by cos a and the rows of sin a n, of shape (3, K):
+    P(m) = |cos(m a) x0 + sin(m a) w|^2 for w = (i n.sigma x)[0], with a
+    negative cos a taken into the global phase, so that a, folded into [0,
+    pi/2] (``spectral._rotation_angles``), keeps full relative precision.
+    Each P(m) comes from m alone: any cut of the steps gives the same bits.
+    """
+    sin, angle, _ = _rotation_angles(cos, sin_axis)
+    nx, ny, nz = np.divide(np.where(cos < 0, -sin_axis, sin_axis), sin, where=sin > 0,
+                           out=np.zeros_like(sin_axis))
+    x0, x1 = x.tolist()
     w = 1j * (nz * x0 + _cmul(_complex(nx, -ny), x1))
     angle, wr, wi = angle[:, None], w.real[:, None], w.imag[:, None]
 

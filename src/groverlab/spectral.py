@@ -9,11 +9,12 @@ axis-angle form that places a kernel on the rotation-group picture.
 The decompositions work on stacks of kernels of shape (K, 2, 2);
 ``eigensystem`` and ``su2_decompose`` are their batches of one.  Each
 entry has the bits of the scalar formula: complex products are taken part
-by part and atan2 and the 3-norm come from ``math``, because numpy's may
-differ in the last bit.  ``phase_spectra`` and ``kernel_manifold_points``
-take angles instead of matrices: they write each kernel's SU(2) form in
-closed form from its phase or rotation angles, and share one step that
-turns that form into angle and axis (``_rotation_angles``).
+by part and atan2 and the 3-norm of a matrix's axis come from ``math``,
+because numpy's may differ in the last bit.  Where the angles are given,
+the SU(2) form is written in closed form from them: ``_phase_rotations``
+from the phase angles (for ``phase_spectra`` and the traces and sweeps),
+``kernel_manifold_points`` from the rotation angles; one step turns that
+form into its angles (``_rotation_angles``, with the sum of squares' root).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import (TAU, TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _complex, _expi,
+from .algebra import (_TAU_LO, TAU, TOL_EXACT, TOL_PIPELINE, _atan2, _cmul, _complex, _expi,
                       _require_list_size, _require_overlap, require_unitary, wrap_angle)
 from .errors import DivergentPeriodError, InvalidSizeError, ShapeError, SingularLimitError
 from .kernel import ReducedKernel, _unit_phases, grover_operator
@@ -125,7 +126,7 @@ def _single(k: Union[ReducedKernel, np.ndarray]) -> Union[ReducedKernel, np.ndar
 
 def _dephase(m: np.ndarray):
     """SU(2) form of a stack m of 2x2 unitaries: (det, lam, cos(angle),
-    sin(angle), sin(angle) n), each with one entry (n: one row) per matrix.
+    sin(angle), sin(angle) n), one entry per matrix (n: rows x, y, z).
 
     lam = arg(det)/2, and m e^{-i lam} = cos(angle) I + i sin(angle) n.sigma.
     """
@@ -133,21 +134,9 @@ def _dephase(m: np.ndarray):
     det = _cmul(a, d) - _cmul(b, c)
     lam = _atan2(det.imag, det.real) / 2
     a, b, c, d = _cmul(np.ascontiguousarray(m.reshape(-1, 4).T), _expi(-lam))  # times e^{-i lam}
-    sin_axis = np.stack([(b.imag + c.imag) / 2, (b.real - c.real) / 2, a.imag], axis=-1)
-    sin = np.fromiter(map(math.hypot, *sin_axis.T.tolist()), float, len(m))
+    sin_axis = np.stack([(b.imag + c.imag) / 2, (b.real - c.real) / 2, a.imag])
+    sin = np.fromiter(map(math.hypot, *sin_axis.tolist()), float, len(m))
     return det, lam, (a.real + d.real) / 2, sin, sin_axis
-
-
-def _folded(m: np.ndarray):
-    """``_dephase``'s angle and axis columns nx, ny, nz (zero where sin(angle) is
-    0), with a negative cos(angle) moved into the global phase: angle lies in
-    [0, pi/2], so it keeps full relative precision where the unfolded one (near pi
-    for the textbook kernel, -1 times a small rotation) has an error of ulp(pi)."""
-    _, _, c, s, sin_axis = _dephase(m)
-    sign = np.where(c < 0, -1.0, 1.0)[:, None]
-    axis = np.divide(sign * sin_axis, s[:, None], where=(s > 0)[:, None],
-                     out=np.zeros_like(sin_axis))
-    return _atan2(s, np.abs(c)), *axis.T
 
 
 def _phase_fixed_eigvecs(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -314,9 +303,8 @@ def su2_decompositions(kernels: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
     row is NaN.
     """
     _, lam, c, s, sin_axis = _dephase(_kernel_stack(kernels))
-    axis = np.divide(sin_axis, s[:, None], out=np.full_like(sin_axis, np.nan),
-                     where=(s >= AXIS_TOL)[:, None])
-    return AxisAngle(global_phase=lam, angle=_atan2(s, c), axis=axis)
+    axis = np.divide(sin_axis, s, out=np.full_like(sin_axis, np.nan), where=s >= AXIS_TOL)
+    return AxisAngle(global_phase=lam, angle=_atan2(s, c), axis=axis.T)
 
 
 def su2_decompose(k: Union[ReducedKernel, np.ndarray]) -> AxisAngle:
@@ -345,38 +333,29 @@ class PhaseSpectra:
 # eigenvectors' first components have magnitudes sqrt((1 +- n_z)/2), whose
 # ratio exceeds DOMINANCE_RATIO exactly here.
 DOMINANT_NZ = (DOMINANCE_RATIO**2 - 1) / (DOMINANCE_RATIO**2 + 1)
-# 2 pi less TAU, to the double nearest it.
-_TAU_LO = 2.4492935982947064e-16
 
 
 def _rotation_angles(cos: np.ndarray, sin_axis: np.ndarray):
-    """(sin(angle), folded angle, angle, axis) of the rotations cos(angle) I +
-    i sin(angle) n.sigma given by cos(angle) and the rows of sin(angle) n,
-    of shape (3, K).
-
-    The folded angle atan2(sin, |cos|) lies in [0, pi/2] with full relative
-    precision, and the angle in [0, pi] is it or pi less it: one atan2 per
-    rotation.  The axis, of shape (K, 3), has NaN rows where sin(angle) is
-    below AXIS_TOL.
-    """
+    """(sin(angle), folded angle, angle) of the rotations cos(angle) I + i
+    sin(angle) n.sigma given by cos(angle) and the rows of sin(angle) n, of
+    shape (3, K): the folded angle atan2(sin, |cos|) lies in [0, pi/2] with
+    full relative precision, and the angle in [0, pi] is it or pi less it, one
+    atan2 per rotation."""
     x, y, z = sin_axis
     sin = np.sqrt(x * x + y * y + z * z)
     folded = _atan2(sin, np.abs(cos))
-    angle = np.where(cos < 0, math.pi - folded, folded)
-    axis = np.divide(sin_axis, sin, out=np.full_like(sin_axis, np.nan), where=sin >= AXIS_TOL)
-    return sin, folded, angle, axis.T
+    return sin, folded, np.where(cos < 0, math.pi - folded, folded)
 
 
-def phase_spectra(beta_phase, delta_phase, n: Optional[int] = None,
-                  alpha1: Optional[float] = None) -> PhaseSpectra:
-    """The spectra of the reduced kernels of phase angles (bp, dp) = (beta_phase,
-    delta_phase), which broadcast against each other, of size n or, with
-    ``alpha1``, of the general-superposition form: from the angles in closed
-    form, with no kernel matrix.
+def _phase_rotations(bp: np.ndarray, dp: np.ndarray, n: Optional[int] = None,
+                     alpha1: Optional[float] = None):
+    """The reduced kernels of phase angles bp and dp (1-D, of one length), of size
+    n or, with ``alpha1``, of the general-superposition form, in closed form:
+    (lam, cos lam, sin lam, cos, (x, y, z)) for e^{i lam} (cos I + i (x, y,
+    z).sigma), with no kernel matrix.
 
     With h = (dp - bp)/2, lam = bp + h, w = 1/n and r = sqrt(n - 1)/n (alpha1^2
-    and alpha1 sqrt(1 - alpha1^2) with ``alpha1``), the kernel is
-    e^{i lam} (cos I + i (x, y, z).sigma) with
+    and alpha1 sqrt(1 - alpha1^2) with ``alpha1``),
 
         cos = w cos lam - (1 - w) cos h,   z = -(w sin lam + (1 - w) sin h),
         x = -2 r cos(dp/2) sin(bp/2),      y = -2 r cos(dp/2) cos(bp/2).
@@ -386,13 +365,9 @@ def phase_spectra(beta_phase, delta_phase, n: Optional[int] = None,
     rotation, which the rounded entries of a kernel matrix lose.  Where the
     phases lie close across the cut at +-pi, their difference is taken to
     2 pi (TAU, then _TAU_LO), and lam and h move by pi, which turns the
-    rotation's sign.  det = e^{i(bp + dp)}, trace = 2 cos e^{i lam}, and
-    diag_gap = n (K00 - K11) = 2i n z e^{i lam} (None with ``alpha1``).  The
-    eigenphases are lam -/+ angle, wrapped, in ``eigensystems``' order:
-    eigvec2 is the eigenvector concentrated on the marked state where
-    |n_z| > DOMINANT_NZ (it belongs to lam + angle exactly when n_z > 0),
-    and otherwise the one whose phase-fixed first component has positive
-    imaginary part (lam - angle exactly when n_y > 0).
+    rotation's sign.  e^{i lam} comes from the sum bp + h, not from its
+    rounding, which is all of sin lam near lam = pi, where beta and delta are
+    near -1.
     """
     if alpha1 is None:
         _require_list_size(n)
@@ -401,22 +376,35 @@ def phase_spectra(beta_phase, delta_phase, n: Optional[int] = None,
         _require_overlap(alpha1)
         w, rest = alpha1 * alpha1, 1 - alpha1 * alpha1
         r = alpha1 * math.sqrt(rest)
-    bp, dp = (np.reshape(t, -1) for t in np.broadcast_arrays(np.asarray(beta_phase, float),
-                                                             np.asarray(delta_phase, float)))
     d = dp - bp
     far = np.abs(d) > math.pi
     side = np.copysign(1.0, dp[far])
     d[far] = (dp[far] - side * TAU) - bp[far] - side * _TAU_LO
     h = d / 2
-    lam = bp + h
-    # e^{i lam} from the sum bp + h, not from its rounding, which is all of
-    # sin(lam) near lam = pi, where beta and delta are near -1.
     cos_bp, sin_bp, cos_h, sin_h = np.cos(bp), np.sin(bp), np.cos(h), np.sin(h)
     cos_lam, sin_lam = cos_bp * cos_h - sin_bp * sin_h, sin_bp * cos_h + cos_bp * sin_h
-    cos = w * cos_lam - rest * cos_h
     half = np.where(far, 2 * r, -2 * r) * np.cos(dp / 2)
-    y, z = half * np.cos(bp / 2), -(w * sin_lam + rest * sin_h)
-    sin, folded, angle, _ = _rotation_angles(cos, np.stack([half * np.sin(bp / 2), y, z]))
+    sin_axis = np.stack([half * np.sin(bp / 2), half * np.cos(bp / 2),
+                         -(w * sin_lam + rest * sin_h)])
+    return bp + h, cos_lam, sin_lam, w * cos_lam - rest * cos_h, sin_axis
+
+
+def phase_spectra(beta_phase, delta_phase, n: Optional[int] = None,
+                  alpha1: Optional[float] = None) -> PhaseSpectra:
+    """The spectra of ``_phase_rotations``' kernels of phase angles (bp, dp) =
+    (beta_phase, delta_phase), which broadcast against each other: det = e^{i(bp
+    + dp)}, trace = 2 cos e^{i lam}, diag_gap = n (K00 - K11) = 2i n z e^{i lam}
+    (None with ``alpha1``), and the eigenphases lam -/+ angle, wrapped, in
+    ``eigensystems``' order: eigvec2 is the eigenvector concentrated on the
+    marked state where |n_z| > DOMINANT_NZ (it belongs to lam + angle exactly
+    when n_z > 0), and otherwise the one whose phase-fixed first component has
+    positive imaginary part (lam - angle exactly when n_y > 0).
+    """
+    bp, dp = (np.reshape(t, -1) for t in np.broadcast_arrays(np.asarray(beta_phase, float),
+                                                             np.asarray(delta_phase, float)))
+    lam, cos_lam, sin_lam, cos, sin_axis = _phase_rotations(bp, dp, n, alpha1)
+    sin, folded, angle = _rotation_angles(cos, sin_axis)
+    _, y, z = sin_axis
     degenerate = 2 * sin <= DEGENERACY_TOL
     plus_first = ~degenerate & np.where(np.abs(z) > DOMINANT_NZ * sin, z < 0, y > 0)
     minus, plus = wrap_angle(lam - angle), wrap_angle(lam + angle)
@@ -456,6 +444,7 @@ def kernel_manifold_points(angle1, angle2, n: int) -> AxisAngle:
               for t in np.broadcast_arrays(np.asarray(angle1, float), np.asarray(angle2, float)))
     c1, s1, c2, s2 = np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
     cs = c1 * s2
-    _, _, angle, axis = _rotation_angles(-(c1 * c2 + s1 * s2 * b),
-                                         np.stack([-a * cs, a * s1 * s2, c2 * s1 - b * cs]))
-    return AxisAngle(global_phase=np.zeros(len(t1)), angle=angle, axis=axis)
+    sin_axis = np.stack([-a * cs, a * s1 * s2, c2 * s1 - b * cs])
+    sin, _, angle = _rotation_angles(-(c1 * c2 + s1 * s2 * b), sin_axis)
+    axis = np.divide(sin_axis, sin, out=np.full_like(sin_axis, np.nan), where=sin >= AXIS_TOL)
+    return AxisAngle(global_phase=np.zeros(len(t1)), angle=angle, axis=axis.T)

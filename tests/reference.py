@@ -56,7 +56,14 @@ def rotation(t, g):
 
 def manifold_reference(r1, r2):
     """(global phase, rotation angle, sin(angle), sin(angle) n) of -r2 r1."""
-    k = [[-(r2[i][0] * r1[0][j] + r2[i][1] * r1[1][j]) for j in range(2)] for i in range(2)]
+    return su2_form([[-(r2[i][0] * r1[0][j] + r2[i][1] * r1[1][j]) for j in range(2)]
+                     for i in range(2)])
+
+
+def su2_form(k):
+    """(global phase lam, rotation angle in [0, pi], sin(angle), sin(angle) n)
+    of a 2x2 unitary k = e^{i lam} (cos(angle) I + i sin(angle) n.sigma),
+    given as nested lists; call inside mp.workdps(50)."""
     lam = mp.arg(k[0][0] * k[1][1] - k[0][1] * k[1][0]) / 2
     u = mp.expj(-lam)
     (a, b), (c, d) = ([x * u for x in row] for row in k)

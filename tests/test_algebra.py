@@ -62,8 +62,8 @@ def test_unitarity_residual_of_a_stack():
     assert resid[0] == 0.0 and resid[1] == 3.0 and resid[2] <= 1e-15
     assert unitarity_residual(stack[1]) == 3.0
 
-    # A 2x2 stack's residual comes from its entries; it agrees with the
-    # matrix product within rounding, NaN included.
+    # Each matrix of a stack gets its own residual, the matrix product's,
+    # NaN included.
     def by_product(a):
         return np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(2)).max(axis=(-2, -1))
     draw = np.random.default_rng(3)

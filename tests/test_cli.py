@@ -20,15 +20,9 @@ import groverlab
 from groverlab import algebra, cli
 from groverlab.cli import ExperimentConfig, wrap_angle
 from groverlab.csvtext import rows
-from groverlab.evolution import (
-    InitialState,
-    invariant_plane,
-    probability_trace,
-    uniform_initial,
-)
-from groverlab.kernel import (FullSpaceConfig, GroverPhases, ReducedKernel, reduced_kernel,
-                              unit_phases)
-from groverlab.spectral import stability_expansion
+from groverlab.evolution import _rotation_blocks, invariant_plane
+from groverlab.kernel import FullSpaceConfig, GroverPhases
+from groverlab.spectral import _dephase, stability_expansion
 
 
 def run(capsys, *args):
@@ -265,9 +259,9 @@ class TestConfigFile:
 # trailing --out writes to a temporary file.  verify multiplies through numpy's
 # matmul, whose last bits follow the BLAS kernel picked for the CPU, so it lists
 # every digest that OPENBLAS_CORETYPE = Prescott through SapphireRapids gave on
-# an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).  spectrum and
-# manifold take their points from the angles in closed form, with no matrix
-# product: one digest.
+# an AVX-512 machine with numpy 2.4 (AVX-512 kernels first).  trace, sweep,
+# spectrum and manifold take their kernels from the angles in closed form,
+# with no matrix product: one digest.
 GOLDEN = {
     "trace --n 1000000 --m-max 1000000 --out":
         "13bf2003112d5e8b5c7626486d021fbb904d7b6ca7be1405310a17dd0115f066",
@@ -278,7 +272,7 @@ GOLDEN = {
     "manifold --grid 200x200 --out":
         "c6277e2f25f8567da5f9198946b901814dff34ba1ee7ae5a4d6531d2a39729a0",
     "sweep --n 1000 --grid 64x64 --m-max 300 --out":
-        "e22df5978789af884488bca29a87eb65678fc01db87946a13ada078bdfb8df62",
+        "4c7e44fcfa527720f8b90442bb209922d14872255460dc786bb366aab93e8cf4",
     "trace --n 1000 --m-max 1000":
         "060407350a8e3fea187dad7752a4707788c70173dff594552b955d1bf9732cd1",
     "spectrum --n 1000 --grid 101":
@@ -371,9 +365,9 @@ class TestTrace:
         rc, out, err = run(capsys, "trace", "--n", "1000", "--m-max", "300",
                            "--beta-phase", "0.3", "--delta-phase", "-1.1")
         assert rc == 0
-        phases = GroverPhases.from_angles(0.3, -1.1)
-        probs = probability_trace(reduced_kernel(phases.beta, phases.delta, 1000),
-                                  uniform_initial(1000), 300).probs
+        rotation, start, _ = cli._trace_problem(cli.parse_config(
+            ["trace", "--n", "1000", "--beta-phase", "0.3", "--delta-phase", "-1.1"]))
+        probs = _rotation_blocks(*rotation, start)(0, 301)[0]
         assert out == "m,prob\n" + "".join(f"{m},{fmt(p)}\n" for m, p in enumerate(probs))
 
     @pytest.mark.parametrize("argv", [
@@ -491,9 +485,10 @@ class TestTrace:
 
     def test_momentum_plane_matches_invariant_plane(self):
         """Where both apply (N <= 4096), the closed-form momentum plane is
-        invariant_plane's: the same kernel and weight to rounding, and the
-        same start to the error of invariant_plane's cancelling O(N) sum
-        (2e-11 at N = 3696, y0 = 2323, --a 0)."""
+        invariant_plane's: the same kernel (its SU(2) form, to the sign that
+        the global phase takes) and weight to rounding, and the same start to
+        the error of invariant_plane's cancelling O(N) sum (2e-11 at N = 3696,
+        y0 = 2323, --a 0)."""
         r = np.random.default_rng(21)
         draws = [(3696, 2323, 0.0)] + [
             (n, int(r.integers(n)), float(r.uniform(-1, 1) * math.sqrt(n)) if i % 2 else None)
@@ -501,9 +496,7 @@ class TestTrace:
         for n, y0, a in draws:
             bp, dp = r.uniform(-math.pi, math.pi, 2).tolist()
             cfg = ExperimentConfig(n=n, beta_phase=bp, delta_phase=dp, k0=f"momentum:{y0}", a=a)
-            kernel, start, weight = cli._trace_problem(cfg)
-            if isinstance(start, InitialState):
-                start = start.reduced_vector()
+            (cos, sin_axis), start, weight = cli._trace_problem(cfg)
             k0 = x_in = algebra.momentum_state(y0, n)
             if a is not None:
                 s = cli._initial_state(cfg)
@@ -511,13 +504,17 @@ class TestTrace:
                 x_in[0] = s.a / math.sqrt(n)
             want = invariant_plane(FullSpaceConfig(n, 0, k0, GroverPhases.from_angles(bp, dp)),
                                    x_in)
-            assert np.abs(kernel[0] - want[0]).max() <= 1e-14, (n, y0, a)
+            _, _, want_cos, _, want_axis = _dephase(want[0][None])
+            form, want_form = np.vstack([cos, sin_axis]), np.vstack([want_cos, want_axis])
+            assert min(np.abs(form - want_form).max(),
+                       np.abs(form + want_form).max()) <= 1e-14, (n, y0, a)
             assert np.abs(start - want[1]).max() <= 1e-10, (n, y0, a)
             assert abs(weight - want[2]) <= 1e-13, (n, y0, a)
 
     @pytest.mark.parametrize("a", [None, 2.0])
     def test_file_plane_is_invariant_plane(self, tmp_path, a):
-        """A file: k0's trace problem is invariant_plane's triple, bit for bit."""
+        """A file: k0's trace problem is invariant_plane's triple, bit for bit,
+        with the kernel as its ``_dephase`` split."""
         r = np.random.default_rng(8)
         k0 = r.normal(size=(64, 2)) @ [1, 1j]
         k0 /= np.linalg.norm(k0)
@@ -530,10 +527,10 @@ class TestTrace:
             x_in = np.full(64, s.b / math.sqrt(64), dtype=complex)
             x_in[0] = s.a / math.sqrt(64)
         phases = GroverPhases.from_angles(0.3, -1.1)
-        want = invariant_plane(FullSpaceConfig(64, 0, k0, phases), x_in)
-        got = cli._trace_problem(cfg)
-        assert len(got) == 3
-        for g, w in zip(got, want):
+        kernel, *want = invariant_plane(FullSpaceConfig(64, 0, k0, phases), x_in)
+        _, _, cos, _, sin_axis = _dephase(kernel[None])
+        (got_cos, got_axis), *got = cli._trace_problem(cfg)
+        for g, w in zip([got_cos, got_axis, *got], [cos, sin_axis, *want]):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     def test_k0_file_single_column(self, tmp_path, capsys):
@@ -650,7 +647,8 @@ class TestSweep:
                              ids=["block", "one-trace-per-call"])
     def test_peaks_match_single_kernel_traces(self, capsys, monkeypatch, extra, block):
         """Each row's peak, folded over blocks of steps, is the one-kernel
-        trace's; at 20, 20-kernel blocks of one step each."""
+        trace's, the summary of ``trace`` at the row's printed phases; at 20,
+        20-kernel blocks of one step each."""
         argv = ["sweep", "--n", "100", "--grid", "7x5", "--m-max", "60",
                 "--beta-phase", "0.3", "--delta-phase", "-2", *extra]
         cut_blocks(monkeypatch, "sweep", block)  # 20 does not divide the 35 points
@@ -659,21 +657,20 @@ class TestSweep:
         assert (rc, err) == (0, "")
         _, rows = parse_csv(out)
         assert len(rows) == 35
-        cfg = cli.parse_config(argv)
-        kernels_of, size, start = cli._reduced_problem(cfg)
         for r in rows:
-            kernels = kernels_of(unit_phases([float(r[0])]), unit_phases([float(r[1])]))
-            t = probability_trace(ReducedKernel(kernels[0], size), start, cfg.m_max)
-            assert r[3:5] == [fmt(t.peak_prob), str(t.peak_step)]
+            rc, _, err = run(capsys, "trace", "--n", "100", "--m-max", "60", "--beta-phase", r[0],
+                             "--delta-phase", r[1], *extra)
+            assert rc == 0
+            assert f"peak_prob={r[3]} peak_step={r[4]} " in err
 
     def test_ties_keep_the_first_step(self, capsys, monkeypatch):
         """At (pi, pi) the kernel is a phase times the identity, so P(m) is
         1/N at every step: the peak is step 0 however the steps are cut."""
         argv = ["sweep", "--n", "100", "--m-max", "30", "--beta-phase", fmt(math.pi),
                 "--delta-phase", fmt(math.pi), "--grid", "2x2"]
-        kernels_of, size, start = cli._reduced_problem(cli.parse_config(argv))
-        kernel = kernels_of(unit_phases([math.pi]), unit_phases([math.pi]))[0]
-        flat = probability_trace(ReducedKernel(kernel, size), start, 30).probs
+        rotations_of, start = cli._reduced_problem(cli.parse_config(argv))
+        flat = _rotation_blocks(*rotations_of(np.array([math.pi]), np.array([math.pi])),
+                               start)(0, 31)[0]
         assert np.all(flat == flat[0])
         for block in (cli.SWEEP_STEPS, 1, 5):
             monkeypatch.setattr(cli, "SWEEP_STEPS", block)
@@ -935,13 +932,13 @@ BOUNDARIES = {
     "manifold --grid 70x52":
         "af425a05abf454fc8f9382e41c8f00a17ba29a4b27e8d36ff00eea5925547141",
     "sweep --n 100 --m-max 5 --grid 31x88":
-        "aae6f2c6df6e561f2dc6b2074e52fb152e293725c09001d02f4bf8702ae27c90",
+        "62e821029c1bc39de4bf22c6cd6689a301682c2cb741bdb6e314dfe773df92f6",
     "sweep --n 100 --m-max 5 --grid 42x65":
-        "7c4bfba5ad45e119329b412c2b989da663bc57c8b906aabef75144865311d0f3",
+        "4e55c451a21c191f3214d3922e412ffea9f96174ddac27b31a863d6c18680379",
     "sweep --n 100 --m-max 5 --grid 4x683":
-        "e2ffcb01fc234e669c2dfc90af02b7b306143cab02b90c2fc8c83c92c7b1a376",
+        "b48908a4fbdf263d678f3454475a29fc4ed35fdbba55aa6d1853399ea702ce86",
     "sweep --n 100 --m-max 5 --grid 84x65":
-        "b03445353dd8fec3b858075384658555e0d2d6f405be5ab9e31709e2da789d6d",
+        "576c136ea5a1713c831d4d9f883487018592473cdeaf658ca4eda79b783b374e",
     "asymptotics --n 1000 --grid 3275":
         "03f8a4c11e346e97642f2cdb8c61a8cf9a115ef77dac8ce65a2d861f38dbd21c",
     "asymptotics --n 1000 --grid 3276":
@@ -1014,8 +1011,9 @@ class TestBlocks:
     def test_block_boundaries_print_the_same_bytes(self, capsys, command):
         """Grids of one block less one point, one block, one block and one
         point, and two blocks print the bytes the 2048-point blocks printed
-        (their sha256, as test_golden_table takes it).  A sweep's grid is at
-        least 2 x 2, so its sizes are 2728, 2730, 2732 and 5460 points."""
+        (their sha256, as test_golden_table takes it; for sweep, the bytes
+        that one whole-grid block and 7-point blocks print).  A sweep's grid
+        is at least 2 x 2, so its sizes are 2728, 2730, 2732 and 5460 points."""
         argv = command.split()
         block, (p, _, q) = block_points(argv[0]), argv[-1].partition("x")
         steps = (-2, 0, 2) if argv[0] == "sweep" else (-1, 0, 1)
@@ -1025,18 +1023,23 @@ class TestBlocks:
         assert digest.hexdigest() == BOUNDARIES[command]
 
     @pytest.mark.parametrize("argv, stacks", [
-        (["trace", "--n", "1000", "--m-max", "100000"], [1]),
-        (["trace", "--n", "64", "--m-max", "100", "--k0", "momentum:3", "--a", "2"], [1]),
-        (["trace", "--m-max", "100", "--alpha1", "0.2"], [1]),
-        (["sweep", "--n", "100", "--grid", "64x64", "--m-max", "20"], [1024, 1024, 682, 1024, 342]),
+        (["trace", "--n", "1000", "--m-max", "100000"], []),
+        (["trace", "--n", "64", "--m-max", "100", "--k0", "momentum:3", "--a", "2"], []),
+        (["trace", "--m-max", "100", "--alpha1", "0.2"], []),
+        (["trace", "--n", "8", "--m-max", "100", "--k0", "file:{k0}"], [1]),
+        (["sweep", "--n", "100", "--grid", "64x64", "--m-max", "20"], []),
         (["spectrum", "--n", "1000", "--grid", "5000"], []),
         (["spectrum", "--alpha1", "0.3", "--beta-phase", "1"], []),
         (["manifold", "--grid", "100x50"], []),
-    ], ids=["trace", "momentum", "alpha1", "sweep", "spectrum", "spectrum-alpha1", "manifold"])
-    def test_each_kernel_checked_once(self, monkeypatch, argv, stacks):
-        """Each kernel stack is checked for unitarity once, where it enters
-        the engine: a trace, each sweep engine sub-stack.  spectrum and
-        manifold build no stack: their points come from the angles."""
+    ], ids=["trace", "momentum", "alpha1", "file", "sweep", "spectrum", "spectrum-alpha1",
+            "manifold"])
+    def test_each_kernel_checked_once(self, monkeypatch, tmp_path, argv, stacks):
+        """Each kernel stack is checked for unitarity once: the one matrix a
+        file: trace projects.  The other traces, sweep, spectrum and manifold
+        build no stack: their kernels come from the angles."""
+        k0 = tmp_path / "k0.txt"
+        np.savetxt(k0, np.full(8, 1 / math.sqrt(8)))
+        argv = [arg.format(k0=k0) for arg in argv]
         sizes = []
 
         def counted(m, tol, what):
@@ -1308,7 +1311,7 @@ class TestExitCodes:
     def test_m_max_limit(self, capsys, monkeypatch, argv):
         def unreachable(*args):
             raise AssertionError("trace started above the step limit")
-        monkeypatch.setattr(cli, "probability_blocks", unreachable)
+        monkeypatch.setattr(cli, "_rotation_blocks", unreachable)
         rc, out, err = run(capsys, *argv, "--m-max", str(cli.MAX_STEPS + 1))
         assert rc == 1
         assert out == ""

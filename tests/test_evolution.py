@@ -37,7 +37,8 @@ from groverlab.kernel import (
     reduced_kernels,
     unit_phases,
 )
-from groverlab.spectral import _folded, eigensystem, optimal_steps_asymptotic
+from groverlab.spectral import (_dephase, _rotation_angles, eigensystem,
+                                optimal_steps_asymptotic)
 
 rng = np.random.default_rng(23)
 
@@ -274,11 +275,21 @@ class TestProbabilityTrace:
             probability_trace(reduced_kernel(1, 1, 4), uniform_initial(4), 0)
 
 
+def folded(stack):
+    """The folded angle and the axis rows nx, ny, nz that the engine evolves
+    a stack of kernels by: a negative cos(angle) moved into the global
+    phase, and a zero axis where sin(angle) is 0."""
+    _, _, c, _, sin_axis = _dephase(stack)
+    sin, angle, _ = _rotation_angles(c, sin_axis)
+    sign = np.where(c < 0, -1.0, 1.0)
+    return angle, *np.divide(sign * sin_axis, sin, where=sin > 0, out=np.zeros_like(sin_axis))
+
+
 def single_kernel_probs(k, x_in, m_max):
     """The one-kernel SU(2) power the stacked engine replaced: w on Python
     complex scalars, one kernel per call."""
     x0, x1 = np.asarray(x_in, dtype=complex).tolist()
-    (angle,), (nx,), (ny,), (nz,) = _folded(k.matrix[None])
+    (angle,), (nx,), (ny,), (nz,) = folded(k.matrix[None])
     w = 1j * (nz * x0 + complex(nx, -ny) * x1)
     t = angle * np.arange(m_max + 1)
     amp = np.cos(t) * x0 + np.sin(t) * w
@@ -367,7 +378,7 @@ class TestProbabilityTraces:
         start = r.normal(size=2) + 1j * r.normal(size=2)
         start /= np.linalg.norm(start)
         x0, x1 = start.tolist()
-        angle, nx, ny, nz = _folded(stack)
+        angle, nx, ny, nz = folded(stack)
         w = np.array([1j * (c * x0 + complex(a, -b) * x1) for a, b, c in zip(nx, ny, nz)])
         p = probability_blocks(stack, start)
         steps = 2**13 // kernels

@@ -19,12 +19,12 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
-from reference import momentum_plane_start, power, reflections
+from reference import momentum_plane_start, power, reflections, su2_form
 
 from groverlab import cli
 from groverlab.algebra import momentum_state
-from groverlab.evolution import (InitialState, full_space_trace, probability_blocks,
-                                 probability_trace, uniform_initial)
+from groverlab.evolution import (InitialState, _rotation_blocks, full_space_trace,
+                                 probability_blocks, probability_trace, uniform_initial)
 from groverlab.kernel import (FullSpaceConfig, GroverPhases, extended_reduced_kernel,
                               reduced_kernel)
 
@@ -102,11 +102,12 @@ def test_peak_step_is_a_reference_peak(bp, dp, n):
     assert want[trace.peak_step] >= want.max() - FLAT_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="Known defect 1: the kernel's entries lose the "
-                   "near-balanced phases' difference at large N (|dP| 1.3e-10)")
+@pytest.mark.xfail(strict=True, reason="Known limit of a matrix input: a reduced_kernel's "
+                   "entries lose the near-balanced phases' difference at large N (|dP| 1.3e-10)")
 def test_near_balanced_step_at_large_n():
-    """ROADMAP's Known defect 1 reproduction: P(10^7) at N = 1e12 and phases
-    1e-6 apart, from the evaluator's one-step range, within the gate."""
+    """ROADMAP's Known defect 1 reproduction through the library's matrix
+    input: P(10^7) at N = 1e12 and phases 1e-6 apart, from
+    ``probability_blocks`` of a ``reduced_kernel``, within the gate."""
     n, bp, dp, m = 10**12, 0.5, 0.500001, 10**7
     phases = GroverPhases.from_angles(bp, dp)
     state = uniform_initial(n)
@@ -266,3 +267,125 @@ def test_momentum_start_against_plane(capsys, n, y0, a, b, bp, dp):
     want, angle = reference(bp, dp, coords, steps, n=n)
     err = np.abs(probs[steps] - want)
     assert err.max() <= FLAT_TOL + ANGLE_TOL * angle * m_max, f"worst |dP| {err.max():.3e}"
+
+
+# The gate through the call cmd_trace makes (cli._trace_problem, then
+# evolution._rotation_blocks), near balance: eps = |bp - dp| sqrt(N) (|bp -
+# dp| / alpha1 with --alpha1, at alpha1 = 1/sqrt(N)), with bp drawn from
+# (-pi, pi) and from (-1e6, 1e6), at 12 random steps besides 0, 1 and 1e7.
+# A --k0 momentum:<y0> start with --a projects to (a/sqrt(N), -b/(N c)),
+# since the other N - 1 entries of e^{-2 pi i x y0 / N} sum to -1.
+GATE_N = [10**6, 10**9, 10**12, 10**15, 10**18, 2**63 - 1]
+GATE_EPS = [1e-4, 1e-2, 1.0, 1e2, 1e6]
+GATE_STEPS = 10**7
+
+
+def _gate_case(kind, n, bp, dp, seed):
+    """(argv, start, n, alpha1) of one gate case: the CLI flags, and the 50-digit
+    plane start and kernel size for the reference."""
+    argv = ["trace", f"--beta-phase={bp!r}", f"--delta-phase={dp!r}",
+            f"--m-max={GATE_STEPS}"]
+    if kind == "alpha1":
+        alpha1 = 1 / math.sqrt(n)
+        start = (mpf(alpha1), mp.sqrt(1 - mpf(alpha1) ** 2))
+        return argv + [f"--alpha1={alpha1!r}"], start, None, alpha1
+    argv.append(f"--n={n}")
+    if kind == "plain":
+        return argv, (1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n)), n, None
+    r = np.random.default_rng(seed)
+    y0, a = int(r.integers(1, min(n, 2**62))), float(r.uniform(-3, 3))
+    b = mp.sqrt((n - mpf(a) ** 2) / (n - 1))
+    start = (mpf(a) / mp.sqrt(n), -b / (n * mp.sqrt(mpf(n - 1) / n)))
+    return argv + [f"--k0=momentum:{y0}", f"--a={a!r}"], start, n, None
+
+
+def _check_cli_trace(argv, start, n, alpha1):
+    cfg = cli.parse_config(argv)
+    (cos, sin_axis), x, weight = cli._trace_problem(cfg)
+    p = _rotation_blocks(cos, sin_axis, x)
+    draw = np.random.default_rng([ord(c) for c in " ".join(argv)])
+    picks = draw.integers(0, GATE_STEPS + 1, 12).tolist()
+    steps = sorted({0, 1, GATE_STEPS, *picks})
+    got = np.array([p(m, m + 1)[0, 0] * weight for m in steps])
+    with mp.workdps(50):
+        want, angle = reference(cfg.beta_phase, cfg.delta_phase, start, steps, n, alpha1)
+    err = np.abs(got - want)
+    tol = FLAT_TOL + ANGLE_TOL * angle * np.array(steps)
+    worst = int(np.argmax(err / tol))
+    assert err[worst] <= tol[worst], (f"|dP| {err[worst]:.3e} at m = {steps[worst]}, "
+                                      f"{err[worst] / tol[worst]:.3g} x the gate")
+
+
+@pytest.mark.parametrize("kind", ["plain", "alpha1", "momentum"])
+@pytest.mark.parametrize("eps", GATE_EPS)
+@pytest.mark.parametrize("n", GATE_N, ids=["1e6", "1e9", "1e12", "1e15", "1e18", "2^63-1"])
+def test_cli_trace_near_balance(kind, eps, n):
+    r = np.random.default_rng([GATE_N.index(n), GATE_EPS.index(eps)])
+    for scale in (math.pi, 1e6):
+        bp = float(r.uniform(-scale, scale))
+        dp = bp + float(r.choice([-1, 1])) * eps / math.sqrt(n)
+        _check_cli_trace(*_gate_case(kind, n, bp, dp, int(r.integers(2**32))))
+
+
+@pytest.mark.parametrize("n,bp,dp", [
+    (10**12, 0.5, 0.500001), (10**6, 1e6, 1e6), (10**12, 1e6, 1e6 + 1e-6), (1000, 0.25, 1e6),
+    (1000, 1e300, 0.3), (10**12, -7e200, 5e100),
+    (1000, 9.424777958476039, 9.424778175028438),  # 3 pi - 2.3e-9, 3 pi + 2.1e-7
+], ids=["known-defect", "large-phases", "large-near-balanced", "large-unbalanced",
+        "huge-unbalanced", "huge-both", "near-minus-one"])
+def test_cli_trace_reproductions(n, bp, dp):
+    """ROADMAP's Known defect 1 reproductions, and phases far outside (-pi,
+    pi], through the call cmd_trace makes: close ones near beta = delta =
+    -1, whose distance to -1 a phase reduced into (-pi, pi] would round,
+    and ones many turns apart, up to the largest doubles."""
+    argv = ["trace", f"--n={n}", f"--beta-phase={bp!r}", f"--delta-phase={dp!r}",
+            f"--m-max={GATE_STEPS}"]
+    _check_cli_trace(argv, (1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n)), n, None)
+
+
+def reference_peak(k, start, m_max):
+    """The largest P(m) over m = 0..m_max under the 50-digit kernel k from
+    ``start``, and its error bound.  P(m) = A + R cos(2 a m - phi) for the
+    rotation angle a, folded into [0, pi/2].  Over a few periods the largest is
+    ``power``'s at the ends and at the integers around each maximum of the
+    cosine, exact.  Over more, R is small (the kernel is off balance), and the
+    float cosine at every step is within R 8 (2 a m_max + 1) eps of it."""
+    with mp.workdps(50):
+        _, angle, sin, (x, y, z) = su2_form([[k[i, j] for j in range(2)] for i in range(2)])
+        u = mpc(start[0])
+        v = 1j * (z * u + (x - 1j * y) * mpc(start[1])) / sin  # (i n.sigma start)[0]
+        cos_part, sin_part = (abs(u) ** 2 - abs(v) ** 2) / 2, mp.re(u.conjugate() * v)
+        phi, r = mp.atan2(sin_part, cos_part), mp.hypot(cos_part, sin_part)
+        if angle > mp.pi / 2:  # at integer m, cos(2 a m - phi) = cos(2 (pi - a) m + phi)
+            angle, phi = mp.pi - angle, -phi
+        if angle * m_max <= 8 * mp.pi:
+            tops = [(phi + 2 * mp.pi * j) / (2 * angle) for j in range(-1, 10)]
+            steps = {0, m_max, *(int(f(m)) for m in tops if 0 <= m <= m_max
+                                 for f in (mp.floor, mp.ceil))}
+            return float(max(power(k, start, sorted(steps))[0])), 0.0
+        cos = np.cos(2 * float(angle) * np.arange(m_max + 1) - float(phi))
+        best = float((abs(u) ** 2 + abs(v) ** 2) / 2) + float(r) * cos.max()
+        return best, float(r) * 8 * (2 * float(angle) * m_max + 1) * np.finfo(float).eps
+
+
+def test_cli_sweep_near_balance(capsys):
+    """A 3 x 3 sweep at N = 1e12 anchored at phases 1e-6 apart: its diagonal
+    is near balance, with one interior peak and two at m_max.  Every row's
+    peak_prob is the 50-digit P at its peak_step within the gate, and that
+    step ties the 50-digit peak: no step of 0..m_max has a P above it by
+    more than the gate."""
+    n, m_max = 10**12, 800000
+    assert cli.main(["sweep", f"--n={n}", "--grid=3x3", "--beta-phase=0.5",
+                     "--delta-phase=0.500001", f"--m-max={m_max}"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    start = (1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n))
+    assert sum(float(r[2]) < 1e-5 for r in rows) == 3
+    for bp, dp, _, prob, step, _ in rows:
+        with mp.workdps(50):
+            g1, g2 = reflections(mp.expj(mpf(float(bp))), mp.expj(mpf(float(dp))), n)
+            k = g2 * g1
+            (want,), angle = power(k, start, [int(step)])
+        best, slack = reference_peak(k, start, m_max)
+        tol = FLAT_TOL + ANGLE_TOL * angle * int(step)
+        assert abs(float(prob) - want) <= tol, (bp, dp, step)
+        assert want >= best - slack - tol, (bp, dp, step)
