@@ -36,12 +36,10 @@ from .kernel import (
     ReducedKernel,
     dft_conjugate,
     extended_reduced_kernel,
-    extended_reduced_kernels,
     full_kernel,
     grover_operator,
     momentum_projector,
     reduced_kernel,
-    reduced_kernels,
     unit_phases,
 )
 from .spectral import (
@@ -51,13 +49,11 @@ from .spectral import (
     asymptotic_steps,
     delta_omega_asymptotic,
     eigensystem,
-    eigensystems,
     kernel_manifold_points,
     optimal_steps_asymptotic,
     optimal_steps_exact,
     stability_expansion,
     su2_decompose,
-    su2_decompositions,
 )
 
 __version__ = "0.1.0"

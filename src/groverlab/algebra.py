@@ -8,6 +8,7 @@ thousand), so dense storage and O(N^2) transforms are deliberate.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -66,11 +67,16 @@ def require_unit(x: float, tol: float, what: str, error=NormalizationError) -> N
 
 
 def _require_list_size(n: int) -> None:
-    """Raise InvalidSizeError unless n >= 2: the search plane needs the
-    marked element and at least one other.
+    """Raise InvalidSizeError unless n is an integer (one that
+    ``operator.index`` takes) >= 2: the search plane needs the marked element
+    and at least one other.
 
     The one test behind every list-size check.
     """
+    try:
+        operator.index(n)
+    except TypeError:
+        raise InvalidSizeError(f"list size must be an integer, got {n!r}") from None
     if n < 2:
         raise InvalidSizeError(f"list size must be >= 2, got {n}")
 

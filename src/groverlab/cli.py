@@ -28,7 +28,6 @@ from .algebra import (
     TOL_PIPELINE,
     TAU,
     _require_wavenumber,
-    reduce_angle,
     require_unit,
     wrap_angle,
 )
@@ -45,13 +44,13 @@ from .evolution import (
 from .kernel import (
     FullSpaceConfig,
     GroverPhases,
+    _angle_form,
+    _kernel_form,
+    _phase_rotations,
     require_full_size,
     unit_phases,
 )
 from .spectral import (
-    _dephase,
-    _kernel_stack,
-    _phase_rotations,
     asymptotic_gaps,
     asymptotic_steps,
     kernel_manifold_points,
@@ -314,7 +313,7 @@ def _summary_line(trace: TraceSummary) -> str:
 
 def _reduced_problem(cfg: ExperimentConfig):
     """The builder of the reduced kernels' SU(2) forms (cos, sin_axis) from
-    arrays of phase angles, ``spectral._phase_rotations``, and the plane start.
+    arrays of phase angles, ``kernel._phase_rotations``, and the plane start.
 
     ``--alpha1`` (refused with --a, --b or --k0) switches every kernel to
     the general-superposition form and the start to (alpha1, sqrt(1 -
@@ -328,7 +327,7 @@ def _reduced_problem(cfg: ExperimentConfig):
                          "it cannot be combined with --a, --b or --k0")
     else:
         start = np.array([cfg.alpha1, math.sqrt(1 - cfg.alpha1**2)], dtype=complex)
-    return lambda bp, dp: _phase_rotations(bp, dp, cfg.n, cfg.alpha1)[3:], start
+    return lambda bp, dp: _phase_rotations(bp, dp, cfg.n, cfg.alpha1)[4:], start
 
 
 def _trace_problem(cfg: ExperimentConfig):
@@ -341,19 +340,18 @@ def _trace_problem(cfg: ExperimentConfig):
     plane is the reduced one, at any N, and only an --a/--b start at y0 != 0
     differs from the reduced start: it projects to (a/sqrt(N), -b/(N c)).
     A file: k0 is projected by ``invariant_plane`` itself, in O(N), and its
-    kernel split by ``spectral._dephase``.  Otherwise the plane is
-    ``_reduced_problem``'s, with weight 1.  The closed form takes phases
-    within pi of each other as they are, and others less their turns of 2 pi.
+    kernel split by ``kernel._dephase``.  Otherwise the plane is
+    ``_reduced_problem``'s, with weight 1.  The reduced and momentum planes'
+    kernel is ``kernel._angle_form``'s, as ``ReducedKernel.from_angles``
+    gives it, with no matrix.
     """
-    bp, dp = np.array([cfg.beta_phase]), np.array([cfg.delta_phase])
-    if abs(cfg.delta_phase - cfg.beta_phase) > math.pi:
-        bp, dp = reduce_angle(bp), reduce_angle(dp)
     if cfg.alpha1 is None and cfg.k0.startswith("momentum:"):
         if _wavenumber(cfg) and (cfg.a is not None or cfg.b is not None):
             s = _initial_state(cfg)
             x0, x1 = s.a / math.sqrt(cfg.n), -s.b / math.sqrt(cfg.n * (cfg.n - 1))
             norm = math.hypot(abs(x0), abs(x1))
-            return _phase_rotations(bp, dp, cfg.n)[3:], np.array([x0, x1]) / norm, norm**2
+            form = _angle_form(cfg.beta_phase, cfg.delta_phase, cfg.n)
+            return form[4:], np.array([x0, x1]) / norm, norm**2
     elif cfg.alpha1 is None and cfg.k0 != "uniform":
         # Refused before the file is read.
         require_full_size(cfg.n, "full-space trace")
@@ -364,10 +362,9 @@ def _trace_problem(cfg: ExperimentConfig):
             x_in[0] = s.a / math.sqrt(cfg.n)
         phases = GroverPhases.from_angles(cfg.beta_phase, cfg.delta_phase)
         kernel, start, weight = invariant_plane(FullSpaceConfig(cfg.n, 0, vec, phases), x_in)
-        _, _, cos, _, sin_axis = _dephase(_kernel_stack(kernel))
-        return (cos, sin_axis), start, weight
-    rotations_of, start = _reduced_problem(cfg)
-    return rotations_of(bp, dp), start, 1.0
+        return _kernel_form(kernel)[4:], start, weight
+    _, start = _reduced_problem(cfg)
+    return _angle_form(cfg.beta_phase, cfg.delta_phase, cfg.n, cfg.alpha1)[4:], start, 1.0
 
 
 TRACE_ROW = "%d,%.17g\n"

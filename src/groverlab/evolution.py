@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import TOL_EXACT, _cmul, _complex, _require_list_size, as_vector, require_unit
 from .errors import InvalidSizeError, NormalizationError, PeakedInitialStateWarning
-from .kernel import FullSpaceConfig, ReducedKernel, require_full_size
-from .spectral import SpectralData, _dephase, _kernel_stack, _rotation_angles
+from .kernel import FullSpaceConfig, ReducedKernel, _kernel_form, require_full_size
+from .spectral import SpectralData, _rotation_angles
 
 __all__ = [
     "InitialState",
@@ -193,11 +193,12 @@ def amplitude_closed_form(spec: SpectralData, s: InitialState, m: int) -> comple
 
 def probability_blocks(kernels: Union[ReducedKernel, np.ndarray],
                        s: Union[InitialState, np.ndarray]) -> Callable[[int, int], np.ndarray]:
-    """``_rotation_blocks`` of a (K, 2, 2) stack of kernels, split by
-    ``spectral._dephase``, and a start, both checked here, once: a
-    ReducedKernel refuses an InitialState for another list size."""
+    """``_rotation_blocks`` of a kernel's SU(2) form, or of a (K, 2, 2) stack
+    of kernel matrices split by ``kernel._dephase``, and a start, both checked
+    here, once: a ReducedKernel refuses an InitialState for another list
+    size."""
     size = kernels.size if isinstance(kernels, ReducedKernel) else None
-    _, _, cos, _, sin_axis = _dephase(_kernel_stack(kernels))
+    *_, cos, sin_axis = _kernel_form(kernels)
     return _rotation_blocks(cos, sin_axis, _reduced_input(size, s))
 
 

@@ -27,8 +27,9 @@ def reflections(beta, delta, n, alpha1=None):
 def spectrum(beta_phase, delta_phase, n, alpha1=None):
     """The spectrum of the kernel G2 G1 of phase angles (beta_phase,
     delta_phase), from 50 digits, as floats: det, trace, the eigenphases
-    ``eigphases`` (a pair, in no particular order), the gap between them,
-    floor(pi / gap) as ``steps`` (None where the gap is 0), the period
+    ``eigphases`` (a pair, in no particular order) and their eigenvectors
+    ``eigvecs`` (``_eigvec``'s, None where degenerate), the gap between
+    them, floor(pi / gap) as ``steps`` (None where the gap is 0), the period
     pi / gap as an mpf, and n (K00 - K11) as ``diag_gap`` (None with
     ``alpha1``).  The eigenvalues come from the quadratic formula, whose
     cancellation the 50 digits absorb; ``degenerate`` is |z1 - z2| <= 1e-12."""
@@ -41,11 +42,25 @@ def spectrum(beta_phase, delta_phase, n, alpha1=None):
         z1, z2 = (tr - root) / 2, (tr + root) / 2
         gap = abs(mp.arg(z2 / z1))
         period = mp.pi / gap if gap else None
+        degenerate = abs(z1 - z2) <= mpf("1e-12")
         return SimpleNamespace(
             det=complex(det), trace=complex(tr), eigphases=(float(mp.arg(z1)), float(mp.arg(z2))),
+            eigvecs=None if degenerate else (_eigvec(k, z1), _eigvec(k, z2)),
             gap=float(gap), period=period, steps=None if not gap else int(mp.floor(period)),
-            degenerate=abs(z1 - z2) <= mpf("1e-12"),
+            degenerate=degenerate,
             diag_gap=None if alpha1 is not None else complex(n * (k[0, 0] - k[1, 1])))
+
+
+def _eigvec(k, z):
+    """The unit eigenvector of the 2x2 mpmath kernel k for its eigenvalue z,
+    as complex floats, rotated so that its second component is real positive
+    (its first, where the second is below 1e-14): the longer of the columns
+    (K01, z - K00) and (z - K11, K10) of the null space of k - z I."""
+    cols = [(k[0, 1], z - k[0, 0]), (z - k[1, 1], k[1, 0])]
+    v = max(cols, key=lambda c: abs(c[0]) ** 2 + abs(c[1]) ** 2)
+    norm = mp.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+    ref = v[1] if abs(v[1]) / norm > mpf("1e-14") else v[0]
+    return np.array([complex(x * abs(ref) / ref / norm) for x in v])
 
 
 def rotation(t, g):

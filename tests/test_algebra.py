@@ -15,9 +15,10 @@ from groverlab.algebra import (
 )
 from groverlab.errors import InvalidSizeError, NormalizationError, ShapeError
 from groverlab.evolution import InitialState
-from groverlab.kernel import FullSpaceConfig, reduced_kernels
-from groverlab.spectral import (asymptotic_eigvec, delta_omega_asymptotic,
-                                kernel_manifold_points, optimal_steps_asymptotic)
+from groverlab.kernel import FullSpaceConfig, ReducedKernel, reduced_kernel
+from groverlab.spectral import (asymptotic_eigvec, asymptotic_gaps, asymptotic_steps,
+                                delta_omega_asymptotic, kernel_manifold_points,
+                                optimal_steps_asymptotic, stability_expansion)
 
 rng = np.random.default_rng(42)
 
@@ -132,17 +133,28 @@ def test_outer_with_unit_vector_is_idempotent(dim, seed):
     assert np.max(np.abs(p @ p - p)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, message", [
+    (1, "list size must be >= 2, got 1"),
+    (10.5, "list size must be an integer, got 10.5"),
+    (7.0, "list size must be an integer, got 7.0"),
+    ("10", "list size must be an integer, got '10'"),
+], ids=["1", "10.5", "7.0", "str"])
 @pytest.mark.parametrize("refuse", [
-    lambda: InitialState(1.0, 1.0, 1),
-    lambda: FullSpaceConfig(1, 0, [1.0]),
-    lambda: reduced_kernels([1.0], [1.0], 1),
-    lambda: asymptotic_eigvec(1.0, 1.0, 1),
-    lambda: delta_omega_asymptotic(1.0, 1),
-    lambda: kernel_manifold_points([0.0], [0.0], 1),
-    lambda: optimal_steps_asymptotic(0.0, 1),
-], ids=["InitialState", "FullSpaceConfig", "reduced_kernels", "asymptotic_eigvec",
-        "delta_omega_asymptotic", "kernel_manifold_points", "optimal_steps_asymptotic"])
-def test_every_list_size_refusal_has_one_message(refuse):
+    lambda n: InitialState(1.0, 1.0, n),
+    lambda n: FullSpaceConfig(n, 0, [1.0]),
+    lambda n: reduced_kernel(1.0, 1.0, n),
+    lambda n: ReducedKernel.from_angles(0.0, 0.0, n),
+    lambda n: asymptotic_eigvec(1.0, 1.0, n),
+    lambda n: delta_omega_asymptotic(1.0, n),
+    lambda n: asymptotic_gaps([1.0], n),
+    lambda n: kernel_manifold_points([0.0], [0.0], n),
+    lambda n: optimal_steps_asymptotic(0.0, n),
+    lambda n: asymptotic_steps([0.0], n),
+    lambda n: stability_expansion(0.1, n),
+], ids=["InitialState", "FullSpaceConfig", "reduced_kernel", "from_angles", "asymptotic_eigvec",
+        "delta_omega_asymptotic", "asymptotic_gaps", "kernel_manifold_points",
+        "optimal_steps_asymptotic", "asymptotic_steps", "stability_expansion"])
+def test_every_list_size_refusal_has_one_message(refuse, n, message):
     with pytest.raises(InvalidSizeError) as exc:
-        refuse()
-    assert str(exc.value) == "list size must be >= 2, got 1"
+        refuse(n)
+    assert str(exc.value) == message

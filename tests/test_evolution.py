@@ -30,15 +30,13 @@ from groverlab.kernel import (
     FullSpaceConfig,
     GroverPhases,
     ReducedKernel,
+    _dephase,
     extended_reduced_kernel,
-    extended_reduced_kernels,
     full_kernel,
     reduced_kernel,
-    reduced_kernels,
     unit_phases,
 )
-from groverlab.spectral import (_dephase, _rotation_angles, eigensystem,
-                                optimal_steps_asymptotic)
+from groverlab.spectral import _rotation_angles, eigensystem, optimal_steps_asymptotic
 
 rng = np.random.default_rng(23)
 
@@ -279,7 +277,7 @@ def folded(stack):
     """The folded angle and the axis rows nx, ny, nz that the engine evolves
     a stack of kernels by: a negative cos(angle) moved into the global
     phase, and a zero axis where sin(angle) is 0."""
-    _, _, c, _, sin_axis = _dephase(stack)
+    *_, c, sin_axis = _dephase(stack)
     sin, angle, _ = _rotation_angles(c, sin_axis)
     sign = np.where(c < 0, -1.0, 1.0)
     return angle, *np.divide(sign * sin_axis, sin, where=sin > 0, out=np.zeros_like(sin_axis))
@@ -300,6 +298,14 @@ def single_kernel_probs(k, x_in, m_max):
 # differs, and some sit on the balanced diagonal.
 SWEEP_BETA = np.repeat(0.3 + 2 * np.pi * np.arange(6) / 6, 5)
 SWEEP_DELTA = np.tile(-2 + 2 * np.pi * np.arange(5) / 5, 6)
+
+
+def kernel_stack(beta, delta, n=None, alpha1=None):
+    """The (K, 2, 2) stack of ``reduced_kernel``'s matrices of the phase pairs,
+    or of ``extended_reduced_kernel``'s with ``alpha1``."""
+    kernels = [reduced_kernel(b, d, n) if alpha1 is None else extended_reduced_kernel(b, d, alpha1)
+               for b, d in zip(beta, delta)]
+    return np.array([k.matrix for k in kernels]).reshape(-1, 2, 2)
 
 
 def cut(kernels, s, m_max, span):
@@ -326,8 +332,7 @@ class TestProbabilityTraces:
     ], ids=["n", "a", "b", "alpha1"])
     def test_rows_equal_single_kernel_traces(self, n, start):
         beta, delta = unit_phases(SWEEP_BETA), unit_phases(SWEEP_DELTA)
-        stack = (extended_reduced_kernels(beta, delta, 0.3) if n is None
-                 else reduced_kernels(beta, delta, n))
+        stack = kernel_stack(beta, delta, n, 0.3 if n is None else None)
         m_max = 60
         singles = [probability_trace(ReducedKernel(k, n), start, m_max) for k in stack]
         x_in = start.reduced_vector() if isinstance(start, InitialState) else start
@@ -339,7 +344,7 @@ class TestProbabilityTraces:
                 assert np.array_equal(row, single_kernel_probs(ReducedKernel(k, n), x_in, m_max))
 
     def test_bare_stack_checked(self):
-        good = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
+        good = kernel_stack([1.0, 1j], [1.0, 1j], 100)
         start = uniform_initial(100)
         bad = good.copy()
         bad[1, 0, 0] *= 1.01
@@ -354,7 +359,7 @@ class TestProbabilityTraces:
             joined(np.ones((2, 2, 2, 2)), start, 10)
 
     def test_start_checked(self):
-        stack = reduced_kernels([1.0, 1j], [1.0, 1j], 100)
+        stack = kernel_stack([1.0, 1j], [1.0, 1j], 100)
         with pytest.raises(NormalizationError):
             joined(stack, np.array([0.5, 0.5]), 10)
         with pytest.raises(InvalidSizeError):
@@ -393,7 +398,7 @@ class TestProbabilityTraces:
         lo), however many steps: none, one, 7, 2^14; an empty stack gives
         empty blocks."""
         phases = unit_phases(np.linspace(-3, 3, kernels))
-        p = probability_blocks(reduced_kernels(phases, phases, 100), uniform_initial(100))
+        p = probability_blocks(kernel_stack(phases, phases, 100), uniform_initial(100))
         for lo, hi in ((0, 0), (0, 1), (20, 27), (5, 5 + 2**14)):
             assert p(lo, hi).shape == (kernels, hi - lo)
 

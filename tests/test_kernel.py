@@ -15,14 +15,13 @@ from groverlab.kernel import (
     FullSpaceConfig,
     GroverPhases,
     ReducedKernel,
+    _phase_rotations,
     dft_conjugate,
     extended_reduced_kernel,
     full_kernel,
     grover_operator,
-    extended_reduced_kernels,
     momentum_projector,
     reduced_kernel,
-    reduced_kernels,
     unit_phases,
 )
 
@@ -131,6 +130,9 @@ class TestReducedKernel:
             k.matrix[0, 0] = 5
         src[0, 0] = 5  # caller's buffer must stay writable
         assert k.matrix[0, 0] == 0
+        for kernel in (k, ReducedKernel.from_angles(0.3, -1.1, 2)):
+            with pytest.raises(ValueError):
+                kernel.form[5][0, 0] = 5
 
     def test_rejects_non_unitary_block(self):
         with pytest.raises(NormalizationError):
@@ -169,9 +171,9 @@ class TestExtendedKernel:
             extended_reduced_kernel(1.0, 1.0, bad)
 
 
-class TestBatchedKernels:
-    """The stacks carry the bits of the scalar formulas, written here with
-    Python complex arithmetic as the single-kernel code once computed them."""
+class TestKernelFormulas:
+    """The kernels carry the bits of their formulas, written here with Python
+    complex arithmetic."""
 
     ANGLES = np.concatenate([rng.uniform(-np.pi, np.pi, 60), [0.0, -0.0, np.pi, -np.pi]])
 
@@ -184,31 +186,74 @@ class TestBatchedKernels:
         assert_array_equal(beta.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 1000, 10**9, 2**63 - 1])
-    def test_reduced_stack_is_the_scalar_formula(self, n):
+    def test_reduced_kernel_is_the_formula(self, n):
         beta, delta = unit_phases(self.ANGLES), unit_phases(self.ANGLES[::-1])
-        stack = reduced_kernels(beta, delta, n)
-        for k, (b, d) in enumerate(zip(beta.tolist(), delta.tolist())):
+        for b, d in zip(beta.tolist(), delta.tolist()):
             s = np.sqrt(n - 1)
             m = np.array([[1 + d * (1 - n), -b * (1 + d) * s],
                           [(1 + d) * s, b * (1 + d - n)]]) / n
-            assert_array_equal(stack[k].view(np.uint64), m.view(np.uint64))
-        assert_array_equal(stack[3], reduced_kernel(beta[3], delta[3], n).matrix)
+            assert_array_equal(reduced_kernel(b, d, n).matrix.view(np.uint64), m.view(np.uint64))
 
-    def test_extended_stack_is_the_scalar_formula(self):
+    def test_extended_kernel_is_the_formula(self):
         beta, delta = unit_phases(self.ANGLES), unit_phases(self.ANGLES[::-1])
         a1 = 0.3
-        stack = extended_reduced_kernels(beta, delta, a1)
-        for k, (b, d) in enumerate(zip(beta.tolist(), delta.tolist())):
+        for b, d in zip(beta.tolist(), delta.tolist()):
             big_d, c = 1 + d, np.sqrt(1 - a1 * a1)
             m = np.array([[-d + big_d * a1**2, -b * big_d * a1 * c],
                           [big_d * a1 * c, b * (big_d * a1**2 - 1)]])
-            assert_array_equal(stack[k].view(np.uint64), m.view(np.uint64))
+            got = extended_reduced_kernel(b, d, a1).matrix
+            assert_array_equal(got.view(np.uint64), m.view(np.uint64))
 
-    def test_batch_refuses_a_phase_off_the_circle(self):
+    def test_refuses_a_phase_off_the_circle(self):
         with pytest.raises(NormalizationError, match=r"\|beta\| is 2"):
-            reduced_kernels([1.0, 2.0, 1j], [1.0, 1.0, 1.0], 10)
+            reduced_kernel(2.0, 1.0, 10)
         with pytest.raises(InvalidSizeError):
-            reduced_kernels([1.0], [1.0], 1)
+            reduced_kernel(1.0, 1.0, 1)
+
+
+class TestFromAngles:
+    """ReducedKernel.from_angles: the kernel of the phase angles, with its
+    SU(2) form in closed form (its 50-digit accuracy is in
+    test_spectral_reference.py)."""
+
+    ANGLES = rng.uniform(-np.pi, np.pi, (2, 20)).T.tolist() + [(np.pi, -np.pi), (3.0, -3.0)]
+
+    @pytest.mark.parametrize("n", [2, 1000, 10**9])
+    def test_matrix_is_the_units_kernel(self, n):
+        for bp, dp in self.ANGLES:
+            k = ReducedKernel.from_angles(bp, dp, n)
+            want = reduced_kernel(*unit_phases([bp, dp]), n)
+            assert k.size == n and np.abs(k.matrix - want.matrix).max() <= 2e-15
+            ext = ReducedKernel.from_angles(bp, dp, alpha1=1 / np.sqrt(n))
+            assert ext.size is None and np.abs(ext.matrix - want.matrix).max() <= 2e-15
+
+    def test_phases_taken_less_their_turns(self):
+        k = ReducedKernel.from_angles(0.3 + 4 * np.pi, -1.1, 100)
+        want = ReducedKernel.from_angles(0.3, -1.1, 100)
+        assert np.abs(k.matrix - want.matrix).max() <= 1e-14
+
+    def test_form_is_kept(self):
+        """The kernel carries _phase_rotations' form of its angles, bit for bit,
+        not the form of its rounded matrix."""
+        k = ReducedKernel.from_angles(0.5, 0.500001, 10**12)
+        want = _phase_rotations(np.array([0.5]), np.array([0.500001]), 10**12)
+        for got, part in zip(k.form, want):
+            assert_array_equal(got.view(np.uint64), part.view(np.uint64))
+        assert ReducedKernel(k.matrix, k.size).form[5][2] != want[5][2]
+
+    def test_form_is_not_a_constructor_argument(self):
+        """A caller cannot pair a matrix with another kernel's form."""
+        k = ReducedKernel.from_angles(0.3, -1.1, 10)
+        with pytest.raises(TypeError):
+            ReducedKernel(k.matrix, k.size, form=k.form)
+
+    def test_refusals(self):
+        with pytest.raises(InvalidSizeError):
+            ReducedKernel.from_angles(0.0, 0.0)
+        with pytest.raises(InvalidSizeError):
+            ReducedKernel.from_angles(0.0, 0.0, 1)
+        with pytest.raises(DegenerateSubspaceError):
+            ReducedKernel.from_angles(0.0, 0.0, alpha1=1.0)
 
 
 class TestMomentumProjector:

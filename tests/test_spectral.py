@@ -17,15 +17,14 @@ from groverlab.errors import (
     ShapeError,
     SingularLimitError,
 )
-from groverlab.kernel import (ReducedKernel, extended_reduced_kernel, grover_operator,
-                              reduced_kernel, reduced_kernels, unit_phases)
+from groverlab.kernel import (ReducedKernel, _dephase, extended_reduced_kernel, grover_operator,
+                              reduced_kernel, unit_phases)
 from groverlab.spectral import (
     AxisAngle,
-    SpectralData,
+    _spectra,
     asymptotic_gaps,
     asymptotic_steps,
     eigensystem,
-    eigensystems,
     asymptotic_eigvec,
     delta_omega_asymptotic,
     kernel_manifold_points,
@@ -34,7 +33,6 @@ from groverlab.spectral import (
     phase_spectra,
     stability_expansion,
     su2_decompose,
-    su2_decompositions,
 )
 
 rng = np.random.default_rng(19)
@@ -49,6 +47,16 @@ def random_spec(r, n_max=10**6):
     b, d = random_phase(r), random_phase(r)
     n = int(r.integers(2, n_max))
     return reduced_kernel(b, d, n), b, d, n
+
+
+def kernel_stack(bp, dp, n):
+    """``reduced_kernel``'s formula over arrays of phase angles bp and dp, as
+    one (K, 2, 2) stack of kernel matrices."""
+    beta, delta = unit_phases(bp), unit_phases(dp)
+    s = math.sqrt(n - 1)
+    entries = [1 + delta * (1 - n), -beta * (1 + delta) * s, (1 + delta) * s,
+               beta * (1 + delta - n)]
+    return np.stack(entries, axis=-1).reshape(-1, 2, 2) / n
 
 
 def reconstruct(aa):
@@ -330,31 +338,40 @@ class TestBatches:
     DP = [np.pi, 0.0, 0.7, -1.1, 2.5, 3.1, 1.0]
 
     @pytest.mark.parametrize("n", [2, 1000, 10**9])
-    def test_eigensystem_rows_do_not_depend_on_the_batch(self, n):
-        stack = reduced_kernels(unit_phases(self.BP), unit_phases(self.DP), n)
-        batch = eigensystems(stack, n)
+    def test_phase_spectra_rows_are_eigensystems_of_the_angles(self, n):
+        """Each row of ``phase_spectra`` has the bits of ``eigensystem`` of
+        ``ReducedKernel.from_angles`` at its phases: both are the one step of
+        the same SU(2) form."""
+        batch = phase_spectra(self.BP, self.DP, n)
         assert batch.degenerate.tolist() == [True] + [False] * 6
-        for k in range(len(self.BP)):
-            one = eigensystem(ReducedKernel(stack[k], n))
-            for name in SpectralData.__dataclass_fields__:
+        assert batch.eigval1 is batch.eigvec1 is None
+        for k, (bp, dp) in enumerate(zip(self.BP, self.DP)):
+            one = eigensystem(ReducedKernel.from_angles(bp, dp, n))
+            for name in ("det", "trace", "eigphase1", "eigphase2", "phase_gap", "diag_gap",
+                         "degenerate"):
                 assert_array_equal(getattr(batch, name)[k], getattr(one, name))
-        assert eigensystems(stack).diag_gap is None
+        assert phase_spectra(self.BP, self.DP, alpha1=0.3).diag_gap is None
 
-    def test_su2_rows_do_not_depend_on_the_batch(self):
-        stack = reduced_kernels(unit_phases(self.BP), unit_phases(self.DP), 10)
-        batch = su2_decompositions(stack)
-        for k in range(len(self.BP)):
-            one = su2_decompose(stack[k])
-            assert (batch.global_phase[k], batch.angle[k]) == (one.global_phase, one.angle)
-            if one.axis is None:
-                assert np.isnan(batch.axis[k]).all()
-            else:
-                assert_array_equal(batch.axis[k], one.axis)
+    def test_su2_of_angles_is_the_kernel(self):
+        """``su2_decompose`` of a kernel from its angles rebuilds that kernel
+        and ``reduced_kernel``'s, to rounding."""
+        for bp, dp in zip(self.BP, self.DP):
+            k = ReducedKernel.from_angles(bp, dp, 10)
+            want = reduced_kernel(*unit_phases([bp, dp]), 10).matrix
+            assert np.abs(reconstruct(su2_decompose(k)) - k.matrix).max() <= 4 * EPS
+            assert np.abs(k.matrix - want).max() <= 4 * EPS
 
-    def test_batch_names_a_non_unitary_matrix(self):
-        stack = np.array([np.eye(2), np.eye(2), [[1, 0], [0, 2]]], dtype=complex)
-        with pytest.raises(NormalizationError, match=r"^matrix 2 is not unitary"):
-            eigensystems(stack)
+    @pytest.mark.parametrize("bp, dp", [(2.5, 2.5), (-2.5, -2.4), (3.0, -3.0), (1e6, 1e6),
+                                        (1e6, 1e6 + 1e-3), (0.3, -1.1)])
+    def test_su2_of_angles_is_the_matrix_decomposition(self, bp, dp):
+        """A kernel from its angles decomposes as its matrix does: the global
+        phase in (-pi/2, pi/2], and the angle and axis with it."""
+        k = ReducedKernel.from_angles(bp, dp, 10)
+        got, want = su2_decompose(k), su2_decompose(k.matrix)
+        assert -np.pi / 2 < got.global_phase <= np.pi / 2
+        assert abs(got.global_phase - want.global_phase) <= 8 * EPS
+        assert abs(got.angle - want.angle) <= 8 * EPS
+        assert np.abs(got.axis - want.axis).max() <= 8 * EPS
 
     def test_overflowing_asymptotic_period_diverges(self):
         with pytest.raises(DivergentPeriodError):
@@ -386,6 +403,20 @@ class TestBatches:
                 continue
             assert gap == expected == scalar_gap(d, n), d
         assert 0 < np.isnan(gaps).sum() < len(gaps)
+
+    def test_asymptotic_steps_check_size_and_overlap(self):
+        with pytest.raises(DegenerateSubspaceError):
+            asymptotic_steps(0.1, 10, alpha1=-0.5)
+        with pytest.raises(InvalidSizeError):
+            asymptotic_steps(0.1, 1)
+
+    def test_asymptotic_gaps_check_the_size(self):
+        with pytest.raises(InvalidSizeError):
+            asymptotic_gaps(1, -4)
+
+    def test_stability_expansion_checks_the_size(self):
+        with pytest.raises(InvalidSizeError):
+            stability_expansion(0.1, -3)
 
     def test_asymptotic_gaps_check_the_phases(self):
         with pytest.raises(NormalizationError, match=r"\|delta\|"):
@@ -501,29 +532,52 @@ def bits(x):
 
 
 class TestScalarReference:
-    """The batched code against per-kernel Python: the matrix code against the
-    loop it replaced, and the closed forms of ``phase_spectra`` and
-    ``kernel_manifold_points`` against their twins in ``math``.  The same bits
-    wherever the arithmetic is the same.  Eigenvector norms are now summed in
-    another order, which can flip the choice between two equally good
-    columns, so eigenvectors agree to their conditioning, 16 eps / |z1 - z2|."""
+    """The array code against per-kernel Python: the one spectral step of a
+    matrix's SU(2) form against the scalar loop and eigenvector rule it
+    replaced, and the closed forms of ``phase_spectra`` and
+    ``kernel_manifold_points`` against their twins in ``math``.  The same
+    bits wherever the arithmetic is the same.  The step takes the angle from
+    the root of the sum of squares, and pi less the folded angle where cos <
+    0, so the eigenphases and the gap agree to rounding; the eigenvectors
+    come from the axis, not from the matrix's columns, and agree component
+    by component to their conditioning, 16 eps / |z1 - z2| for the
+    direction and eps / |ref| more for the phase that the component ref
+    turned real fixes."""
 
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**9, 10**18])
     def test_eigensystems(self, n):
-        t = np.concatenate([rng.uniform(-np.pi, np.pi, (2, 200)),
+        t = np.concatenate([rng.uniform(-np.pi, np.pi, (2, 300)),
                             [[np.pi, 0.0, 0.3, 1e-9], [np.pi, 0.0, 0.3, -1e-9]]], axis=1)
-        t[1, :100] = t[0, :100]
-        stack = reduced_kernels(unit_phases(t[0]), unit_phases(t[1]), n)
-        batch = eigensystems(stack, n)
+        t[1, :100] = t[0, :100]  # balanced
+        t[1, 100:200] = t[0, 100:200] + rng.normal(0, 1 / math.sqrt(n), 100)  # near-balanced
+        stack = kernel_stack(t[0], t[1], n)
+        batch, *_ = _spectra(_dephase(stack), n)
         for k, m in enumerate(stack):
             e1, e2, gap, degenerate, v2 = scalar_eigensystem(m)
-            got = (batch.eigphase1[k], batch.eigphase2[k], batch.phase_gap[k])
-            assert bits(got) == bits((e1, e2, gap)) and batch.degenerate[k] == degenerate
+            assert batch.degenerate[k] == degenerate, k
+            got, gap_k = (batch.eigphase1[k], batch.eigphase2[k]), batch.phase_gap[k]
+            on_circle = [abs(math.remainder(g - w, 2 * np.pi)) for g, w in zip(got, (e1, e2))]
+            assert max(on_circle) <= 8 * EPS and abs(gap_k - gap) <= 4 * EPS * gap, k
             det, tr = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], m[0, 0] + m[1, 1]
-            assert bits([batch.det[k].real, batch.det[k].imag, batch.trace[k].real,
-                         batch.trace[k].imag]) == bits([det.real, det.imag, tr.real, tr.imag])
-            sep = abs(batch.eigval1[k] - batch.eigval2[k])
-            assert np.max(np.abs(batch.eigvec2[k] - v2)) <= (0 if degenerate else 16 * EPS / sep)
+            assert complex_bits(batch.det[k]) == complex_bits(det)
+            assert abs(batch.trace[k] - tr) <= 4 * EPS
+            one = eigensystem(ReducedKernel(m, n))
+            assert bits([one.eigphase1, one.eigphase2, one.phase_gap]) == bits([*got, gap_k])
+            if degenerate:
+                assert np.array_equal(one.eigvec2, v2)
+                continue
+            # The direction, with v2's phase turned to the new one's, to its
+            # conditioning; and every component, to that and the phase
+            # convention's: the component turned real, ref, sets the phase
+            # to within eps / |ref|, which the old vector takes from the float
+            # matrix's column and the new one from the unitary form.  Where
+            # |ref| >= 1/2, as in every balanced kernel, the componentwise
+            # bound is 16 eps / |z1 - z2| or less.
+            sep, overlap = abs(one.eigval1 - one.eigval2), np.vdot(v2, one.eigvec2)
+            turned = v2 * (overlap / abs(overlap))
+            assert np.max(np.abs(one.eigvec2 - turned)) <= 16 * EPS / sep, k
+            ref = abs(v2[1]) if abs(v2[1]) > 1e-14 else abs(v2[0])
+            assert np.max(np.abs(one.eigvec2 - v2)) <= 8 * EPS / (sep * ref), k
 
     @pytest.mark.parametrize("n", [4, 10, 10**6])
     def test_manifold(self, n):
@@ -554,13 +608,15 @@ class TestScalarReference:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**6, 10**9])
     def test_phase_spectra_order(self, n):
-        """phase_spectra orders the eigenphases as eigensystems does, from the
-        axis alone, on 20000 random non-degenerate kernels per size."""
+        """phase_spectra orders the eigenphases from the angles' axis as the
+        step orders a kernel matrix's (``_dephase``'s axis), which
+        test_eigensystems holds to the old |v0| rule, on 20000 random
+        non-degenerate kernels per size."""
         r = np.random.default_rng(n)
         bp, dp = r.uniform(-np.pi, np.pi, (2, 20000))
         dp[:5000] = bp[:5000]
         dp[5000:10000] = bp[5000:10000] + r.normal(0, 1 / math.sqrt(n), 5000)
-        old = eigensystems(reduced_kernels(unit_phases(bp), unit_phases(dp), n), n)
+        old, *_ = _spectra(_dephase(kernel_stack(bp, dp, n)), n)
         new = phase_spectra(bp, dp, n)
         assert (new.degenerate == old.degenerate).all()
         live = ~old.degenerate & (old.phase_gap > 1e-8)
@@ -572,13 +628,14 @@ class TestScalarReference:
 def gap_reference(stack):
     """phase_gap as 2 atan2(sin(angle), |cos(angle)|) at every kernel, from
     the parts ``_dephase`` gives, and 0 where the levels are one."""
-    _, _, c, s, _ = spectral._dephase(stack)
+    *_, c, (x, y, z) = _dephase(stack)
+    s = np.sqrt(x * x + y * y + z * z)
     return np.where(2 * s <= spectral.DEGENERACY_TOL, 0.0, 2 * _atan2(s, np.abs(c)))
 
 
 class TestPhaseGap:
-    """eigensystems reuses its atan2(s, c) for the gap wherever c is not
-    sign-negative, and calls atan2(s, |c|) only on the rest: the same bits."""
+    """The step's phase_gap is 2 atan2(sin, |cos|) at every kernel, bit for
+    bit, signed zeros of cos and degenerate kernels included."""
 
     def test_signed_zero_cos_and_degenerate_kernels(self):
         stack = np.array([
@@ -587,9 +644,9 @@ class TestPhaseGap:
             np.eye(2), -np.eye(2), np.exp(0.3j) * np.eye(2),  # degenerate
             [[0.6, 0.8j], [0.8j, 0.6]], [[-0.6, 0.8j], [0.8j, -0.6]],  # c > 0, c < 0
         ], dtype=complex)
-        _, _, c, _, _ = spectral._dephase(stack)
+        c = _dephase(stack)[4]
         assert bits(c[:2]) == bits([0.0, -0.0])
-        batch = eigensystems(stack)
+        batch, *_ = _spectra(_dephase(stack), None)
         assert batch.degenerate.tolist() == [False, False, True, True, True, False, False]
         assert bits(batch.phase_gap) == bits(gap_reference(stack))
 
@@ -597,9 +654,8 @@ class TestPhaseGap:
     @given(st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
                     min_size=1, max_size=40), st.integers(2, 10**12))
     def test_random_kernels(self, angles, n):
-        bp, dp = np.array(angles).T
-        stack = reduced_kernels(unit_phases(bp), unit_phases(dp), n)
-        assert bits(eigensystems(stack, n).phase_gap) == bits(gap_reference(stack))
+        stack = kernel_stack(*np.array(angles).T, n)
+        assert bits(_spectra(_dephase(stack), n)[0].phase_gap) == bits(gap_reference(stack))
 
 
 def point(aa, i):

@@ -20,11 +20,12 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
-from reference import half_cos, manifold_reference, reflections, rotation, spectrum
+from reference import half_cos, manifold_reference, power, reflections, rotation, spectrum
 
 from groverlab import cli
 from groverlab.algebra import TOL_EXACT
-from groverlab.kernel import GroverPhases, reduced_kernel
+from groverlab.evolution import probability_blocks, uniform_initial
+from groverlab.kernel import GroverPhases, ReducedKernel, reduced_kernel
 from groverlab.spectral import eigensystem, kernel_manifold_points, optimal_steps_exact
 
 SIZES = (10**6, 10**9, 10**12, 10**15, 10**18)
@@ -47,6 +48,72 @@ def test_phase_gap_matches_reference(n):
         if spec.degenerate or not rel <= GAP_RTOL or optimal_steps_exact(spec) != want.steps:
             bad.append((bp, dp, rel, spec.degenerate))
     assert not bad, f"{len(bad)} of {len(BALANCED) + len(UNBALANCED)} wrong, e.g. {bad[:3]}"
+
+
+# ReducedKernel.from_angles near balance, on the grid of the trace gate in
+# test_trace_reference.py: eps = |bp - dp| sqrt(N), or |bp - dp| / alpha1 at
+# alpha1 = 1/sqrt(N), about random bp.  Measured worst: phase_gap 6.7e-16
+# relative, eigenphases 8.9e-16 and eigenvectors 4.0e-16 absolute, P(m) 0.26
+# of its gate.  A kernel matrix built from the complex units (reduced_kernel,
+# extended_reduced_kernel) is off by up to 1.0e-7 in phase_gap and 2.0e-7 in
+# the eigenvectors, and P(m) by 309 times its gate, on the same draws.
+ANGLE_SIZES = (10**6, 10**9, 10**12, 10**15, 10**18, 2**63 - 1)
+ANGLE_EPS = (1e-4, 1e-2, 1, 1e2, 1e6)
+ANGLE_DRAWS = 4
+ANGLE_TOL = 2e-15  # phase_gap relative, eigenphases absolute: a few roundings of pi
+EIGVEC_TOL = 1e-15
+STEPS = 10**7
+FLAT_TOL, STEP_TOL = 1e-12, 1e-15  # |dP| <= 1e-12 + 1e-15 m a, as for the traces
+
+
+def angle_errors(bp, dp, n, alpha1, draw):
+    """(name, error, bound) of the kernel of the angles against 50 digits:
+    its spectrum, its eigenvectors matched by eigenphase, and P(m) from its
+    plane start at 0, 1, STEPS and 12 random steps between, by the evaluator
+    ``probability_trace`` fills its array from."""
+    k = ReducedKernel.from_angles(bp, dp, n, alpha1)
+    spec, want = eigensystem(k), spectrum(bp, dp, n, alpha1)
+    if spec.degenerate or want.degenerate:
+        return [("degenerate", float(spec.degenerate != want.degenerate), 0)]
+    got = spec.eigphase1, spec.eigphase2
+    orders = [want.eigphases, want.eigphases[::-1]], [want.eigvecs, want.eigvecs[::-1]]
+    on_circle = [max(abs(math.remainder(g - w, 2 * math.pi)) for g, w in zip(got, pair))
+                 for pair in orders[0]]
+    better = int(np.argmin(on_circle))
+    vec_err = max(np.abs(g - w).max() for g, w in zip((spec.eigvec1, spec.eigvec2),
+                                                     orders[1][better]))
+    if alpha1 is None:
+        start, exact = uniform_initial(n), (1 / mp.sqrt(n), mp.sqrt(mpf(n - 1) / n))
+    else:
+        start = np.array([alpha1, math.sqrt(1 - alpha1**2)], dtype=complex)
+        exact = (mpf(alpha1), mp.sqrt(1 - mpf(alpha1) ** 2))
+    steps = sorted({0, 1, STEPS, *draw.integers(0, STEPS + 1, 12).tolist()})
+    p = probability_blocks(k, start)
+    with mp.workdps(50):
+        g1, g2 = reflections(mp.expj(mpf(bp)), mp.expj(mpf(dp)), n, alpha1)
+        probs, angle = power(g2 * g1, exact, steps)
+    return [("phase_gap", abs(spec.phase_gap - want.gap) / want.gap, ANGLE_TOL),
+            ("eigphases", on_circle[better], ANGLE_TOL), ("eigvecs", vec_err, EIGVEC_TOL)] + [
+        (f"P({m})", abs(p(m, m + 1)[0, 0] - want_p), FLAT_TOL + STEP_TOL * angle * m)
+        for m, want_p in zip(steps, probs)]
+
+
+@pytest.mark.parametrize("kind", ["plain", "alpha1"])
+@pytest.mark.parametrize("n", ANGLE_SIZES, ids=["1e6", "1e9", "1e12", "1e15", "1e18", "2^63-1"])
+def test_from_angles_matches_reference(n, kind):
+    """The library's angle input keeps the near-balanced phases' difference:
+    phase_gap, the eigenphases and eigenvectors of eigensystem and P(m) up to
+    1e7, of ReducedKernel.from_angles, within their bounds of 50 digits."""
+    alpha1 = 1 / math.sqrt(n) if kind == "alpha1" else None
+    bad = []
+    for eps in ANGLE_EPS:
+        draw = np.random.default_rng([ANGLE_SIZES.index(n), ANGLE_EPS.index(eps), kind == "plain"])
+        for _ in range(ANGLE_DRAWS):
+            bp = float(draw.uniform(-math.pi, math.pi))
+            dp = bp + float(draw.choice([-1, 1])) * eps / math.sqrt(n)
+            errors = angle_errors(bp, dp, None if alpha1 else n, alpha1, draw)
+            bad += [(eps, bp, dp, name, err) for name, err, bound in errors if not err <= bound]
+    assert not bad, f"{len(bad)} checks off, e.g. {bad[:3]}"
 
 
 def spectrum_row(*args):

@@ -25,8 +25,8 @@ from groverlab import cli
 from groverlab.algebra import momentum_state
 from groverlab.evolution import (InitialState, _rotation_blocks, full_space_trace,
                                  probability_blocks, probability_trace, uniform_initial)
-from groverlab.kernel import (FullSpaceConfig, GroverPhases, extended_reduced_kernel,
-                              reduced_kernel)
+from groverlab.kernel import (FullSpaceConfig, GroverPhases, ReducedKernel,
+                              extended_reduced_kernel, reduced_kernel)
 
 FLAT_TOL = 1e-12
 ANGLE_TOL = 1e-15
@@ -114,6 +114,16 @@ def test_near_balanced_step_at_large_n():
     got = probability_blocks(reduced_kernel(phases.beta, phases.delta, n), state)(m, m + 1)
     want, angle = reference(bp, dp, state.reduced_vector(), [m], n=n)
     assert abs(got[0, 0] - want[0]) <= FLAT_TOL + ANGLE_TOL * angle * m
+
+
+def test_near_balanced_step_at_large_n_from_angles():
+    """The same reproduction through the library's angle input: the whole
+    ``probability_trace`` of ``ReducedKernel.from_angles`` to m = 10^7, at
+    the gate's sampled steps."""
+    n, bp, dp, m_max = 10**12, 0.5, 0.500001, 10**7
+    state = uniform_initial(n)
+    trace = probability_trace(ReducedKernel.from_angles(bp, dp, n), state, m_max)
+    _check(trace, bp, dp, state.reduced_vector(), m_max, False, n=n)
 
 
 # Full-space traces.  Both sides take the same float angles (all four phases),
